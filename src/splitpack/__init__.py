@@ -53,11 +53,8 @@ from .packer import (
     min_container,
     pack,
     packable_area,
-    place_circle_in_hat,
-    place_hats_in_square,
-    place_subhats_in_hat,
 )
-from .verifier import Check, CheckKind, VerificationReport, projection_widths, verify
+from .verifier import Check, CheckKind, VerificationReport, verify
 from .documents import InstanceDocument, PackingDocument, decide
 from .svg import render_packing_svg
 
@@ -100,11 +97,7 @@ __all__ = [
     "min_guarantee",
     "pack",
     "packable_area",
-    "place_circle_in_hat",
-    "place_hats_in_square",
-    "place_subhats_in_hat",
     "point_segment_distance",
-    "projection_widths",
     "render_packing_svg",
     "segment_segment_distance",
     "signed_distance",

@@ -169,10 +169,6 @@ class Triangle:
         sides = self.side_lengths
         return max(range(3), key=lambda i: sides[i])
 
-    @property
-    def base_length(self) -> float:
-        return self.side_lengths[self._base_index]
-
     @cached_property
     def base_split(self) -> tuple[Point, Point, Point]:
         """(left base vertex, right base vertex, apex); base = longest side.
@@ -189,18 +185,6 @@ class Triangle:
         ux, uy = p.x - at.x, p.y - at.y
         vx, vy = q.x - at.x, q.y - at.y
         return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-
-    @cached_property
-    def alpha(self) -> float:
-        """Base angle at the left base vertex."""
-        left, right, apex = self.base_split
-        return self._angle(left, right, apex)
-
-    @cached_property
-    def beta(self) -> float:
-        """Base angle at the right base vertex."""
-        left, right, apex = self.base_split
-        return self._angle(right, left, apex)
 
     @cached_property
     def apex_angle(self) -> float:

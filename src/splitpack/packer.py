@@ -8,10 +8,13 @@ twincircle area, so this is the same anchored-scaled-half construction used
 for general hats. A hat container is split through its apex into two right
 altitude halves: each subset of circles gets the matching half scaled about
 the shared base vertex by sqrt(subset_area / half_incircle_area) and rounded
-by its minimum-size guarantee. Recursion bottoms out by placing a lone circle
-concentric with its hat's incircle.
+by its minimum-size guarantee, never by more than its own smallest circle.
+Recursion bottoms out by placing a lone circle concentric with its hat's
+incircle.
 
-All placements are produced directly in world coordinates.
+`pack` builds the first-level hats (the container triangle itself, or the
+square's two corner hats) and hands them to one iterative loop, which builds
+every further hat and places every circle, directly in world coordinates.
 """
 
 import math
@@ -32,7 +35,6 @@ from .geometry import (
     SplitKey,
     Square,
     Triangle,
-    altitude_halves,
     triangle_incircle,
     _circle_fast,
     _hat_fast,
@@ -144,123 +146,42 @@ def _check_tuples(
         raise ConjugacyError("conjugatedness violation: rounding below the overshoot bound")
 
 
-def _scaled_hat(
-    half: Triangle,
-    anchor: Point,
-    a_i: float,
-    b_i: float,
-    f_i: float,
-    stats: Optional[PackStats],
-) -> Optional[Hat]:
-    """Half triangle scaled about its anchor to incircle area a_i, rounded by b_i."""
-    if a_i <= 0.0:
-        return None
-    t = math.sqrt(a_i / f_i)
-    if abs(a_i - f_i) <= _SNAP_REL_TOL * f_i:
-        t = 1.0
-    tri = half if t == 1.0 else half.scaled_about(anchor, t)
-    if stats is not None:
-        stats.scale_factors.append(t)
-        stats.hat_count += 1
-    r = _inradius(tri)
-    rounding = min(b_i, math.pi * r * r)
-    return Hat(tri, math.sqrt(rounding / math.pi))
-
-
-def place_hats_in_square(
-    side: float,
-    first: tuple[float, float],
-    second: tuple[float, float],
-    *,
-    stats: Optional[PackStats] = None,
-) -> tuple[Optional[Hat], Optional[Hat]]:
-    """Two right isosceles hats anchored in opposite corners of the square.
-
-    Hat i is the half-square triangle (legs along the square's sides, right
-    angle at (0, 0) for i=1 and at (side, side) for i=2) scaled about its
-    corner by sqrt(a_i / (a/2)) with a the square's twincircle area, then
-    rounded by b_i. The tuples must be conjugated for the key (a/2, a/2).
-    An a_i of zero yields ``None`` in that slot.
-    """
-    square = Square(side)
-    a_total = PHI_SQUARE * side * side
-    f = a_total / 2.0
-    key = SplitKey(f, f)
-    _check_tuples(a_total, 0.0, key, first, second)
-    s = square.side
-    half1 = Triangle((Point(0.0, 0.0), Point(s, 0.0), Point(0.0, s)))
-    half2 = Triangle((Point(s, s), Point(0.0, s), Point(s, 0.0)))
-    hat1 = _scaled_hat(half1, Point(0.0, 0.0), first[0], first[1], f, stats)
-    hat2 = _scaled_hat(half2, Point(s, s), second[0], second[1], f, stats)
-    return hat1, hat2
-
-
-def place_subhats_in_hat(
-    container: Hat,
-    key: SplitKey,
-    first: tuple[float, float],
-    second: tuple[float, float],
-    *,
-    stats: Optional[PackStats] = None,
-) -> tuple[Optional[Hat], Optional[Hat]]:
-    """Two right hats along the legs of a container hat.
-
-    ``key`` must be the container's associated split key. Child i is the
-    altitude-half right triangle scaled about the shared base vertex (left
-    vertex for i=1, right vertex for i=2) by sqrt(a_i / f_i) and rounded by
-    b_i, so child 1's hypotenuse lies along the container's left leg and
-    child 2's along the right leg. The tuples must be conjugated for the
-    container's parameters; an a_i of zero yields ``None`` in that slot.
-    """
-    tri = container.triangle
-    if not tri.is_non_acute:
-        raise UnsupportedContainerError("container hat must be right or obtuse")
-    _check_tuples(container.incircle_area, container.rounding_area, key, first, second)
-    left_vertex, right_vertex, _apex = tri.base_split
-    half1, half2 = altitude_halves(tri)
-    hat1 = _scaled_hat(half1, left_vertex, first[0], first[1], key.f1, stats)
-    hat2 = _scaled_hat(half2, right_vertex, second[0], second[1], key.f2, stats)
-    return hat1, hat2
-
-
-def place_circle_in_hat(container: Hat, area: float) -> Circle:
-    """Circle of the given area concentric with the container hat's incircle."""
-    if area <= 0.0:
-        raise InvalidParameterError("circle area must be positive")
-    incircle = container.incircle
-    if area > container.incircle_area * (1.0 + _PLACEMENT_REL_TOL):
-        raise InvalidParameterError(
-            f"circle of area {area!r} exceeds the hat's incircle area {container.incircle_area!r}"
-        )
-    return Circle(incircle.center, math.sqrt(area / math.pi))
+def _scale_factor(a: float, f: float) -> float:
+    """sqrt(a / f), snapped to exactly 1 when a lies within _SNAP_REL_TOL of f."""
+    if abs(a - f) <= _SNAP_REL_TOL * f:
+        return 1.0
+    return math.sqrt(a / f)
 
 
 def _leaf(circle: Circle, area: float, index: int) -> PackingNode:
     return PackingNode(circle, payload=area, input_index=index)
 
 
-def _pack_into_hat(
-    hat: Hat,
-    circles: CircleSet,
-    b_floor: float,
+def _pack_into_hats(
+    hats: list[tuple[PackingNode, CircleSet, float]],
     stats: Optional[PackStats],
-) -> PackingNode:
-    """Pack a non-empty circle set into a hat; returns the hat's subtree.
+) -> None:
+    """Fill each (hat node, non-empty circle set, inherited min size) subtree.
 
-    This is :func:`place_subhats_in_hat` and :func:`place_circle_in_hat`
-    inlined on plain floats (the equivalence is covered by tests): each level
-    splits the triangle through the apex, runs the weighted split against the
-    altitude halves' incircle areas, and scales each half about its base
-    vertex to the subset's combined area.
+    The only place that splits a hat into subhats and places a circle in a
+    hat: a lone circle goes concentric with its hat's incircle; otherwise the
+    triangle is split through its apex into two right altitude halves, the
+    set is split against the halves' incircle areas, and each half is scaled
+    about its base vertex to its group's combined area and rounded by the
+    group's minimum-size guarantee, clamped to the group's smallest circle.
     """
     pi = math.pi
     sqrt = math.sqrt
     hypot = math.hypot
-    root = PackingNode(hat)
-    left, right, apex = hat.triangle.base_split
-    r_in = _inradius(hat.triangle)
     # (node, Lx, Ly, Rx, Ry, Cx, Cy, inradius, subset, inherited min size, depth)
-    stack = [(root, left.x, left.y, right.x, right.y, apex.x, apex.y, r_in, circles, b_floor, 1)]
+    # with L, R the base (longest side) ends and C the apex of the hat triangle
+    stack = []
+    for node, subset, b_min in hats:
+        tri = node.shape.triangle
+        left, right, apex = tri.base_split
+        stack.append(
+            (node, left.x, left.y, right.x, right.y, apex.x, apex.y, _inradius(tri), subset, b_min, 1)
+        )
     while stack:
         node, lx, ly, rx, ry, cx, cy, r_in, subset, b_min, depth = stack.pop()
         if stats is not None and depth > stats.max_depth:
@@ -304,16 +225,12 @@ def _pack_into_hat(
             stats.split_calls += 1
             stats.element_moves += len(subset)
         a1, a2 = part1.combined, part2.combined
-        b1 = max(b_min, a1 - f1 * a2 / f2, 0.0)
-        b2 = max(b_min, a2 - f2 * a1 / f1, 0.0)
+        b1 = min(max(b_min, a1 - f1 * a2 / f2, 0.0), part1.minimum)
+        b2 = min(max(b_min, a2 - f2 * a1 / f1, 0.0), part2.minimum)
         _check_tuples(pi * r_in * r_in, b_min, key, (a1, b1), (a2, b2))
 
-        t1 = sqrt(a1 / f1)
-        if abs(a1 - f1) <= _SNAP_REL_TOL * f1:
-            t1 = 1.0
-        t2 = sqrt(a2 / f2)
-        if abs(a2 - f2) <= _SNAP_REL_TOL * f2:
-            t2 = 1.0
+        t1 = _scale_factor(a1, f1)
+        t2 = _scale_factor(a2, f2)
         if stats is not None:
             stats.scale_factors += (t1, t2)
             stats.hat_count += 2
@@ -339,7 +256,6 @@ def _pack_into_hat(
         node.children = [child1, child2]
         stack.append((child1, c1x, c1y, lx, ly, x1x, x1y, r1c, part1, b1, depth + 1))
         stack.append((child2, rx, ry, c2x, c2y, x2x, x2y, r2c, part2, b2, depth + 1))
-    return root
 
 
 def _validate_request(request: PackRequest) -> float:
@@ -396,22 +312,39 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
         if stats is not None:
             stats.split_calls += 1
             stats.element_moves += n
+        # The half-square's incircle area is half the twincircle area, so the
+        # square splits like a hat with key (f, f).
         f = capacity / 2.0
-        b1 = min_guarantee(part1.combined, part2.combined, f, f, b0)
-        b2 = min_guarantee(part2.combined, part1.combined, f, f, b0)
-        hat1, hat2 = place_hats_in_square(
-            container.side, (part1.combined, b1), (part2.combined, b2), stats=stats
-        )
-        root.children.append(_pack_into_hat(hat1, part1, b1, stats))
-        root.children.append(_pack_into_hat(hat2, part2, b2, stats))
+        a1, a2 = part1.combined, part2.combined
+        b1 = min(min_guarantee(a1, a2, f, f, b0), part1.minimum)
+        b2 = min(min_guarantee(a2, a1, f, f, b0), part2.minimum)
+        _check_tuples(capacity, 0.0, SplitKey(f, f), (a1, b1), (a2, b2))
+        # Group 1's hat is the right isosceles half-square with its right
+        # angle at (0, 0), group 2's the one with it at (s, s), each scaled
+        # about that corner.
+        s = container.side
+        hats = []
+        for corner, p, q, part, b in (
+            (Point(0.0, 0.0), Point(s, 0.0), Point(0.0, s), part1, b1),
+            (Point(s, s), Point(0.0, s), Point(s, 0.0), part2, b2),
+        ):
+            t = _scale_factor(part.combined, f)
+            tri = Triangle((corner, p, q)).scaled_about(corner, t)
+            node = PackingNode(Hat(tri, min(math.sqrt(b / math.pi), _inradius(tri))))
+            root.children.append(node)
+            hats.append((node, part, b))
+            if stats is not None:
+                stats.scale_factors.append(t)
+                stats.hat_count += 1
+        _pack_into_hats(hats, stats)
         return root
 
     # Triangle container: the root is the bare triangle (a hat with zero
     # rounding); the caller's min_size only sharpens the guarantees below.
-    root_hat = Hat(container, 0.0)
-    if len(circles) == 0:
-        return PackingNode(root_hat)
-    return _pack_into_hat(root_hat, circles, b0, stats)
+    root = PackingNode(Hat(container, 0.0))
+    if len(circles):
+        _pack_into_hats([(root, circles, b0)], stats)
+    return root
 
 
 def min_container(

@@ -62,31 +62,16 @@ class CircleSet:
 def split(circles: CircleSet) -> tuple[CircleSet, CircleSet]:
     """Greedy halving of a descending-sorted circle set.
 
-    Each circle joins the bucket with the smaller running sum (ties go to the
-    first bucket); afterwards the buckets are swapped if needed so the lighter
-    one comes first. The returned pair satisfies
+    This is :func:`weighted_split` with the unit key: each circle joins the
+    bucket with the smaller running sum (ties go to the first bucket).
+    Afterwards the buckets are swapped if needed so the lighter one comes
+    first. The returned pair satisfies
     min(C2) >= combined(C2) - combined(C1).
     """
-    sum1 = sum2 = 0.0
-    areas1: list[float] = []
-    idx1: list[int] = []
-    areas2: list[float] = []
-    idx2: list[int] = []
-    for area, idx in zip(circles.areas, circles.indices):
-        if sum1 <= sum2:
-            areas1.append(area)
-            idx1.append(idx)
-            sum1 += area
-        else:
-            areas2.append(area)
-            idx2.append(idx)
-            sum2 += area
-    if sum1 > sum2:
-        areas1, idx1, sum1, areas2, idx2, sum2 = areas2, idx2, sum2, areas1, idx1, sum1
-    return (
-        CircleSet._presorted(areas1, idx1, sum1),
-        CircleSet._presorted(areas2, idx2, sum2),
-    )
+    first, second = weighted_split(circles, SplitKey(1.0, 1.0))
+    if first.combined > second.combined:
+        return second, first
+    return first, second
 
 
 def weighted_split(circles: CircleSet, key: SplitKey) -> tuple[CircleSet, CircleSet]:

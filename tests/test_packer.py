@@ -1,4 +1,4 @@
-"""Tests for the recursive packer and its placement operations."""
+"""Tests for the recursive packer and the hats it places."""
 
 import math
 
@@ -16,6 +16,7 @@ from splitpack import (
     PackStats,
     PackingNode,
     Point,
+    SplitKey,
     Square,
     Triangle,
     UnsupportedContainerError,
@@ -25,14 +26,12 @@ from splitpack import (
     min_guarantee,
     pack,
     packable_area,
-    place_circle_in_hat,
-    place_hats_in_square,
-    place_subhats_in_hat,
     signed_distance,
     triangle_incircle,
     verify,
     weighted_split,
 )
+from splitpack import packer
 from conftest import random_container, random_feasible_instance, random_non_acute_triangle
 
 SQRT2 = math.sqrt(2.0)
@@ -142,6 +141,18 @@ class TestTrianglePacking:
         root = pack(PackRequest(t, CircleSet.from_areas(areas)))
         assert verify(root, expected_areas=areas).passed
 
+    def test_tiny_hats_stay_inside_their_parents(self):
+        # Near-balanced splits leave cancellation noise in the minimum-size
+        # bound; a hat rounded by that noise, above its own smallest circle,
+        # sticks out of its parent's rounded corner.
+        t = Triangle.from_sides(3.0, 4.0, 5.0)
+        raw = [0.7**k for k in range(100)]
+        scale = packable_area(t) / sum(raw)
+        areas = [a * scale for a in raw]
+        root = pack(PackRequest(t, CircleSet.from_areas(areas)))
+        report = verify(root, tolerance=1e-12 * 5.0, expected_areas=areas)
+        assert report.passed, report.summary()
+
     def test_acute_rejected(self):
         t = Triangle.from_sides(1.0, 1.0, 1.0)
         with pytest.raises(UnsupportedContainerError):
@@ -149,66 +160,75 @@ class TestTrianglePacking:
 
 
 class TestPlacementOperations:
+    """The first-level hats and lone circles that ``pack`` places."""
+
     def test_hats_in_square_equal_halves(self):
         a = PHI_SQUARE
-        h1, h2 = place_hats_in_square(1.0, (a / 2.0, 0.0), (a / 2.0, 0.0))
+        root = pack(PackRequest(Square(1.0), CircleSet.from_areas([a / 2.0, a / 2.0])))
+        h1, h2 = (child.shape for child in root.children)
         assert h1.triangle.vertices == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert h2.triangle.vertices == ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
         assert h1.rounding_radius == 0.0
 
     def test_hats_in_square_empty_first_group(self):
+        # A lone circle is the square split with an empty first group: the
+        # second corner hat, scaled to area a and fully rounded, degenerates
+        # to a corner-tangent circle of area a, which pack places directly.
         a = PHI_SQUARE
-        h1, h2 = place_hats_in_square(1.0, (0.0, 0.0), (a, a))
-        assert h1 is None
-        # fully rounded: the hat degenerates to a corner-tangent circle of area a
+        root = pack(PackRequest(Square(1.0), CircleSet.from_areas([a])))
+        (leaf,) = root.circle_leaves()
+        assert non_root_hat_count(root) == 0
+        half = Triangle(((1.0, 1.0), (0.0, 1.0), (1.0, 0.0)))
+        h2 = Hat.from_rounding_area(half.scaled_about((1.0, 1.0), math.sqrt(2.0)), a)
         assert h2.rounding_area == pytest.approx(a, rel=1e-9)
         r = math.sqrt(a / math.pi)
         incircle = h2.incircle
         assert incircle.center == pytest.approx((1.0 - r, 1.0 - r), abs=1e-12)
+        assert leaf.shape.center == pytest.approx(incircle.center, abs=1e-12)
+        assert leaf.shape.radius == pytest.approx(r, rel=1e-12)
 
     def test_hats_in_square_conjugacy_violation(self):
         a = PHI_SQUARE
+        key = SplitKey(a / 2.0, a / 2.0)
         with pytest.raises(ConjugacyError):
-            place_hats_in_square(1.0, (0.7 * a, 0.0), (0.3 * a, 0.0))
+            packer._check_tuples(a, 0.0, key, (0.7 * a, 0.0), (0.3 * a, 0.0))
         with pytest.raises(ConjugacyError):
-            place_hats_in_square(1.0, (0.8 * a, 0.0), (0.4 * a, 0.2 * a))
+            packer._check_tuples(a, 0.0, key, (0.8 * a, 0.0), (0.4 * a, 0.2 * a))
 
     def test_hats_in_square_random_conjugated_pairs(self):
         rng = np.random.default_rng(41)
         a = PHI_SQUARE
-        f = a / 2.0
         for _ in range(300):
             total = float(rng.uniform(0.05, 1.0)) * a
             s1 = float(rng.uniform(0.0, total))
-            s2 = total - s1
-            b1 = min_guarantee(s1, s2, f, f)
-            b2 = min_guarantee(s2, s1, f, f)
-            h1, h2 = place_hats_in_square(1.0, (s1, b1), (s2, b2))
-            root = PackingNode(Square(1.0))
-            root.children = [PackingNode(h) for h in (h1, h2) if h is not None]
-            assert verify(root).passed
+            areas = [s1, total - s1]
+            root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
+            hat_areas = sorted(child.shape.incircle_area for child in root.children)
+            assert hat_areas == pytest.approx(sorted(areas), rel=1e-9)
+            assert verify(root, expected_areas=areas).passed
 
     def test_subhats_345_exact_altitude_halves(self):
         t = Triangle.from_sides(3.0, 4.0, 5.0)
-        key = hat_split_key(t)
-        h1, h2 = place_subhats_in_hat(
-            Hat(t, 0.0), key, (9.0 * math.pi / 25.0, 0.0), (16.0 * math.pi / 25.0, 0.0)
-        )
+        areas = [9.0 * math.pi / 25.0, 8.0 * math.pi / 25.0, 8.0 * math.pi / 25.0]
+        cs = CircleSet.from_areas(areas)
+        c1, c2 = weighted_split(cs, hat_split_key(t))
+        assert (c1.combined, c2.combined) == (9.0 * math.pi / 25.0, 16.0 * math.pi / 25.0)
+        root = pack(PackRequest(t, cs))
         left, right = altitude_halves(t)
-        for got, expected in ((h1, left), (h2, right)):
+        for child, expected in zip(root.children, (left, right)):
+            got = child.shape
             for p, q in zip(got.triangle.vertices, expected.vertices):
                 assert p == pytest.approx(q, abs=1e-12)
             assert got.rounding_radius == 0.0
+        assert verify(root, expected_areas=areas).passed
 
     def test_subhats_right_isosceles_equal_halves(self):
         t = right_isosceles_with_incircle(math.pi)
-        key = hat_split_key(t)
         a = math.pi
-        h1, h2 = place_subhats_in_hat(Hat(t, 0.0), key, (a / 2.0, 0.0), (a / 2.0, 0.0))
+        root = pack(PackRequest(t, CircleSet.from_areas([a / 2.0, a / 2.0])))
         left, right = altitude_halves(t)
-        for got, expected in ((h1, left), (h2, right)):
-            for p, q in zip(got.triangle.vertices, expected.vertices):
-                assert p == pytest.approx(q, abs=1e-9)
+        for child, expected in zip(root.children, (left, right)):
+            assert child.shape.triangle.vertices == expected.vertices
 
     def test_subhats_overshooting_child_stays_inside(self):
         # the relatively larger child pokes past the apex but its rounded
@@ -216,32 +236,47 @@ class TestPlacementOperations:
         t = right_isosceles_with_incircle(math.pi)
         container = Hat(t, 0.0)
         key = hat_split_key(t)
-        a1, a2 = 0.3 * math.pi, 0.7 * math.pi
-        b2 = 0.4 * math.pi  # = a2 - f2 * a1 / f1
-        h1, h2 = place_subhats_in_hat(container, key, (a1, 0.0), (a2, b2))
+        areas = [0.7 * math.pi, 0.3 * math.pi]
+        root = pack(PackRequest(t, CircleSet.from_areas(areas)))
+        h1, h2 = (child.shape for child in root.children)
+        assert h1.incircle_area == pytest.approx(0.7 * math.pi, rel=1e-12)
+        # b1 = a1 - f1 * a2 / f2
+        assert h1.rounding_area == pytest.approx(0.4 * math.pi, rel=1e-12)
         apex_y = max(p.y for p in t.vertices)
-        assert max(p.y for p in h2.triangle.vertices) > apex_y  # overshoots
-        root = PackingNode(container)
-        root.children = [PackingNode(h1), PackingNode(h2)]
-        assert verify(root).passed
+        assert max(p.y for p in h1.triangle.vertices) > apex_y  # overshoots
+        assert verify(root, expected_areas=areas).passed
         with pytest.raises(ConjugacyError):
-            place_subhats_in_hat(container, key, (a1, 0.0), (a2, 0.3 * math.pi))
+            packer._check_tuples(
+                container.incircle_area,
+                container.rounding_area,
+                key,
+                (0.3 * math.pi, 0.0),
+                (0.7 * math.pi, 0.3 * math.pi),
+            )
 
     def test_place_circle_in_hat(self):
         t = Triangle.from_sides(3.0, 4.0, 5.0)
         hat = Hat(t, 0.0)
-        maximal = place_circle_in_hat(hat, math.pi)
-        assert maximal.center == hat.incircle.center
-        assert maximal.radius == pytest.approx(1.0, rel=1e-12)
-        half = place_circle_in_hat(hat, math.pi / 2.0)
+        (maximal,) = pack(PackRequest(t, CircleSet.from_areas([math.pi]))).circle_leaves()
+        assert maximal.shape.center == hat.incircle.center
+        assert maximal.shape.radius == pytest.approx(1.0, rel=1e-12)
+        (half,) = pack(PackRequest(t, CircleSet.from_areas([math.pi / 2.0]))).circle_leaves()
+        half = half.shape
         assert half.center == hat.incircle.center
         assert signed_distance(half.center, t) == pytest.approx(1.0, rel=1e-12)
         assert signed_distance(half.center, t) > half.radius
+        # a circle beyond the incircle is refused before any placement, and
+        # the placement loop itself refuses a lone circle beyond its hat's
+        with pytest.raises(OverCapacityError):
+            pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
-            place_circle_in_hat(hat, math.pi * 1.01)
+            packer._pack_into_hats(
+                [(PackingNode(hat), CircleSet.from_areas([math.pi * 1.01]), 0.0)], None
+            )
 
     def test_recursion_matches_public_placement_ops(self):
-        # the packer's inlined hot path reproduces place_subhats_in_hat
+        # pack's first-level children match the altitude halves scaled about
+        # their base vertices and rounded by the clamped minimum-size guarantee
         rng = np.random.default_rng(47)
         for _ in range(50):
             t = random_non_acute_triangle(rng, right=bool(rng.random() < 0.5))
@@ -251,19 +286,21 @@ class TestPlacementOperations:
             cs = CircleSet.from_areas(areas)
             key = hat_split_key(t)
             c1, c2 = weighted_split(cs, key)
-            b1 = min_guarantee(c1.combined, c2.combined, key.f1, key.f2)
-            b2 = min_guarantee(c2.combined, c1.combined, key.f2, key.f1)
-            h1, h2 = place_subhats_in_hat(
-                Hat(t, 0.0), key, (c1.combined, b1), (c2.combined, b2)
-            )
+            left, right, _apex = t.base_split
+            expected = []
+            for half, anchor, part, other, f_i, f_j in zip(
+                altitude_halves(t), (left, right), (c1, c2), (c2, c1), key, key[::-1]
+            ):
+                tri = half.scaled_about(anchor, math.sqrt(part.combined / f_i))
+                b = min(min_guarantee(part.combined, other.combined, f_i, f_j), part.minimum)
+                rounding = min(math.sqrt(b / math.pi), triangle_incircle(tri).radius)
+                expected.append((tri, rounding))
             root = pack(PackRequest(t, cs))
             scale = max(t.side_lengths)
-            for got, expected in zip(root.children, (h1, h2)):
-                for p, q in zip(got.shape.triangle.vertices, expected.triangle.vertices):
+            for got, (tri, rounding) in zip(root.children, expected):
+                for p, q in zip(got.shape.triangle.vertices, tri.vertices):
                     assert p == pytest.approx(q, abs=1e-9 * scale)
-                assert got.shape.rounding_radius == pytest.approx(
-                    expected.rounding_radius, abs=1e-9 * scale
-                )
+                assert got.shape.rounding_radius == pytest.approx(rounding, abs=1e-9 * scale)
 
 
 class TestTreeInvariants:

@@ -21,7 +21,6 @@ from splitpack import (
     Triangle,
     convex_polygon_distance,
     pack,
-    projection_widths,
     segment_segment_distance,
     signed_distance,
     triangle_incircle,
@@ -35,6 +34,24 @@ from splitpack.verifier import (
 from conftest import random_feasible_instance, random_non_acute_triangle
 
 SQRT2 = math.sqrt(2.0)
+
+
+def projection_widths(circle1: Circle, circle2: Circle, base: tuple) -> tuple[float, float]:
+    """Extents of two corner circles projected onto the base segment.
+
+    The first extent is measured from the base's start point to the far edge
+    of circle1's projection, the second from the base's end point back to the
+    far edge of circle2's projection. The projections are disjoint iff the
+    extents sum to at most the base length.
+    """
+    (p, q) = base
+    px, py = float(p[0]), float(p[1])
+    qx, qy = float(q[0]), float(q[1])
+    length = math.hypot(qx - px, qy - py)
+    ux, uy = (qx - px) / length, (qy - py) / length
+    e1 = (circle1.center.x - px) * ux + (circle1.center.y - py) * uy + circle1.radius
+    e2 = (qx - circle2.center.x) * ux + (qy - circle2.center.y) * uy + circle2.radius
+    return (e1, e2)
 
 
 def twincircle_tree() -> tuple[PackingNode, list[float]]:
