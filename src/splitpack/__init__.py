@@ -28,13 +28,9 @@ from .geometry import (
     Square,
     Triangle,
     altitude_halves,
-    convex_polygon_distance,
     critical_density,
     hat_dimensions,
     hat_split_key,
-    point_segment_distance,
-    segment_segment_distance,
-    signed_distance,
     square_twincircles,
     triangle_incircle,
 )
@@ -88,7 +84,6 @@ __all__ = [
     "VerificationReport",
     "altitude_halves",
     "check_conjugated",
-    "convex_polygon_distance",
     "critical_density",
     "decide",
     "hat_dimensions",
@@ -97,10 +92,7 @@ __all__ = [
     "min_guarantee",
     "pack",
     "packable_area",
-    "point_segment_distance",
     "render_packing_svg",
-    "segment_segment_distance",
-    "signed_distance",
     "split",
     "square_twincircles",
     "triangle_incircle",

@@ -19,8 +19,6 @@ from .documents import (
 from .errors import (
     DocumentError,
     InvalidParameterError,
-    MalformedTreeError,
-    OverCapacityError,
     SplitPackError,
     UnsupportedContainerError,
 )
@@ -217,12 +215,6 @@ def main(argv=None) -> int:
     except UnsupportedContainerError as exc:
         print(f"error: unsupported container: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except OverCapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (InvalidParameterError, DocumentError, MalformedTreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SplitPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import DocumentError
+from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Circle, Hat, Point, Square, Triangle, critical_density
-from .packer import PackingNode, PackRequest, packable_area
+from .packer import PackingNode, PackRequest, _check_feasible, packable_area
 from .splitting import CircleSet
 
 
@@ -163,7 +163,7 @@ class PackingDocument:
             container=container_to_dict(container),
             placements=placements,
             subcontainers=subcontainers,
-            density_used=total / _container_area(container),
+            density_used=total / container.area,
             critical_density=critical_density(container),
         )
 
@@ -238,17 +238,17 @@ class PackingDocument:
         return root
 
 
-def _container_area(container: Union[Square, Triangle]) -> float:
-    return container.area
-
-
 def decide(instance: InstanceDocument) -> dict:
     """Sufficient-condition decision: 'yes' when the area bound guarantees a
-    packing, otherwise 'unknown' (never 'no' — the bound is not necessary)."""
+    packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
+
+    The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
+    instance as over capacity or below its minimum size."""
     capacity = packable_area(instance.container)
-    total = math.fsum(instance.areas)
-    ratio = total / capacity
-    feasible = total <= capacity * (1.0 + 1e-12)
-    if instance.min_size > 0.0 and instance.areas:
-        feasible = feasible and min(instance.areas) >= instance.min_size * (1.0 - 1e-12)
-    return {"packable": "yes" if feasible else "unknown", "ratio": ratio}
+    circles = CircleSet.from_areas(instance.areas)
+    try:
+        _check_feasible(circles, instance.min_size, capacity)
+        packable = "yes"
+    except (InvalidParameterError, OverCapacityError):
+        packable = "unknown"
+    return {"packable": packable, "ratio": math.fsum(instance.areas) / capacity}

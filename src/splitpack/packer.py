@@ -265,21 +265,33 @@ def _validate_request(request: PackRequest) -> float:
             raise InvalidParameterError(f"circle areas must be positive, got {area!r}")
     if request.min_size < 0.0:
         raise InvalidParameterError("min_size must be non-negative")
-    if len(circles) and request.min_size > 0.0:
-        if circles.minimum < request.min_size * (1.0 - FEASIBILITY_REL_SLACK):
+    capacity = packable_area(request.container)
+    _check_feasible(circles, request.min_size, capacity)
+    return capacity
+
+
+def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> None:
+    """Refuse a circle set that the area bound does not guarantee to pack.
+
+    The one feasibility rule: :func:`pack` refuses exactly the requests this
+    raises for, and :func:`splitpack.documents.decide` answers "unknown" for
+    them. The total is exactly rounded, so it does not depend on the order of
+    the areas.
+    """
+    if len(circles) and min_size > 0.0:
+        if circles.minimum < min_size * (1.0 - FEASIBILITY_REL_SLACK):
             raise InvalidParameterError(
                 f"min-size violation: smallest circle {circles.minimum!r} "
-                f"is below the declared minimum {request.min_size!r}"
+                f"is below the declared minimum {min_size!r}"
             )
-    capacity = packable_area(request.container)
-    if circles.combined > capacity * (1.0 + FEASIBILITY_REL_SLACK):
-        ratio = circles.combined / capacity
+    total = math.fsum(circles.areas)
+    if total > capacity * (1.0 + FEASIBILITY_REL_SLACK):
+        ratio = total / capacity
         raise OverCapacityError(
-            f"over-capacity: combined area {circles.combined!r} exceeds the "
-            f"guaranteed packable area {capacity!r} (ratio {ratio:.6g})",
+            f"over-capacity: combined area {total!r} exceeds the "
+            f"guaranteed packable area {capacity!r} (ratio {ratio!r})",
             ratio=ratio,
         )
-    return capacity
 
 
 def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode:

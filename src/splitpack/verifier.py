@@ -1,11 +1,11 @@
 """Independent numeric validation of packing trees.
 
 Containment and disjointness are established from primitive geometry only:
-point/segment/polygon distances and inward erosions of triangles. None of the
-packer's placement formulas or hat measurements are reused, so a passing
-report is an independent certificate. Checks are evaluated in bulk with
-numpy; the scalar primitives in :mod:`splitpack.geometry` define the
-reference semantics.
+point/segment distances, separating axes and inward erosions of triangles.
+None of the packer's placement formulas or hat measurements are reused, so a
+passing report is an independent certificate. Checks are evaluated in bulk
+with numpy; the scalar reference semantics they are tested against live in
+the test suite's ``tests/reference_geometry.py``.
 
 A hat equals the convex hull of three disks of its rounding radius centered
 on its eroded corners, so
@@ -13,6 +13,11 @@ on its eroded corners, so
 * hat-in-convex-parent containment is exact via the three corner disks, and
 * two hats are disjoint iff their eroded triangles are at least the sum of
   the rounding radii apart.
+
+Sibling hats follow one rule: where the separating-axis gap of the eroded
+triangles is negative, it is their distance (minus the penetration depth);
+otherwise their distance is the smallest vertex-to-edge distance over both
+triangles.
 """
 
 import math
@@ -108,36 +113,6 @@ def _cross_np(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _segment_segment_np(
-    p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray
-) -> np.ndarray:
-    """Distances between segment pairs (0 where they cross).
-
-    Crossings are detected parametrically; (near-)parallel pairs fall back to
-    the exact endpoint distances, so collinear but disjoint segments never
-    report a spurious intersection.
-    """
-    rp = p2 - p1
-    rq = q2 - q1
-    denom = _cross_np(rp, rq)
-    lengths = np.linalg.norm(rp, axis=-1) * np.linalg.norm(rq, axis=-1)
-    skew = np.abs(denom) > 1e-12 * lengths
-    safe = np.where(skew, denom, 1.0)
-    w = q1 - p1
-    t = _cross_np(w, rq) / safe
-    u = _cross_np(w, rp) / safe
-    crossing = skew & (t >= 0.0) & (t <= 1.0) & (u >= 0.0) & (u <= 1.0)
-    dist = np.minimum.reduce(
-        [
-            _point_segment_np(p1, q1, q2),
-            _point_segment_np(p2, q1, q2),
-            _point_segment_np(q1, p1, p2),
-            _point_segment_np(q2, p1, p2),
-        ]
-    )
-    return np.where(crossing, 0.0, dist)
-
-
 def _tri_edges(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge start/end arrays (..., 3, 2) for triangle arrays (..., 3, 2)."""
     return tris, np.roll(tris, -1, axis=-2)
@@ -159,15 +134,6 @@ def _point_tri_set_distance_np(points: np.ndarray, tris: np.ndarray) -> np.ndarr
     a, b = _tri_edges(tris)
     outside = _point_segment_np(points[:, None, :], a, b).min(axis=-1)
     return np.where(line >= 0.0, line, -outside)
-
-
-def _point_in_tri_np(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Containment of points (k,2) in CCW, non-degenerate triangles (k,3,2)."""
-    a, b = _tri_edges(tris)
-    rel = points[:, None, :] - a
-    crosses = _cross_np(b - a, rel)
-    area2 = _cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    return (crosses >= 0.0).all(axis=-1) & (area2 > 0.0)
 
 
 def _sat_separation_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
@@ -194,6 +160,25 @@ def _sat_separation_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
         gap = np.where(valid, proj.min(axis=-1), -np.inf)
         best = np.maximum(best, gap.max(axis=1))
     return np.where(np.isfinite(best), best, 0.0)
+
+
+def _tri_pair_distance_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """Signed distance between CCW triangle pairs (k,3,2), negative if they overlap.
+
+    Where the separating-axis gap is negative it is minus the penetration
+    depth and is returned as is. Otherwise the triangles are disjoint or
+    touch, and their distance is the smallest vertex-to-edge distance over
+    both triangles. A triangle shrunk to a point has no axis and a gap of 0,
+    so a pair of points falls through to the vertex test.
+    """
+    sat = _sat_separation_np(ea, eb)
+    dist = np.full(len(ea), np.inf)
+    for verts, tris in ((eb, ea), (ea, eb)):
+        a, b = _tri_edges(tris)
+        # (k, 3 edges, 3 vertices)
+        d = _point_segment_np(verts[:, None, :, :], a[:, :, None, :], b[:, :, None, :])
+        dist = np.minimum(dist, d.min(axis=(1, 2)))
+    return np.where(sat >= 0.0, dist, sat)
 
 
 def _square_signed_np(points: np.ndarray, side: float) -> np.ndarray:
@@ -425,26 +410,7 @@ def verify(
     if index.sibling_pairs:
         pa = np.array([i for i, _ in index.sibling_pairs], dtype=int)
         pb = np.array([j for _, j in index.sibling_pairs], dtype=int)
-        ea, eb = index.eroded[pa], index.eroded[pb]
-        a1, a2 = _tri_edges(ea)
-        b1, b2 = _tri_edges(eb)
-        # all 9 edge pair combinations per sibling pair
-        p1 = np.repeat(a1, 3, axis=1)
-        p2 = np.repeat(a2, 3, axis=1)
-        q1 = np.tile(b1, (1, 3, 1))
-        q2 = np.tile(b2, (1, 3, 1))
-        dist = _segment_segment_np(p1, p2, q1, q2).min(axis=1)
-        contained = np.zeros(len(pa), dtype=bool)
-        for verts, tris in ((eb, ea), (ea, eb)):
-            for k in range(3):
-                contained |= _point_in_tri_np(verts[:, k, :], tris)
-        dist = np.where(contained, 0.0, dist)
-        # intersecting eroded triangles report their penetration depth, so
-        # overlap is caught even when both rounding radii are zero
-        touching = dist <= 0.0
-        if touching.any():
-            sat = _sat_separation_np(ea, eb)
-            dist = np.where(touching, np.minimum(sat, 0.0), dist)
+        dist = _tri_pair_distance_np(index.eroded[pa], index.eroded[pb])
         slacks = dist - (index.hat_radii[pa] + index.hat_radii[pb])
 
         def sib_ids(pa=pa, pb=pb, index=index):

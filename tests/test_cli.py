@@ -16,6 +16,7 @@ from splitpack import (
     PackingDocument,
     Square,
     Triangle,
+    decide,
     pack,
     render_packing_svg,
     verify,
@@ -162,6 +163,45 @@ class TestDecide:
         code, out, _ = run_cli(["decide", "--circles", path], capsys)
         assert code == 0
         assert json.loads(out)["packable"] == "unknown"
+
+    def test_boundary_reproducer_packs(self, tmp_path, capsys, monkeypatch):
+        # over capacity by the sorted running sum, within it by the exact sum:
+        # decide said "yes" while pack refused it as over capacity
+        areas = [0.13557021862406807, 0.013955264675364202, 0.38948660115375405]
+        path = write_instance(tmp_path, "inst.json", InstanceDocument(Square(1.0), areas))
+        code, out, _ = run_cli(["decide", "--circles", path], capsys)
+        assert code == 0
+        assert json.loads(out)["packable"] == "yes"
+        code, packed, err = run_cli(["pack", "--circles", path], capsys)
+        assert code == 0, err
+        code, report, _ = run_cli(["verify", "-"], capsys, stdin=packed, monkeypatch=monkeypatch)
+        assert code == 0, report
+
+    def test_yes_iff_pack_succeeds_near_the_boundary(self):
+        rng = np.random.default_rng(59)
+        answers = set()
+        for _ in range(300):
+            container = Square(1.0) if rng.random() < 0.5 else Triangle.from_sides(3.0, 4.0, 5.0)
+            capacity = sp.packable_area(container)
+            weights = rng.random(int(rng.integers(2, 9))) + 0.01
+            target = capacity * (1.0 + 1e-12) * (1.0 + float(rng.uniform(-4e-16, 4e-16)))
+            areas = [float(w) for w in weights * (target / weights.sum())]
+            min_size = 0.0
+            if rng.random() < 0.3:
+                min_size = min(areas) * (1.0 + float(rng.uniform(-2e-12, 0.0)))
+            inst = InstanceDocument(container, areas, min_size=min_size)
+            yes = decide(inst)["packable"] == "yes"
+            try:
+                pack(inst.to_request())
+                packed = True
+            except sp.OverCapacityError:
+                packed = False
+            except sp.InvalidParameterError as exc:
+                assert "min-size" in str(exc)
+                packed = False
+            assert yes == packed, (container, areas, min_size)
+            answers.add(yes)
+        assert answers == {True, False}
 
 
 class TestPack:

@@ -26,13 +26,13 @@ from splitpack import (
     min_guarantee,
     pack,
     packable_area,
-    signed_distance,
     triangle_incircle,
     verify,
     weighted_split,
 )
 from splitpack import packer
 from conftest import random_container, random_feasible_instance, random_non_acute_triangle
+from reference_geometry import signed_distance
 
 SQRT2 = math.sqrt(2.0)
 

@@ -19,19 +19,18 @@ from splitpack import (
     Point,
     Square,
     Triangle,
-    convex_polygon_distance,
     pack,
-    segment_segment_distance,
-    signed_distance,
     triangle_incircle,
     verify,
 )
 from splitpack.verifier import (
     _erode_tris,
+    _cross_np,
     _point_tri_set_distance_np,
-    _segment_segment_np,
+    _tri_pair_distance_np,
 )
 from conftest import random_feasible_instance, random_non_acute_triangle
+from reference_geometry import convex_polygon_distance, point_segment_distance, signed_distance
 
 SQRT2 = math.sqrt(2.0)
 
@@ -282,15 +281,59 @@ class TestProofInequalities:
 
 
 class TestBatchPrimitivesMatchScalar:
-    def test_segment_segment(self):
+    def test_tri_pair_distance(self):
         rng = np.random.default_rng(107)
-        segs = rng.uniform(-5, 5, size=(500, 8))
-        batch = _segment_segment_np(
-            segs[:, 0:2], segs[:, 2:4], segs[:, 4:6], segs[:, 6:8]
+
+        def ccw_triangle(center, size):
+            pts = center + rng.uniform(-size, size, size=(3, 2))
+            if _cross_np(pts[1] - pts[0], pts[2] - pts[0]) < 0:
+                pts = pts[[0, 2, 1]]
+            return pts
+
+        pairs, shared = [], []
+        for k in range(1500):
+            ta = ccw_triangle(np.zeros(2), 1.0)
+            tb = ccw_triangle(rng.uniform(-1.0, 1.0, size=2), float(rng.uniform(0.2, 1.5)))
+            if k < 300:
+                # ta's edge p-q reversed, with a third vertex beyond it
+                p, q = ta[0], ta[1]
+                normal = np.array([p[1] - q[1], q[0] - p[0]])  # outward for CCW ta
+                apex = (p + q) / 2 + float(rng.uniform(0.1, 2.0)) * normal
+                shared.append((ta.copy(), np.array([q, p, apex])))
+            # one or both triangles shrunk to a point, as a fully rounded hat erodes
+            for t in (ta, tb):
+                if rng.random() < 0.2:
+                    t[:] = t.mean(axis=0)
+            pairs.append((ta, tb))
+        disjoint = overlapping = 0
+        got = _tri_pair_distance_np(
+            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
         )
-        for row, expected in zip(segs, batch):
-            got = segment_segment_distance(row[0:2], row[2:4], row[4:6], row[6:8])
-            assert got == pytest.approx(expected, abs=1e-12)
+        for (ta, tb), d in zip(pairs, got):
+            reference = convex_polygon_distance(
+                [tuple(p) for p in ta], [tuple(p) for p in tb]
+            )
+            if reference > 0.0:
+                disjoint += 1
+                assert d == pytest.approx(reference, abs=1e-12)
+            else:
+                overlapping += 1
+                assert d <= 0.0
+        assert disjoint > 300 and overlapping > 300
+        # an overlap's depth is the shortest translation that separates the
+        # pair: shorter ones in no direction, longer ones in some direction
+        directions = [(math.cos(a), math.sin(a)) for a in np.linspace(0, 2 * math.pi, 360)]
+        overlaps = [(ta, tb, -d) for (ta, tb), d in zip(pairs, got) if d < 0.0][:20]
+        for ta, tb, depth in overlaps:
+            a = [tuple(p) for p in ta]
+            for factor, separates in ((0.999, False), (1.001, True)):
+                moved = ([tuple(p + factor * depth * np.array(u)) for p in tb] for u in directions)
+                found = any(convex_polygon_distance(a, b) > 0.0 for b in moved)
+                assert found == separates
+        got = _tri_pair_distance_np(
+            np.array([a for a, _ in shared]), np.array([b for _, b in shared])
+        )
+        assert np.abs(got).max() <= 1e-12
 
     def test_point_triangle_set_distance(self):
         rng = np.random.default_rng(109)
@@ -305,7 +348,7 @@ class TestBatchPrimitivesMatchScalar:
             else:
                 v = t.vertices
                 euclid = min(
-                    sp.point_segment_distance(p, v[i], v[(i + 1) % 3]) for i in range(3)
+                    point_segment_distance(p, v[i], v[(i + 1) % 3]) for i in range(3)
                 )
                 assert got == pytest.approx(-euclid, abs=1e-12)
 
