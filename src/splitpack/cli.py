@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="independently validate a packing document")
     p.add_argument("packing", nargs="?", default="-", help="packing JSON file, or - for stdin")
     p.add_argument("--tolerance", type=float, default=None,
-                   help="slack tolerance (default 1e-9 x container diameter)")
+                   help="slack tolerance for every check (default 1e-9 x container "
+                   "diameter, and for circle pairs at most 1e-9 x the smaller radius)")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_verify)
 
@@ -222,3 +223,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

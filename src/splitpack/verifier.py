@@ -18,6 +18,12 @@ Sibling hats follow one rule: where the separating-axis gap of the eroded
 triangles is negative, it is their distance (minus the penetration depth);
 otherwise their distance is the smallest vertex-to-edge distance over both
 triangles.
+
+Circle pairs are found by a sort-and-sweep over bounding boxes, and only
+pairs whose boxes overlap or touch are evaluated: O(n) of them on a packing,
+not all n(n-1)/2. A pair left out has a positive gap between its circles'
+boxes along x or y, so its circles are disjoint and every pair that could
+fail is evaluated.
 """
 
 import math
@@ -36,6 +42,15 @@ from .geometry import Circle, Hat, Square
 MAX_RECORDED_CHECKS = 2_000_000
 
 DEFAULT_REL_TOLERANCE = 1e-9
+
+# Under the default tolerance a circle pair is judged at no more than
+# DEFAULT_REL_TOLERANCE of its smaller radius, but never below this many
+# float64 epsilons of the container diameter (coordinate rounding).
+PAIR_TOLERANCE_FLOOR_EPS = 64
+
+# Candidate circle pairs are built this many at a time, which bounds the
+# sweep's working memory when many circles share an x-range.
+_PAIR_CHUNK = 1 << 17
 
 
 class CheckKind(str, Enum):
@@ -57,8 +72,10 @@ class Check:
 class VerificationReport:
     """Outcome of :func:`verify`.
 
-    ``passed`` holds iff every evaluated check has slack >= -tolerance.
-    Slack is signed, so exactly tangent configurations report ~0. ``checks``
+    ``passed`` holds iff ``failures`` is empty: every evaluated check has
+    slack >= -tolerance, except that circle pairs judged under the default
+    tolerance use their own, tighter one (see :func:`verify`). Slack is
+    signed, so exactly tangent configurations report ~0. ``checks``
     materializes lazily (sorted by kind and ids) and is truncated to
     MAX_RECORDED_CHECKS entries for very large packings; ``failures`` always
     lists every violated check.
@@ -313,12 +330,50 @@ class _TreeIndex:
         return depth + self.root_shape.rounding_radius
 
 
-def _default_tolerance(root_shape) -> float:
+def _diameter(root_shape) -> float:
     if isinstance(root_shape, Square):
-        diameter = root_shape.side * math.sqrt(2.0)
-    else:
-        diameter = max(root_shape.triangle.side_lengths)
-    return DEFAULT_REL_TOLERANCE * diameter
+        return root_shape.side * math.sqrt(2.0)
+    return max(root_shape.triangle.side_lengths)
+
+
+def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of the circles whose bounding boxes overlap or touch.
+
+    Circles are sorted by the left end of their box; for each one,
+    ``searchsorted`` finds the run of later circles whose left end does not
+    exceed its right end (``side="right"``, so touching counts). Runs are
+    enumerated for consecutive circles up to _PAIR_CHUNK candidates at a
+    time and kept where the y-extents also overlap or touch. Box ends are
+    rounded outward, so a pair left out has a positive gap between the exact
+    boxes of its two circles.
+    """
+    n = len(radii)
+    lo = np.nextafter(centers - radii[:, None], -np.inf)
+    hi = np.nextafter(centers + radii[:, None], np.inf)
+    order = np.argsort(lo[:, 0], kind="stable")
+    xlo, xhi = lo[order, 0], hi[order, 0]
+    ylo, yhi = lo[order, 1], hi[order, 1]
+    # a radius is positive, so each run starts right after its own circle
+    run = np.searchsorted(xlo, xhi, side="right") - np.arange(1, n + 1)
+    ends = np.concatenate(([0], np.cumsum(run)))
+    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    row = 0
+    while row < n:
+        # at least one circle per chunk: a chunk holds at most max(n, _PAIR_CHUNK) pairs
+        limit = ends[row] + _PAIR_CHUNK
+        stop = max(row + 1, int(np.searchsorted(ends, limit, side="right")) - 1)
+        counts = run[row:stop]
+        rows = np.arange(row, stop)
+        a = np.repeat(rows, counts)
+        # the k-th candidate of the chunk pairs circle a with a + 1 + (k - ends[a] + ends[row])
+        b = np.arange(len(a)) + np.repeat(rows + 1 - ends[row:stop] + ends[row], counts)
+        keep = (ylo[b] <= np.repeat(yhi[row:stop], counts)) & (
+            np.repeat(ylo[row:stop], counts) <= yhi[b]
+        )
+        first.append(order[a[keep]])
+        second.append(order[b[keep]])
+        row = stop
+    return np.concatenate(first), np.concatenate(second)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +389,9 @@ def verify(
 
     Evaluates, with signed slack per check:
 
-    * circle-circle: center distance minus the radius sum, all leaf pairs;
+    * circle-circle: center distance minus the radius sum, for every pair
+      whose bounding boxes overlap or touch (found by a sort-and-sweep; the
+      other pairs are disjoint, with a positive gap along x or y);
     * circle-in-container: containment depth of each leaf in the root;
     * hat-in-parent: for each hat, the worst of its three corner disks
       against the parent shape (exact, since a hat is the convex hull of its
@@ -343,37 +400,47 @@ def verify(
       minus the sum of their rounding radii;
     * leaf-multiset: leaf payload areas versus ``expected_areas`` when given.
 
-    ``tolerance`` defaults to 1e-9 times the container diameter. The report
-    passes iff every slack is at least -tolerance.
+    A check fails when its slack is below minus its tolerance. An explicit
+    ``tolerance`` applies to every check. By default it is 1e-9 times the
+    container diameter, and each circle pair is judged at
+    ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
+    tiny circles cannot overlap by more than a share of their own size. The
+    report passes iff no check fails.
     """
     index = _TreeIndex(root)
-    if tolerance is None:
-        tolerance = _default_tolerance(index.root_shape)
+    diameter = _diameter(index.root_shape)
+    scale_aware = tolerance is None
+    if scale_aware:
+        tolerance = DEFAULT_REL_TOLERANCE * diameter
 
     groups: list[tuple[CheckKind, Callable[[], list], np.ndarray]] = []
 
     # circle-circle
-    n = len(index.circle_ids)
-    if n >= 2:
-        iu, ju = np.triu_indices(n, k=1)
-        dists = np.linalg.norm(index.centers[iu] - index.centers[ju], axis=-1)
-        slacks = dists - (index.radii[iu] + index.radii[ju])
+    pi, pj = _circle_pairs(index.centers, index.radii)
+    dists = np.linalg.norm(index.centers[pi] - index.centers[pj], axis=-1)
+    slacks = dists - (index.radii[pi] + index.radii[pj])
+    tolerances = {}
+    if scale_aware:
+        smaller = np.minimum(index.radii[pi], index.radii[pj])
+        floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * diameter
+        tolerances[CheckKind.CIRCLE_CIRCLE] = np.minimum(
+            tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor)
+        )
+
+    def pair_ids(pi=pi, pj=pj, index=index):
         ids = index.circle_ids
+        return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(pi, pj)]
 
-        def pair_ids(iu=iu, ju=ju, ids=ids):
-            return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(iu, ju)]
-
-        groups.append((CheckKind.CIRCLE_CIRCLE, pair_ids, slacks))
+    groups.append((CheckKind.CIRCLE_CIRCLE, pair_ids, slacks))
 
     # circle-in-container
-    if n >= 1:
+    if len(index.radii):
         depth = index.container_signed_distance(index.centers)
         slacks = depth - index.radii
-        ids = index.circle_ids
         groups.append(
             (
                 CheckKind.CIRCLE_IN_CONTAINER,
-                lambda ids=ids: [(i, "container") for i in ids],
+                lambda index=index: [(i, "container") for i in index.circle_ids],
                 slacks,
             )
         )
@@ -435,14 +502,14 @@ def verify(
         if len(slacks) == 0:
             continue
         worst = min(worst, float(slacks.min()))
-        bad = np.nonzero(slacks < -tolerance)[0]
+        bad = np.nonzero(slacks < -tolerances.get(kind, tolerance))[0]
         if len(bad):
             ids = ids_fn()
             failures.extend(Check(kind, tuple(ids[i]), float(slacks[i])) for i in bad)
     failures.sort(key=lambda c: (c.kind.value, c.ids))
 
     return VerificationReport(
-        passed=worst >= -tolerance,
+        passed=not failures,
         worst_slack=worst,
         tolerance=tolerance,
         check_count=check_count,

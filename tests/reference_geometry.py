@@ -1,12 +1,15 @@
 """Scalar reference geometry: the oracle the verifier's numpy checks are tested against.
 
 Plain-Python distances between points, segments, triangles and convex point
-sets, written for clarity rather than speed. Tests compare the verifier's
-bulk primitives and its sibling-hat rule with these.
+sets, written for clarity rather than speed, and the exhaustive all-pairs
+circle-circle slacks. Tests compare the verifier's bulk primitives, its
+sibling-hat rule and its circle-pair sweep with these.
 """
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from splitpack import InvalidParameterError, Point, Triangle
 from splitpack.geometry import _as_point
@@ -127,3 +130,14 @@ def convex_polygon_distance(pa: Sequence, pb: Sequence) -> float:
                 if best == 0.0:
                     return 0.0
     return best
+
+
+def all_pairs_circle_slacks(centers: np.ndarray, radii: np.ndarray):
+    """Every circle pair i < j and its slack: center distance minus radius sum.
+
+    The exhaustive O(n^2) check the verifier's sort-and-sweep replaces.
+    Returns (i, j, slack) arrays in ``np.triu_indices`` order.
+    """
+    iu, ju = np.triu_indices(len(radii), k=1)
+    dists = np.linalg.norm(centers[iu] - centers[ju], axis=-1)
+    return iu, ju, dists - (radii[iu] + radii[ju])

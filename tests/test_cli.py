@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +277,22 @@ class TestApprox:
         packing = json.dumps(json.loads(out)["packing"])
         code, report, _ = run_cli(["verify"], capsys, stdin=packing, monkeypatch=monkeypatch)
         assert code == 0, report
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        package_root = os.path.dirname(os.path.dirname(sp.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitpack", "decide", "--container", "square:1",
+             "--circles", "-"],
+            input=json.dumps([{"area": 0.1}, {"area": 0.2}]),
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["packable"] == "yes"
 
 
 class TestVerifyCommand:

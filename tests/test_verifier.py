@@ -23,14 +23,27 @@ from splitpack import (
     triangle_incircle,
     verify,
 )
+from splitpack import verifier
 from splitpack.verifier import (
+    _TreeIndex,
+    _circle_pairs,
     _erode_tris,
     _cross_np,
     _point_tri_set_distance_np,
     _tri_pair_distance_np,
 )
-from conftest import random_feasible_instance, random_non_acute_triangle
-from reference_geometry import convex_polygon_distance, point_segment_distance, signed_distance
+from conftest import (
+    random_areas,
+    random_container,
+    random_feasible_instance,
+    random_non_acute_triangle,
+)
+from reference_geometry import (
+    all_pairs_circle_slacks,
+    convex_polygon_distance,
+    point_segment_distance,
+    signed_distance,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,6 +64,23 @@ def projection_widths(circle1: Circle, circle2: Circle, base: tuple) -> tuple[fl
     e1 = (circle1.center.x - px) * ux + (circle1.center.y - py) * uy + circle1.radius
     e2 = (qx - circle2.center.x) * ux + (qy - circle2.center.y) * uy + circle2.radius
     return (e1, e2)
+
+
+def boxes_meet(centers: np.ndarray, radii: np.ndarray, iu, ju) -> np.ndarray:
+    """Pairs whose bounding boxes, ends rounded outward, overlap or touch."""
+    lo = np.nextafter(centers - radii[:, None], -np.inf)
+    hi = np.nextafter(centers + radii[:, None], np.inf)
+    return np.all((lo[iu] <= hi[ju]) & (lo[ju] <= hi[iu]), axis=1)
+
+
+def default_pair_tolerance(root_shape, ri, rj):
+    """The documented default circle-pair tolerance, written out independently."""
+    if isinstance(root_shape, Square):
+        diameter = root_shape.side * SQRT2
+    else:
+        diameter = max(root_shape.triangle.side_lengths)
+    floor = 64 * np.finfo(float).eps * diameter
+    return np.minimum(1e-9 * diameter, np.maximum(1e-9 * np.minimum(ri, rj), floor))
 
 
 def twincircle_tree() -> tuple[PackingNode, list[float]]:
@@ -194,14 +224,173 @@ class TestVerify:
         keys = [(c.kind.value, c.ids) for c in report.checks]
         assert keys == sorted(keys)
         assert report.check_count == len(report.checks)
-        n = len(areas)
-        expected_pairs = n * (n - 1) // 2
-        assert sum(1 for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE) == expected_pairs
+        # circle pairs are evaluated exactly where their bounding boxes overlap
+        # or touch; every other pair is disjoint
+        index = _TreeIndex(root)
+        iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
+        meet = boxes_meet(index.centers, index.radii, iu, ju)
+        assert 0 < meet.sum() < len(iu)
+        assert sum(1 for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE) == meet.sum()
+        assert np.all(slacks[~meet] > 0.0)
+
+    def test_coincident_tiny_circles_fail(self):
+        # slack -2e-10 is far below the global 1.4e-9 tolerance, but it is the
+        # full overlap of two circles of radius 1e-10
+        root = PackingNode(Square(1.0))
+        for k in range(2):
+            root.children.append(PackingNode(Circle(Point(0.5, 0.5), 1e-10), input_index=k))
+        report = verify(root)
+        assert not report.passed
+        assert [c.kind for c in report.failures] == [CheckKind.CIRCLE_CIRCLE]
 
     def test_default_tolerance_scales_with_container(self):
         root_small = pack(PackRequest(Square(1.0), CircleSet.from_areas([0.1])))
         root_big = pack(PackRequest(Square(100.0), CircleSet.from_areas([0.1])))
         assert verify(root_big).tolerance == pytest.approx(100.0 * verify(root_small).tolerance)
+
+
+class TestCirclePairSweep:
+    """The verifier's sort-and-sweep against the all-pairs oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(root, tolerance=None):
+        report = verify(root, tolerance=tolerance)
+        index = _TreeIndex(root)
+        iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
+        ids = index.circle_ids
+        keys = [tuple(sorted((ids[i], ids[j]))) for i, j in zip(iu, ju)]
+        meet = boxes_meet(index.centers, index.radii, iu, ju)
+        evaluated = {
+            c.ids: c.slack for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE
+        }
+        assert set(evaluated) == {k for k, m in zip(keys, meet) if m}
+        got = np.array([evaluated[k] for k, m in zip(keys, meet) if m], dtype=float)
+        assert np.array_equal(got.view(np.uint64), slacks[meet].view(np.uint64))
+        assert np.all(slacks[~meet] > 0.0)
+        if tolerance is None:
+            tolerance = default_pair_tolerance(index.root_shape, index.radii[iu], index.radii[ju])
+        bad = slacks < -np.broadcast_to(tolerance, slacks.shape)
+        failed = {c.ids for c in report.failures if c.kind is CheckKind.CIRCLE_CIRCLE}
+        assert failed == {k for k, b in zip(keys, bad) if b}
+        others = [c for c in report.failures if c.kind is not CheckKind.CIRCLE_CIRCLE]
+        assert report.passed == (not failed and not others)
+        return report
+
+    @staticmethod
+    def packed(container, areas) -> PackingNode:
+        return pack(PackRequest(container, CircleSet.from_areas(areas)))
+
+    def test_random_corpus(self):
+        rng = np.random.default_rng(131)
+        containers = [Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0),
+                      Triangle.from_sides(2.0, 3.5, 4.5)]
+        for trial in range(48):
+            container = containers[trial % 3] if trial < 12 else random_container(rng)
+            capacity = sp.packable_area(container)
+            areas = random_feasible_instance(rng, container, max_n=80)
+            if trial % 4 == 1:
+                weights = [0.7**k for k in range(len(areas))]
+                areas = [w * capacity / sum(weights) for w in weights]
+            elif trial % 4 == 2:
+                areas = [capacity / len(areas)] * len(areas)
+            root = self.packed(container, areas)
+            assert self.assert_matches_oracle(root).passed
+            assert self.assert_matches_oracle(root, tolerance=1e-9).passed
+
+    def test_mutated_trees(self):
+        rng = np.random.default_rng(137)
+        for trial in range(30):
+            container = random_container(rng)
+            capacity = sp.packable_area(container)
+            areas = random_areas(rng, int(rng.integers(2, 41)), capacity * rng.uniform(0.2, 1.0))
+            for mutation in ("moved", "coincident"):
+                root = self.packed(container, areas)
+                leaves = root.circle_leaves()
+                i, j = rng.choice(len(leaves), size=2, replace=False)
+                a, b = leaves[i].shape, leaves[j].shape
+                if mutation == "moved":
+                    target = Point(b.center.x + float(rng.uniform(-1, 1)) * b.radius,
+                                   b.center.y + float(rng.uniform(-1, 1)) * b.radius)
+                else:
+                    target = b.center
+                leaves[i].shape = Circle(target, a.radius)
+                assert not self.assert_matches_oracle(root).passed
+                self.assert_matches_oracle(root, tolerance=1e-9)
+
+    def test_shift_into_neighbour_by_the_pair_tolerance(self):
+        areas = [PHI_SQUARE / 16.0] * 16
+        for factor, fails in ((1.01, True), (0.99, False)):
+            for trial in range(8):
+                root = self.packed(Square(1.0), areas)
+                leaves = {leaf.input_index: leaf for leaf in root.circle_leaves()}
+                index = _TreeIndex(root)
+                iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
+                tangent = np.nonzero(np.abs(slacks) <= 1e-15)[0]
+                k = tangent[trial * 7 % len(tangent)]
+                first = leaves[index._circle_labels[iu[k]]]
+                a, b = first.shape, leaves[index._circle_labels[ju[k]]].shape
+                tol = float(default_pair_tolerance(Square(1.0), a.radius, b.radius))
+                shift = factor * tol + float(slacks[k])
+                d = math.dist(a.center, b.center)
+                moved = Point(a.center.x + (b.center.x - a.center.x) / d * shift,
+                              a.center.y + (b.center.y - a.center.y) / d * shift)
+                first.shape = Circle(moved, a.radius)
+                report = self.assert_matches_oracle(root)
+                ids = tuple(sorted((index.circle_ids[iu[k]], index.circle_ids[ju[k]])))
+                assert (ids in {c.ids for c in report.failures}) == fails
+
+    def test_edge_cases(self):
+        for n in (0, 1, 2):
+            areas = [PHI_SQUARE / max(n, 1)] * n
+            assert self.assert_matches_oracle(self.packed(Square(1.0), areas)).passed
+        # equal circles touching in a row, then in a column (one x-run for all)
+        for column in (False, True):
+            root = PackingNode(Square(1.0))
+            for k in range(10):
+                c = (0.05 + 0.1 * k, 0.5)
+                center = Point(c[1], c[0]) if column else Point(*c)
+                root.children.append(PackingNode(Circle(center, 0.05), input_index=k))
+            report = self.assert_matches_oracle(root)
+            assert report.passed
+            assert sum(c.kind is CheckKind.CIRCLE_CIRCLE for c in report.checks) >= 9
+        # one huge circle among many tiny ones, some of them inside it
+        rng = np.random.default_rng(139)
+        root = PackingNode(Square(1.0))
+        root.children.append(PackingNode(Circle(Point(0.5, 0.5), 0.3), input_index=0))
+        for k in range(1, 300):
+            x, y = rng.uniform(0.002, 0.998, size=2)
+            root.children.append(
+                PackingNode(Circle(Point(float(x), float(y)), 1e-3), input_index=k)
+            )
+        assert not self.assert_matches_oracle(root).passed
+        # 0.7**k sets
+        weights = [0.7**k for k in range(60)]
+        for container in (Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0)):
+            capacity = sp.packable_area(container)
+            root = self.packed(container, [w * capacity / sum(weights) for w in weights])
+            assert self.assert_matches_oracle(root).passed
+
+    def test_runs_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_PAIR_CHUNK", 5)
+        rng = np.random.default_rng(149)
+        for trial in range(10):
+            container = random_container(rng)
+            root = self.packed(container, random_feasible_instance(rng, container, max_n=60))
+            self.assert_matches_oracle(root)
+        root = PackingNode(Square(1.0))
+        for k in range(40):  # one column: every circle's x-run holds all later ones
+            root.children.append(
+                PackingNode(Circle(Point(0.5, 0.0125 + 0.025 * k), 0.0125), input_index=k)
+            )
+        self.assert_matches_oracle(root)
+
+    def test_work_stays_linear_on_a_large_packing(self):
+        n = 20000
+        rng = np.random.default_rng(151)
+        root = self.packed(Square(1.0), random_areas(rng, n, sp.packable_area(Square(1.0))))
+        index = _TreeIndex(root)
+        first, _ = _circle_pairs(index.centers, index.radii)
+        assert len(first) <= 2 * n
 
 
 class TestProjectionWidths:
