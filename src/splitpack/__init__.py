@@ -22,22 +22,17 @@ from .geometry import (
     PHI_SQUARE,
     Circle,
     Hat,
-    HatDimensions,
     Point,
     SplitKey,
     Square,
     Triangle,
-    altitude_halves,
     critical_density,
-    hat_dimensions,
     hat_split_key,
     square_twincircles,
     triangle_incircle,
 )
 from .splitting import (
     CircleSet,
-    ConjugatedPair,
-    check_conjugated,
     min_guarantee,
     split,
     weighted_split,
@@ -63,10 +58,8 @@ __all__ = [
     "Circle",
     "CircleSet",
     "ConjugacyError",
-    "ConjugatedPair",
     "DocumentError",
     "Hat",
-    "HatDimensions",
     "InstanceDocument",
     "InvalidParameterError",
     "MalformedTreeError",
@@ -82,11 +75,8 @@ __all__ = [
     "Triangle",
     "UnsupportedContainerError",
     "VerificationReport",
-    "altitude_halves",
-    "check_conjugated",
     "critical_density",
     "decide",
-    "hat_dimensions",
     "hat_split_key",
     "min_container",
     "min_guarantee",

@@ -1,11 +1,13 @@
 """Command-line front end: splitpack decide|pack|approx|verify|gen.
 
 Exit codes: 0 success (or verification pass), 1 verification failure,
-2 invalid input, 3 unsupported container.
+2 invalid input, 3 unsupported container, 4 standard output closed before
+the output was written (a broken pipe, such as a reader that exited early).
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
+EXIT_BROKEN_PIPE = 4
 
 
 def _read_source(path: str) -> str:
@@ -45,6 +48,8 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a closed pipe raises here, inside main, not at interpreter exit
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -219,6 +224,14 @@ def main(argv=None) -> int:
     except SplitPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that flushing what
+        # is still buffered at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
 
 
 def entrypoint() -> None:

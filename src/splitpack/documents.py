@@ -231,10 +231,7 @@ class PackingDocument:
                 circle = Circle(Point(float(entry["x"]), float(entry["y"])), float(entry["radius"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DocumentError(f"malformed placement entry: {entry!r}") from exc
-            index = entry.get("input_index", pos)
-            root.children.append(
-                PackingNode(circle, payload=circle.area, input_index=index)
-            )
+            root.children.append(PackingNode(circle, input_index=entry.get("input_index", pos)))
         return root
 
 

@@ -36,23 +36,6 @@ class SplitKey(NamedTuple):
     f2: float
 
 
-class HatDimensions(NamedTuple):
-    """Measurements of a right isosceles hat with incircle area a, rounding b.
-
-    h         -- height of the underlying triangle (apex above the base)
-    w         -- width along the base, both base corners rounded
-    d         -- extent along a leg from the apex to a rounded base corner
-    w_corner  -- width when one base corner is left sharp
-    d_corner  -- leg extent when the base corner is left sharp (= d at b=0)
-    """
-
-    h: float
-    w: float
-    d: float
-    w_corner: float
-    d_corner: float
-
-
 def _as_point(p) -> Point:
     if type(p) is Point:
         return p
@@ -94,10 +77,6 @@ class Square:
     @property
     def area(self) -> float:
         return self.side * self.side
-
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        s = self.side
-        return (Point(0.0, 0.0), Point(s, 0.0), Point(s, s), Point(0.0, s))
 
 
 @dataclass(frozen=True)
@@ -194,14 +173,6 @@ class Triangle:
     def is_non_acute(self) -> bool:
         return self.apex_angle >= math.pi / 2.0 - RIGHT_ANGLE_SLACK
 
-    @cached_property
-    def altitude_foot(self) -> Point:
-        """Foot of the apex altitude on the base line."""
-        left, right, apex = self.base_split
-        bx, by = right.x - left.x, right.y - left.y
-        t = ((apex.x - left.x) * bx + (apex.y - left.y) * by) / (bx * bx + by * by)
-        return Point(left.x + t * bx, left.y + t * by)
-
     def scaled_about(self, anchor, factor: float) -> "Triangle":
         """Similar copy scaled by ``factor`` about the fixed point ``anchor``."""
         ax, ay = _as_point(anchor)
@@ -212,6 +183,39 @@ class Triangle:
 
 def _inradius(t: Triangle) -> float:
     return 2.0 * t.area / sum(t.side_lengths)
+
+
+def _altitude_split(left: Point, right: Point, apex: Point) -> tuple[Point, float, float]:
+    """Split a non-acute triangle through its apex, orthogonal to the base.
+
+    ``left``, ``right`` are the ends of the base (the longest side) and
+    ``apex`` the opposite vertex. Returns the foot of the apex altitude and
+    the inradii of the two right altitude halves (left, foot, apex) and
+    (foot, right, apex), whose right angles sit at the foot.
+    """
+    (lx, ly), (rx, ry), (cx, cy) = left, right, apex
+    bx, by = rx - lx, ry - ly
+    t = ((cx - lx) * bx + (cy - ly) * by) / (bx * bx + by * by)
+    fx, fy = lx + t * bx, ly + t * by
+    leg_left = math.hypot(fx - lx, fy - ly)
+    leg_right = math.hypot(rx - fx, ry - fy)
+    altitude = math.hypot(cx - fx, cy - fy)
+    r1 = leg_left * altitude / (leg_left + altitude + math.hypot(cx - lx, cy - ly))
+    r2 = leg_right * altitude / (leg_right + altitude + math.hypot(cx - rx, cy - ry))
+    return Point(fx, fy), r1, r2
+
+
+def _incenter(a: Point, b: Point, c: Point) -> Point:
+    """Incenter of the triangle abc: its vertices weighted by the opposite sides."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    wa = math.hypot(cx - bx, cy - by)
+    wb = math.hypot(cx - ax, cy - ay)
+    wc = math.hypot(bx - ax, by - ay)
+    perimeter = wa + wb + wc
+    return Point(
+        (wa * ax + wb * bx + wc * cx) / perimeter,
+        (wa * ay + wb * by + wc * cy) / perimeter,
+    )
 
 
 def _triangle_fast(v0: Point, v1: Point, v2: Point, base_split=None) -> Triangle:
@@ -269,25 +273,9 @@ class Hat:
             raise InvalidParameterError("rounding radius exceeds the triangle's inradius")
         object.__setattr__(self, "rounding_radius", min(s, r))
 
-    @classmethod
-    def from_rounding_area(cls, triangle: Triangle, rounding_area: float) -> "Hat":
-        if rounding_area < 0.0:
-            raise InvalidParameterError("rounding area must be non-negative")
-        return cls(triangle, math.sqrt(rounding_area / math.pi))
-
-    @property
-    def rounding_area(self) -> float:
-        s = self.rounding_radius
-        return math.pi * s * s
-
     @cached_property
     def incircle(self) -> Circle:
         return triangle_incircle(self.triangle)
-
-    @property
-    def incircle_area(self) -> float:
-        r = self.incircle.radius
-        return math.pi * r * r
 
     def eroded_corners(self) -> tuple[Point, Point, Point]:
         """Corners of the triangle shrunk inward by the rounding radius.
@@ -310,41 +298,9 @@ class Hat:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def hat_dimensions(a: float, b: float = 0.0) -> HatDimensions:
-    """Measurements of a right isosceles hat with incircle area a, rounding b.
-
-    With r, s the radii of circles of areas a and b:
-
-        h        = r (1 + sqrt 2)
-        w        = r (2 + 2 sqrt 2) - s * 2 sqrt 2
-        d        = r (2 + sqrt 2) - s * sqrt 2
-        w_corner = w + s * sqrt 2
-        d_corner = r (2 + sqrt 2)
-    """
-    if not (math.isfinite(a) and a > 0.0):
-        raise InvalidParameterError(f"incircle area must be positive, got {a!r}")
-    if not (math.isfinite(b) and 0.0 <= b <= a):
-        raise InvalidParameterError(f"rounding area must lie in [0, a], got {b!r}")
-    r = math.sqrt(a / math.pi)
-    s = math.sqrt(b / math.pi)
-    h = r * (1.0 + SQRT2)
-    w = r * (2.0 + 2.0 * SQRT2) - s * 2.0 * SQRT2
-    d = r * (2.0 + SQRT2) - s * SQRT2
-    w_corner = w + s * SQRT2
-    d_corner = r * (2.0 + SQRT2)
-    return HatDimensions(h, w, d, w_corner, d_corner)
-
-
 def triangle_incircle(t: Triangle) -> Circle:
     """Largest inscribed circle: radius area/semiperimeter, center the incenter."""
-    s01, s12, s20 = t.side_lengths
-    v0, v1, v2 = t.vertices
-    # incenter weights are the lengths of the opposite sides
-    w0, w1, w2 = s12, s20, s01
-    perimeter = s01 + s12 + s20
-    cx = (w0 * v0.x + w1 * v1.x + w2 * v2.x) / perimeter
-    cy = (w0 * v0.y + w1 * v1.y + w2 * v2.y) / perimeter
-    return Circle(Point(cx, cy), 2.0 * t.area / perimeter)
+    return Circle(_incenter(*t.vertices), _inradius(t))
 
 
 def square_twincircles(side: float) -> tuple[Circle, Circle]:
@@ -384,27 +340,8 @@ def critical_density(container: Union[Square, Triangle]) -> float:
     raise UnsupportedContainerError(f"unsupported container type: {type(container).__name__}")
 
 
-def altitude_halves(t: Triangle) -> tuple[Triangle, Triangle]:
-    """Split a non-acute triangle through the apex, orthogonal to the base.
-
-    Returns the two right triangles (left half, right half); each has its
-    right angle at the altitude foot.
-    """
-    left, right, apex = t.base_split
-    foot = t.altitude_foot
-    bx, by = right.x - left.x, right.y - left.y
-    t_param = ((foot.x - left.x) * bx + (foot.y - left.y) * by) / (bx * bx + by * by)
-    if not (0.0 < t_param < 1.0):
-        raise InvalidParameterError(
-            "altitude foot lies outside the base; the triangle must be non-acute"
-        )
-    return (Triangle((left, foot, apex)), Triangle((foot, right, apex)))
-
-
 def hat_split_key(h: Union[Hat, Triangle]) -> SplitKey:
     """Incircle areas (f1, f2) of the two altitude halves of the underlying triangle."""
     t = h.triangle if isinstance(h, Hat) else h
-    half1, half2 = altitude_halves(t)
-    r1 = _inradius(half1)
-    r2 = _inradius(half2)
+    _foot, r1, r2 = _altitude_split(*t.base_split)
     return SplitKey(math.pi * r1 * r1, math.pi * r2 * r2)

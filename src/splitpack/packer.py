@@ -18,6 +18,7 @@ every further hat and places every circle, directly in world coordinates.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -36,8 +37,10 @@ from .geometry import (
     Square,
     Triangle,
     triangle_incircle,
+    _altitude_split,
     _circle_fast,
     _hat_fast,
+    _incenter,
     _inradius,
     _triangle_fast,
 )
@@ -63,12 +66,11 @@ class PackingNode:
 
     The root carries the user's container. A hat node has either two hat
     children or a single circle child (its incircle); circle nodes are leaves
-    and remember the originating input area and position.
+    and remember the position of their area in the input.
     """
 
     shape: Shape
     children: list["PackingNode"] = field(default_factory=list)
-    payload: Optional[float] = None
     input_index: Optional[int] = None
 
     def walk(self) -> Iterator[tuple["PackingNode", int]]:
@@ -82,9 +84,6 @@ class PackingNode:
 
     def circle_leaves(self) -> list["PackingNode"]:
         return [n for n, _ in self.walk() if isinstance(n.shape, Circle)]
-
-    def hat_nodes(self) -> list["PackingNode"]:
-        return [n for n, _ in self.walk() if isinstance(n.shape, Hat)]
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,15 @@ class PackRequest:
 
 @dataclass
 class PackStats:
-    """Counters filled in by :func:`pack` when passed as its ``stats`` argument."""
+    """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
+
+    ``scale_factors`` counts how many hats were scaled by each factor.
+    """
 
     split_calls: int = 0
     element_moves: int = 0
     hat_count: int = 0
-    scale_factors: list[float] = field(default_factory=list)
+    scale_factors: Counter = field(default_factory=Counter)
     max_depth: int = 0
 
 
@@ -153,14 +155,7 @@ def _scale_factor(a: float, f: float) -> float:
     return math.sqrt(a / f)
 
 
-def _leaf(circle: Circle, area: float, index: int) -> PackingNode:
-    return PackingNode(circle, payload=area, input_index=index)
-
-
-def _pack_into_hats(
-    hats: list[tuple[PackingNode, CircleSet, float]],
-    stats: Optional[PackStats],
-) -> None:
+def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: PackStats) -> None:
     """Fill each (hat node, non-empty circle set, inherited min size) subtree.
 
     The only place that splits a hat into subhats and places a circle in a
@@ -172,19 +167,15 @@ def _pack_into_hats(
     """
     pi = math.pi
     sqrt = math.sqrt
-    hypot = math.hypot
-    # (node, Lx, Ly, Rx, Ry, Cx, Cy, inradius, subset, inherited min size, depth)
-    # with L, R the base (longest side) ends and C the apex of the hat triangle
+    # (node, L, R, C, inradius, subset, inherited min size, depth) with L, R
+    # the base (longest side) ends and C the apex of the hat triangle
     stack = []
     for node, subset, b_min in hats:
         tri = node.shape.triangle
-        left, right, apex = tri.base_split
-        stack.append(
-            (node, left.x, left.y, right.x, right.y, apex.x, apex.y, _inradius(tri), subset, b_min, 1)
-        )
+        stack.append((node, *tri.base_split, _inradius(tri), subset, b_min, 1))
     while stack:
-        node, lx, ly, rx, ry, cx, cy, r_in, subset, b_min, depth = stack.pop()
-        if stats is not None and depth > stats.max_depth:
+        node, left, right, apex, r_in, subset, b_min, depth = stack.pop()
+        if depth > stats.max_depth:
             stats.max_depth = depth
 
         if len(subset) == 1:
@@ -194,68 +185,49 @@ def _pack_into_hats(
                 raise InvalidParameterError(
                     f"circle of area {area!r} exceeds the hat's incircle area {pi * r_in * r_in!r}"
                 )
-            w_l = hypot(cx - rx, cy - ry)
-            w_r = hypot(cx - lx, cy - ly)
-            w_c = hypot(rx - lx, ry - ly)
-            perimeter = w_l + w_r + w_c
-            center = Point(
-                (w_l * lx + w_r * rx + w_c * cx) / perimeter,
-                (w_l * ly + w_r * ry + w_c * cy) / perimeter,
-            )
-            node.children.append(_leaf(_circle_fast(center, sqrt(area / pi)), area, subset.indices[0]))
+            circle = _circle_fast(_incenter(left, right, apex), sqrt(area / pi))
+            node.children.append(PackingNode(circle, input_index=subset.indices[0]))
             continue
 
-        # altitude foot and the two right altitude halves
-        bx, by = rx - lx, ry - ly
-        t_foot = ((cx - lx) * bx + (cy - ly) * by) / (bx * bx + by * by)
-        fx, fy = lx + t_foot * bx, ly + t_foot * by
-        leg_left = hypot(fx - lx, fy - ly)
-        leg_right = hypot(rx - fx, ry - fy)
-        altitude = hypot(cx - fx, cy - fy)
-        hyp_left = hypot(cx - lx, cy - ly)
-        hyp_right = hypot(cx - rx, cy - ry)
-        r1 = leg_left * altitude / (leg_left + altitude + hyp_left)
-        r2 = leg_right * altitude / (leg_right + altitude + hyp_right)
+        foot, r1, r2 = _altitude_split(left, right, apex)
         f1 = pi * r1 * r1
         f2 = pi * r2 * r2
         key = SplitKey(f1, f2)
 
         part1, part2 = weighted_split(subset, key)
-        if stats is not None:
-            stats.split_calls += 1
-            stats.element_moves += len(subset)
+        stats.split_calls += 1
+        stats.element_moves += len(subset)
         a1, a2 = part1.combined, part2.combined
-        b1 = min(max(b_min, a1 - f1 * a2 / f2, 0.0), part1.minimum)
-        b2 = min(max(b_min, a2 - f2 * a1 / f1, 0.0), part2.minimum)
+        b1 = min(min_guarantee(a1, a2, f1, f2, b_min), part1.minimum)
+        b2 = min(min_guarantee(a2, a1, f2, f1, b_min), part2.minimum)
         _check_tuples(pi * r_in * r_in, b_min, key, (a1, b1), (a2, b2))
 
         t1 = _scale_factor(a1, f1)
         t2 = _scale_factor(a2, f2)
-        if stats is not None:
-            stats.scale_factors += (t1, t2)
-            stats.hat_count += 2
+        stats.scale_factors[t1] += 1
+        stats.scale_factors[t2] += 1
+        stats.hat_count += 2
 
+        (lx, ly), (rx, ry), (cx, cy), (fx, fy) = left, right, apex, foot
         # child 1: left half scaled about the left base vertex; its hypotenuse
         # (the next base) runs from the scaled apex back to that vertex
-        x1x, x1y = lx + t1 * (fx - lx), ly + t1 * (fy - ly)
-        c1x, c1y = lx + t1 * (cx - lx), ly + t1 * (cy - ly)
+        p_f = Point(lx + t1 * (fx - lx), ly + t1 * (fy - ly))
+        p_c = Point(lx + t1 * (cx - lx), ly + t1 * (cy - ly))
         r1c = t1 * r1
-        p_l, p_f, p_c = Point(lx, ly), Point(x1x, x1y), Point(c1x, c1y)
-        tri1 = _triangle_fast(p_l, p_f, p_c, base_split=(p_c, p_l, p_f))
+        tri1 = _triangle_fast(left, p_f, p_c, base_split=(p_c, left, p_f))
         hat1 = _hat_fast(tri1, min(sqrt(b1 / pi), r1c))
         # child 2: right half scaled about the right base vertex
-        x2x, x2y = rx + t2 * (fx - rx), ry + t2 * (fy - ry)
-        c2x, c2y = rx + t2 * (cx - rx), ry + t2 * (cy - ry)
+        q_f = Point(rx + t2 * (fx - rx), ry + t2 * (fy - ry))
+        q_c = Point(rx + t2 * (cx - rx), ry + t2 * (cy - ry))
         r2c = t2 * r2
-        q_f, q_r, q_c = Point(x2x, x2y), Point(rx, ry), Point(c2x, c2y)
-        tri2 = _triangle_fast(q_f, q_r, q_c, base_split=(q_r, q_c, q_f))
+        tri2 = _triangle_fast(q_f, right, q_c, base_split=(right, q_c, q_f))
         hat2 = _hat_fast(tri2, min(sqrt(b2 / pi), r2c))
 
         child1 = PackingNode(hat1)
         child2 = PackingNode(hat2)
         node.children = [child1, child2]
-        stack.append((child1, c1x, c1y, lx, ly, x1x, x1y, r1c, part1, b1, depth + 1))
-        stack.append((child2, rx, ry, c2x, c2y, x2x, x2y, r2c, part2, b2, depth + 1))
+        stack.append((child1, p_c, left, p_f, r1c, part1, b1, depth + 1))
+        stack.append((child2, right, q_c, q_f, r2c, part2, b2, depth + 1))
 
 
 def _validate_request(request: PackRequest) -> float:
@@ -297,10 +269,13 @@ def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> Non
 def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode:
     """Pack the requested circle set, returning the subdivision tree.
 
-    The tree's circle leaves are a multiset-exact copy of the input areas,
-    placed without overlap inside the container (checkable with
-    :func:`splitpack.verifier.verify`). An empty input yields a bare root.
+    The tree's circle leaves have the input areas, each of radius
+    sqrt(area / pi), placed without overlap inside the container (checkable
+    with :func:`splitpack.verifier.verify`). An empty input yields a bare
+    root. Counters go into ``stats`` when given.
     """
+    if stats is None:
+        stats = PackStats()
     capacity = _validate_request(request)
     circles = request.circles
     container = request.container
@@ -318,12 +293,11 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
             r = math.sqrt(area / math.pi)
             s = container.side
             circle = Circle(Point(s - r, s - r), r)
-            root.children.append(_leaf(circle, area, circles.indices[0]))
+            root.children.append(PackingNode(circle, input_index=circles.indices[0]))
             return root
         part1, part2 = split(circles)
-        if stats is not None:
-            stats.split_calls += 1
-            stats.element_moves += n
+        stats.split_calls += 1
+        stats.element_moves += n
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
@@ -345,9 +319,8 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
             node = PackingNode(Hat(tri, min(math.sqrt(b / math.pi), _inradius(tri))))
             root.children.append(node)
             hats.append((node, part, b))
-            if stats is not None:
-                stats.scale_factors.append(t)
-                stats.hat_count += 1
+            stats.scale_factors[t] += 1
+            stats.hat_count += 1
         _pack_into_hats(hats, stats)
         return root
 

@@ -9,12 +9,10 @@ circle in it is at least as large as the overshoot, which is what
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from .errors import InvalidParameterError
 from .geometry import SplitKey
-
-CONJUGACY_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,6 @@ class CircleSet:
 
     def __len__(self) -> int:
         return len(self.areas)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.areas)
 
 
 def split(circles: CircleSet) -> tuple[CircleSet, CircleSet]:
@@ -116,30 +111,3 @@ def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float =
     if sum_i < 0.0 or sum_j < 0.0:
         raise InvalidParameterError("combined areas must be non-negative")
     return max(b, sum_i - f_i * sum_j / f_j, 0.0)
-
-
-class ConjugatedPair(NamedTuple):
-    """Parameter tuples (a1, b1), (a2, b2) for two sibling subcontainers."""
-
-    first: tuple[float, float]
-    second: tuple[float, float]
-
-
-def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: SplitKey) -> bool:
-    """True iff the pair satisfies the three conjugatedness conditions.
-
-    a1 + a2 = a; b_i >= b; b_i >= a_i - f_i * a_j / f_j — each within an
-    absolute tolerance of 1e-12 * a.
-    """
-    (a1, b1), (a2, b2) = pair
-    f1, f2 = key
-    tol = CONJUGACY_REL_TOL * abs(a)
-    if abs(a1 + a2 - a) > tol:
-        return False
-    if b1 < b - tol or b2 < b - tol:
-        return False
-    if b1 < a1 - f1 * a2 / f2 - tol:
-        return False
-    if b2 < a2 - f2 * a1 / f1 - tol:
-        return False
-    return True

@@ -48,8 +48,9 @@ DEFAULT_REL_TOLERANCE = 1e-9
 # float64 epsilons of the container diameter (coordinate rounding).
 PAIR_TOLERANCE_FLOOR_EPS = 64
 
-# Candidate circle pairs are built this many at a time, which bounds the
-# sweep's working memory when many circles share an x-range.
+# Candidate circle pairs, and hat corners in their parents, are evaluated
+# this many at a time, which bounds the working memory when many circles
+# share an x-range and on packings with many hats.
 _PAIR_CHUNK = 1 << 17
 
 
@@ -237,7 +238,6 @@ class _TreeIndex:
 
         circle_flat: list[float] = []  # x, y, radius triples
         circle_labels: list = []
-        circle_payloads: list[Optional[float]] = []
         hat_flat: list[float] = []  # three vertices per hat
         hat_radii: list[float] = []
         hat_parent: list[int] = []  # hat index, -1 root container, -2 the root hat itself
@@ -265,7 +265,6 @@ class _TreeIndex:
                     center = cshape.center
                     circle_flat += (center[0], center[1], cshape.radius)
                     circle_labels.append(child.input_index)
-                    circle_payloads.append(child.payload)
                 elif tshape is Hat:
                     idx = len(hat_radii)
                     v = cshape.triangle.vertices
@@ -284,7 +283,6 @@ class _TreeIndex:
                     for j in range(i + 1, len(child_hats)):
                         sibling_pairs.append((child_hats[i], child_hats[j]))
 
-        self.circle_payloads = circle_payloads
         self._circle_labels = circle_labels
         centers_radii = np.array(circle_flat, dtype=float).reshape(-1, 3)
         self.centers = centers_radii[:, :2]
@@ -398,7 +396,9 @@ def verify(
       corner disks);
     * hat-hat-disjoint: distance between sibling hats' eroded triangles
       minus the sum of their rounding radii;
-    * leaf-multiset: leaf payload areas versus ``expected_areas`` when given.
+    * leaf-multiset: when ``expected_areas`` is given, the leaves' radii
+      against the radii ``sqrt(a / pi)`` of those areas, as multisets
+      (exact equality, the radius rule of :func:`splitpack.pack`).
 
     A check fails when its slack is below minus its tolerance. An explicit
     ``tolerance`` applies to every check. By default it is 1e-9 times the
@@ -456,11 +456,13 @@ def verify(
         in_root = np.repeat(parent_of < 0, 3)
         if in_root.any():
             depths[in_root] = index.container_signed_distance(corners[in_root])
-        in_hat = ~in_root
-        if in_hat.any():
-            pidx = np.repeat(parent_of, 3)[in_hat]
-            depths[in_hat] = (
-                _point_tri_set_distance_np(corners[in_hat], index.eroded[pidx])
+        in_hat = np.nonzero(~in_root)[0]
+        corner_parent = np.repeat(parent_of, 3)
+        for start in range(0, len(in_hat), _PAIR_CHUNK):
+            rows = in_hat[start : start + _PAIR_CHUNK]
+            pidx = corner_parent[rows]
+            depths[rows] = (
+                _point_tri_set_distance_np(corners[rows], index.eroded[pidx])
                 + index.hat_radii[pidx]
             )
         slacks = (depths - child_s).reshape(-1, 3).min(axis=1)
@@ -487,9 +489,10 @@ def verify(
 
     # leaf-multiset
     if expected_areas is not None:
-        got = sorted(p for p in index.circle_payloads if p is not None)
-        want = sorted(float(a) for a in expected_areas)
-        matched = len(index.circle_payloads) == len(want) and got == want
+        want = [float(a) for a in expected_areas]
+        matched = all(a > 0.0 for a in want) and sorted(index.radii.tolist()) == sorted(
+            math.sqrt(a / math.pi) for a in want
+        )
         slacks = np.array([0.0 if matched else -math.inf])
         groups.append(
             (CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")], slacks)

@@ -1,18 +1,27 @@
-"""Scalar reference geometry: the oracle the verifier's numpy checks are tested against.
+"""Scalar reference geometry: the oracle the package is tested against.
 
 Plain-Python distances between points, segments, triangles and convex point
 sets, written for clarity rather than speed, and the exhaustive all-pairs
 circle-circle slacks. Tests compare the verifier's bulk primitives, its
 sibling-hat rule and its circle-pair sweep with these.
+
+The construction's measurements, each with arithmetic of its own: the
+altitude halves of a triangle, the closed-form dimensions of a right
+isosceles hat, and the conjugatedness conditions on a split. Tests compare
+the packer's hats and splits with these.
 """
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from splitpack import InvalidParameterError, Point, Triangle
+from splitpack import InvalidParameterError, Point, SplitKey, Triangle
 from splitpack.geometry import _as_point
+
+SQRT2 = math.sqrt(2.0)
+
+CONJUGACY_REL_TOL = 1e-12
 
 
 def signed_distance(p, t: Triangle) -> float:
@@ -141,3 +150,97 @@ def all_pairs_circle_slacks(centers: np.ndarray, radii: np.ndarray):
     iu, ju = np.triu_indices(len(radii), k=1)
     dists = np.linalg.norm(centers[iu] - centers[ju], axis=-1)
     return iu, ju, dists - (radii[iu] + radii[ju])
+
+
+def altitude_foot(t: Triangle) -> Point:
+    """Foot of the apex altitude on the base line."""
+    left, right, apex = t.base_split
+    bx, by = right.x - left.x, right.y - left.y
+    t_param = ((apex.x - left.x) * bx + (apex.y - left.y) * by) / (bx * bx + by * by)
+    return Point(left.x + t_param * bx, left.y + t_param * by)
+
+
+def altitude_halves(t: Triangle) -> tuple[Triangle, Triangle]:
+    """Split a non-acute triangle through the apex, orthogonal to the base.
+
+    Returns the two right triangles (left half, right half); each has its
+    right angle at the altitude foot.
+    """
+    left, right, apex = t.base_split
+    foot = altitude_foot(t)
+    bx, by = right.x - left.x, right.y - left.y
+    t_param = ((foot.x - left.x) * bx + (foot.y - left.y) * by) / (bx * bx + by * by)
+    if not (0.0 < t_param < 1.0):
+        raise InvalidParameterError(
+            "altitude foot lies outside the base; the triangle must be non-acute"
+        )
+    return (Triangle((left, foot, apex)), Triangle((foot, right, apex)))
+
+
+class HatDimensions(NamedTuple):
+    """Measurements of a right isosceles hat with incircle area a, rounding b.
+
+    h         -- height of the underlying triangle (apex above the base)
+    w         -- width along the base, both base corners rounded
+    d         -- extent along a leg from the apex to a rounded base corner
+    w_corner  -- width when one base corner is left sharp
+    d_corner  -- leg extent when the base corner is left sharp (= d at b=0)
+    """
+
+    h: float
+    w: float
+    d: float
+    w_corner: float
+    d_corner: float
+
+
+def hat_dimensions(a: float, b: float = 0.0) -> HatDimensions:
+    """Measurements of a right isosceles hat with incircle area a, rounding b.
+
+    With r, s the radii of circles of areas a and b:
+
+        h        = r (1 + sqrt 2)
+        w        = r (2 + 2 sqrt 2) - s * 2 sqrt 2
+        d        = r (2 + sqrt 2) - s * sqrt 2
+        w_corner = w + s * sqrt 2
+        d_corner = r (2 + sqrt 2)
+    """
+    if not (math.isfinite(a) and a > 0.0):
+        raise InvalidParameterError(f"incircle area must be positive, got {a!r}")
+    if not (math.isfinite(b) and 0.0 <= b <= a):
+        raise InvalidParameterError(f"rounding area must lie in [0, a], got {b!r}")
+    r = math.sqrt(a / math.pi)
+    s = math.sqrt(b / math.pi)
+    h = r * (1.0 + SQRT2)
+    w = r * (2.0 + 2.0 * SQRT2) - s * 2.0 * SQRT2
+    d = r * (2.0 + SQRT2) - s * SQRT2
+    w_corner = w + s * SQRT2
+    d_corner = r * (2.0 + SQRT2)
+    return HatDimensions(h, w, d, w_corner, d_corner)
+
+
+class ConjugatedPair(NamedTuple):
+    """Parameter tuples (a1, b1), (a2, b2) for two sibling subcontainers."""
+
+    first: tuple[float, float]
+    second: tuple[float, float]
+
+
+def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: SplitKey) -> bool:
+    """True iff the pair satisfies the three conjugatedness conditions.
+
+    a1 + a2 = a; b_i >= b; b_i >= a_i - f_i * a_j / f_j — each within an
+    absolute tolerance of 1e-12 * a.
+    """
+    (a1, b1), (a2, b2) = pair
+    f1, f2 = key
+    tol = CONJUGACY_REL_TOL * abs(a)
+    if abs(a1 + a2 - a) > tol:
+        return False
+    if b1 < b - tol or b2 < b - tol:
+        return False
+    if b1 < a1 - f1 * a2 / f2 - tol:
+        return False
+    if b2 < a2 - f2 * a1 / f1 - tol:
+        return False
+    return True

@@ -24,9 +24,7 @@ from splitpack import (
     PackStats,
     Square,
     Triangle,
-    check_conjugated,
     critical_density,
-    hat_dimensions,
     min_guarantee,
     pack,
     packable_area,
@@ -37,6 +35,7 @@ from splitpack import (
 from splitpack.cli import main as cli_main
 from splitpack.geometry import SplitKey
 from conftest import random_areas, random_non_acute_triangle, triangle_from_angles
+from reference_geometry import ConjugatedPair, check_conjugated, hat_dimensions
 
 SQRT2 = math.sqrt(2.0)
 
@@ -142,7 +141,7 @@ def test_criterion_4_splitting_guarantees():
                     assert mine.minimum >= bound - slack
             g1 = min_guarantee(c1.combined, c2.combined, key.f1, key.f2)
             g2 = min_guarantee(c2.combined, c1.combined, key.f2, key.f1)
-            pair = sp.ConjugatedPair((c1.combined, g1), (c2.combined, g2))
+            pair = ConjugatedPair((c1.combined, g1), (c2.combined, g2))
             assert check_conjugated(pair, cs.combined, 0.0, key)
 
 

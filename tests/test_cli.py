@@ -24,6 +24,7 @@ from splitpack import (
     render_packing_svg,
     verify,
 )
+from splitpack import cli
 from splitpack.cli import main
 from splitpack.documents import container_from_dict, container_to_dict
 
@@ -280,19 +281,36 @@ class TestApprox:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_the_cli(self):
+    @staticmethod
+    def env():
         package_root = os.path.dirname(os.path.dirname(sp.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (package_root, os.environ.get("PYTHONPATH")) if p
         )}
+
+    def test_python_dash_m_runs_the_cli(self):
         proc = subprocess.run(
             [sys.executable, "-m", "splitpack", "decide", "--container", "square:1",
              "--circles", "-"],
             input=json.dumps([{"area": 0.1}, {"area": 0.2}]),
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=self.env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["packable"] == "yes"
+
+    def test_reader_closed_early(self):
+        # as in `splitpack gen ... | splitpack pack` when pack exits at once
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "splitpack", "gen", "-n", "3000", "--distribution", "uniform"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=self.env(),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert code == cli.EXIT_BROKEN_PIPE
 
 
 class TestVerifyCommand:

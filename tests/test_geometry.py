@@ -16,14 +16,15 @@ from splitpack import (
     Triangle,
     UnsupportedContainerError,
     critical_density,
-    hat_dimensions,
     hat_split_key,
     square_twincircles,
     triangle_incircle,
 )
 from conftest import random_non_acute_triangle, triangle_from_angles
 from reference_geometry import (
+    altitude_foot,
     convex_polygon_distance,
+    hat_dimensions,
     point_segment_distance,
     segment_segment_distance,
     signed_distance,
@@ -134,7 +135,7 @@ class TestTriangle:
             base = math.dist(left, right)
             assert base == pytest.approx(max(t.side_lengths), rel=1e-12)
             # the altitude foot splits the base strictly inside
-            foot = t.altitude_foot
+            foot = altitude_foot(t)
             assert 0.0 < math.dist(left, foot) < base
 
     def test_acute_classification(self):
@@ -374,6 +375,6 @@ class TestHat:
 
     def test_rounding_area_roundtrip(self):
         t = Triangle.from_sides(3.0, 4.0, 5.0)
-        hat = Hat.from_rounding_area(t, 0.5)
-        assert hat.rounding_area == pytest.approx(0.5, rel=1e-12)
-        assert hat.incircle_area == pytest.approx(math.pi, rel=1e-12)
+        hat = Hat(t, math.sqrt(0.5 / math.pi))
+        assert math.pi * hat.rounding_radius**2 == pytest.approx(0.5, rel=1e-12)
+        assert hat.incircle.area == pytest.approx(math.pi, rel=1e-12)

@@ -20,7 +20,6 @@ from splitpack import (
     Square,
     Triangle,
     UnsupportedContainerError,
-    altitude_halves,
     hat_split_key,
     min_container,
     min_guarantee,
@@ -32,7 +31,7 @@ from splitpack import (
 )
 from splitpack import packer
 from conftest import random_container, random_feasible_instance, random_non_acute_triangle
-from reference_geometry import signed_distance
+from reference_geometry import altitude_halves, signed_distance
 
 SQRT2 = math.sqrt(2.0)
 
@@ -44,7 +43,7 @@ def right_isosceles_with_incircle(area: float) -> Triangle:
 
 
 def non_root_hat_count(root: PackingNode) -> int:
-    hats = len(root.hat_nodes())
+    hats = sum(isinstance(node.shape, Hat) for node, _depth in root.walk())
     return hats - 1 if isinstance(root.shape, Hat) else hats
 
 
@@ -80,9 +79,9 @@ class TestSquarePacking:
         # the lighter bucket anchors at the origin corner
         hat1, hat2 = (child.shape for child in root.children)
         assert hat1.triangle.vertices[0] == (0.0, 0.0)
-        assert hat1.incircle_area == pytest.approx(0.3 * a, rel=1e-12)
-        assert hat2.incircle_area == pytest.approx(0.7 * a, rel=1e-12)
-        assert hat2.rounding_area == pytest.approx(0.4 * a, rel=1e-12)
+        assert hat1.incircle.area == pytest.approx(0.3 * a, rel=1e-12)
+        assert hat2.incircle.area == pytest.approx(0.7 * a, rel=1e-12)
+        assert math.pi * hat2.rounding_radius**2 == pytest.approx(0.4 * a, rel=1e-12)
 
     def test_power_of_two_self_similar(self):
         for k in (1, 2, 4):
@@ -179,9 +178,9 @@ class TestPlacementOperations:
         (leaf,) = root.circle_leaves()
         assert non_root_hat_count(root) == 0
         half = Triangle(((1.0, 1.0), (0.0, 1.0), (1.0, 0.0)))
-        h2 = Hat.from_rounding_area(half.scaled_about((1.0, 1.0), math.sqrt(2.0)), a)
-        assert h2.rounding_area == pytest.approx(a, rel=1e-9)
         r = math.sqrt(a / math.pi)
+        h2 = Hat(half.scaled_about((1.0, 1.0), math.sqrt(2.0)), r)
+        assert math.pi * h2.rounding_radius**2 == pytest.approx(a, rel=1e-9)
         incircle = h2.incircle
         assert incircle.center == pytest.approx((1.0 - r, 1.0 - r), abs=1e-12)
         assert leaf.shape.center == pytest.approx(incircle.center, abs=1e-12)
@@ -203,7 +202,7 @@ class TestPlacementOperations:
             s1 = float(rng.uniform(0.0, total))
             areas = [s1, total - s1]
             root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
-            hat_areas = sorted(child.shape.incircle_area for child in root.children)
+            hat_areas = sorted(child.shape.incircle.area for child in root.children)
             assert hat_areas == pytest.approx(sorted(areas), rel=1e-9)
             assert verify(root, expected_areas=areas).passed
 
@@ -239,16 +238,16 @@ class TestPlacementOperations:
         areas = [0.7 * math.pi, 0.3 * math.pi]
         root = pack(PackRequest(t, CircleSet.from_areas(areas)))
         h1, h2 = (child.shape for child in root.children)
-        assert h1.incircle_area == pytest.approx(0.7 * math.pi, rel=1e-12)
+        assert h1.incircle.area == pytest.approx(0.7 * math.pi, rel=1e-12)
         # b1 = a1 - f1 * a2 / f2
-        assert h1.rounding_area == pytest.approx(0.4 * math.pi, rel=1e-12)
+        assert math.pi * h1.rounding_radius**2 == pytest.approx(0.4 * math.pi, rel=1e-12)
         apex_y = max(p.y for p in t.vertices)
         assert max(p.y for p in h1.triangle.vertices) > apex_y  # overshoots
         assert verify(root, expected_areas=areas).passed
         with pytest.raises(ConjugacyError):
             packer._check_tuples(
-                container.incircle_area,
-                container.rounding_area,
+                container.incircle.area,
+                math.pi * container.rounding_radius**2,
                 key,
                 (0.3 * math.pi, 0.0),
                 (0.7 * math.pi, 0.3 * math.pi),
@@ -271,7 +270,8 @@ class TestPlacementOperations:
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
             packer._pack_into_hats(
-                [(PackingNode(hat), CircleSet.from_areas([math.pi * 1.01]), 0.0)], None
+                [(PackingNode(hat), CircleSet.from_areas([math.pi * 1.01]), 0.0)],
+                PackStats(),
             )
 
     def test_recursion_matches_public_placement_ops(self):
@@ -311,7 +311,8 @@ class TestTreeInvariants:
             areas = random_feasible_instance(rng, container, max_n=80)
             root = pack(PackRequest(container, CircleSet.from_areas(areas)))
             leaves = root.circle_leaves()
-            assert sorted(n.payload for n in leaves) == sorted(areas)
+            radii = sorted(math.sqrt(a / math.pi) for a in areas)
+            assert sorted(n.shape.radius for n in leaves) == radii
             assert sorted(n.input_index for n in leaves) == list(range(len(areas)))
 
     def test_tree_size_bound(self):
@@ -333,6 +334,7 @@ class TestTreeInvariants:
             count = len(areas)
             assert stats.split_calls == max(count - 1, 0)
             assert stats.element_moves <= count * (count + 1) // 2
+            assert sum(stats.scale_factors.values()) == stats.hat_count
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(59)

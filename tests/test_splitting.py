@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from splitpack import (
     CircleSet,
-    ConjugatedPair,
     InvalidParameterError,
     SplitKey,
-    check_conjugated,
     min_guarantee,
     split,
     weighted_split,
 )
+from reference_geometry import ConjugatedPair, check_conjugated
 
 area_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e3, allow_nan=False, allow_infinity=False),

@@ -1,5 +1,6 @@
 """Tests for the independent packing verifier."""
 
+import json
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from conftest import (
 )
 from reference_geometry import (
     all_pairs_circle_slacks,
+    altitude_halves,
     convex_polygon_distance,
     point_segment_distance,
     signed_distance,
@@ -153,7 +155,7 @@ class TestVerify:
         root = PackingNode(Hat(tri, 0.5))
         corner = tri.vertices[0]
         inward = Point(corner.x + 0.12, corner.y + 0.05)
-        root.children.append(PackingNode(Circle(inward, 0.02), payload=1.0, input_index=0))
+        root.children.append(PackingNode(Circle(inward, 0.02), input_index=0))
         report = verify(root)
         assert not report.passed
         assert any(c.kind is CheckKind.CIRCLE_IN_CONTAINER for c in report.failures)
@@ -175,9 +177,58 @@ class TestVerify:
         assert not report.passed
         assert any(c.kind is CheckKind.LEAF_MULTISET for c in report.failures)
 
+    def test_expected_areas_after_json_roundtrip(self):
+        # a packing rebuilt from its JSON document keeps the input areas'
+        # radii, so it passes the same leaf check as the packed tree
+        rng = np.random.default_rng(157)
+        for container in (Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0)):
+            areas = random_areas(rng, 50, 0.9 * sp.packable_area(container))
+            root = pack(PackRequest(container, CircleSet.from_areas(areas)))
+            text = json.dumps(sp.PackingDocument.from_tree(root, container).to_dict())
+            rebuilt = sp.PackingDocument.from_dict(json.loads(text)).to_tree()
+            for tree in (root, rebuilt):
+                report = verify(tree, expected_areas=areas)
+                assert report.passed, report.summary()
+            # the check compares the placed disks: a radius one ulp off fails
+            leaf = rebuilt.circle_leaves()[7]
+            leaf.shape = Circle(leaf.shape.center, math.nextafter(leaf.shape.radius, 0.0))
+            report = verify(rebuilt, expected_areas=areas)
+            assert [c.kind for c in report.failures] == [CheckKind.LEAF_MULTISET]
+
+    def test_hat_corners_in_slices_match(self, monkeypatch):
+        # hat-in-parent corners evaluated a few rows at a time give every
+        # slack bit for bit
+        rng = np.random.default_rng(163)
+        roots = []
+        for _ in range(12):
+            container = random_container(rng)
+            areas = random_feasible_instance(rng, container, max_n=60)
+            roots.append(pack(PackRequest(container, CircleSet.from_areas(areas))))
+        t = Triangle.from_sides(3.0, 4.0, 5.0)
+        roots.append(pack(PackRequest(t, CircleSet.from_areas(random_areas(rng, 20, math.pi)))))
+        parent = roots[-1].children[0]
+        # a grandchild hat grown past its parent
+        grown = parent.shape.triangle.scaled_about(parent.shape.incircle.center, 1.1)
+        parent.children[0].shape = Hat(grown, 0.0)
+
+        def slacks(root):
+            report = verify(root)
+            return [(c.kind, c.ids, c.slack) for c in report.checks], report.failures
+
+        whole = [slacks(root) for root in roots]
+        monkeypatch.setattr(verifier, "_PAIR_CHUNK", 5)
+        for root, (checks, failures) in zip(roots, whole):
+            got_checks, got_failures = slacks(root)
+            assert [c[:2] for c in got_checks] == [c[:2] for c in checks]
+            got = np.array([c[2] for c in got_checks])
+            want = np.array([c[2] for c in checks])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got_failures == failures
+        assert any(c.kind is CheckKind.HAT_IN_PARENT for c in whole[-1][1])
+
     def test_circle_outside_container_fails(self):
         root = PackingNode(Square(1.0))
-        root.children.append(PackingNode(Circle(Point(0.9, 0.5), 0.2), payload=1.0, input_index=0))
+        root.children.append(PackingNode(Circle(Point(0.9, 0.5), 0.2), input_index=0))
         report = verify(root)
         assert not report.passed
         assert any(c.kind is CheckKind.CIRCLE_IN_CONTAINER for c in report.failures)
@@ -396,7 +447,7 @@ class TestCirclePairSweep:
 class TestProjectionWidths:
     def test_altitude_half_incircles_abut(self):
         t = Triangle.from_sides(3.0, 4.0, 5.0)
-        left, right = sp.altitude_halves(t)
+        left, right = altitude_halves(t)
         c1 = triangle_incircle(left)
         c2 = triangle_incircle(right)
         base = (t.vertices[0], t.vertices[1])
