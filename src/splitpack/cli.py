@@ -36,6 +36,10 @@ EXIT_UNSUPPORTED = 3
 EXIT_BROKEN_PIPE = 4
 
 
+class _StdoutClosed(Exception):
+    """Standard output's reader went away before the output was written."""
+
+
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -45,11 +49,14 @@ def _read_source(path: str) -> str:
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        # a closed pipe raises here, inside main, not at interpreter exit
-        sys.stdout.flush()
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            # a closed pipe raises here, inside main, not at interpreter exit
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            raise _StdoutClosed from exc
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
     except SplitPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except BrokenPipeError:
+    except _StdoutClosed:
         # The reader is gone; point stdout at devnull so that flushing what
         # is still buffered at exit does not raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -18,7 +18,6 @@ every further hat and places every circle, directly in world coordinates.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -104,13 +103,13 @@ class PackRequest:
 class PackStats:
     """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
 
-    ``scale_factors`` counts how many hats were scaled by each factor.
+    ``scale_factors`` holds each hat's scale factor, in the order the hats were built.
     """
 
     split_calls: int = 0
     element_moves: int = 0
     hat_count: int = 0
-    scale_factors: Counter = field(default_factory=Counter)
+    scale_factors: list[float] = field(default_factory=list)
     max_depth: int = 0
 
 
@@ -204,8 +203,7 @@ def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: Pac
 
         t1 = _scale_factor(a1, f1)
         t2 = _scale_factor(a2, f2)
-        stats.scale_factors[t1] += 1
-        stats.scale_factors[t2] += 1
+        stats.scale_factors += (t1, t2)
         stats.hat_count += 2
 
         (lx, ly), (rx, ry), (cx, cy), (fx, fy) = left, right, apex, foot
@@ -319,7 +317,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
             node = PackingNode(Hat(tri, min(math.sqrt(b / math.pi), _inradius(tri))))
             root.children.append(node)
             hats.append((node, part, b))
-            stats.scale_factors[t] += 1
+            stats.scale_factors.append(t)
             stats.hat_count += 1
         _pack_into_hats(hats, stats)
         return root

@@ -312,6 +312,17 @@ class TestModuleEntryPoint:
         assert err.startswith("error: ")
         assert code == cli.EXIT_BROKEN_PIPE
 
+    def test_out_file_broken_pipe_is_not_reported_as_stdout(self, capsys, monkeypatch, tmp_path):
+        # as with --out naming a FIFO whose reader exited
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError("reader gone")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: ClosedPipe(), raising=False)
+        with pytest.raises(BrokenPipeError):
+            cli.main(["gen", "-n", "3", "--out", str(tmp_path / "fifo")])
+        assert "standard output" not in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_overlap_detected(self, capsys, monkeypatch):
