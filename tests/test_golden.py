@@ -1,0 +1,117 @@
+"""Golden corpus: packings stay bit-identical, and documents round-trip exactly.
+
+Each corpus entry is packed and turned into a ``PackingDocument``; its
+placements and subcontainers are hashed through every float's ``repr``, so a
+change in the last bit of any coordinate, radius or rounding changes the
+digest. ``golden_packings.json`` holds the digests. A request that the packer
+refuses is recorded by the name of the error it raises.
+
+Regenerate the digests (only for a deliberate change of the geometry) with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_packings.json
+"""
+
+import hashlib
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from splitpack import (
+    CircleSet,
+    PackingDocument,
+    PackRequest,
+    SplitPackError,
+    Square,
+    Triangle,
+    pack,
+    packable_area,
+)
+
+GOLDEN = Path(__file__).with_name("golden_packings.json")
+
+CONTAINERS = {
+    "square": lambda: Square(1.0),
+    "tri345": lambda: Triangle.from_sides(3.0, 4.0, 5.0),
+    "tri2-3.5-4.5": lambda: Triangle.from_sides(2.0, 3.5, 4.5),
+    # apex angle about 129 degrees, off the canonical frame
+    "obtuse": lambda: Triangle(((0.25, -0.5), (2.75, 1.0), (1.0, 0.75))),
+}
+SIZES = (1, 2, 3, 17, 500)
+
+
+def corpus_areas(kind: str, n: int, capacity: float) -> list[float]:
+    if kind == "uniform":
+        rng = random.Random(n)
+        weights = [rng.random() + 1e-9 for _ in range(n)]
+        scale = capacity / sum(weights)
+        return [w * scale for w in weights]
+    # capacity * 0.5**(k + 1): every ratio is a power of two, total below capacity
+    return [capacity * 0.5 ** (k + 1) for k in range(n)]
+
+
+def corpus():
+    for name, make in CONTAINERS.items():
+        for n in SIZES:
+            for kind in ("uniform", "halving"):
+                yield f"{name}/{kind}/{n}", make, kind, n
+
+
+def document_digest(data: dict) -> str:
+    """sha256 over the placements and subcontainers of a packing document dict."""
+    h = hashlib.sha256()
+    for p in data["placements"]:
+        h.update(f"P {p['input_index']!r} {p['x']!r} {p['y']!r} {p['radius']!r}\n".encode())
+    for s in data["subcontainers"]:
+        coords = " ".join(repr(c) for v in s["vertices"] for c in v)
+        h.update(f"S {coords} {s['rounding_radius']!r} {s['depth']!r}\n".encode())
+    return h.hexdigest()
+
+
+def pack_entry(make, kind: str, n: int) -> PackingDocument:
+    container = make()
+    areas = corpus_areas(kind, n, packable_area(container))
+    packing = pack(PackRequest(container, CircleSet.from_areas(areas)))
+    return PackingDocument.from_tree(packing, container)
+
+
+def outcome(make, kind: str, n: int) -> str:
+    try:
+        doc = pack_entry(make, kind, n)
+    except SplitPackError as exc:
+        return f"raises {type(exc).__name__}"
+    return document_digest(doc.to_dict())
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_the_corpus(golden):
+    assert sorted(golden) == sorted(key for key, *_ in corpus())
+
+
+@pytest.mark.parametrize("key,make,kind,n", list(corpus()), ids=[c[0] for c in corpus()])
+def test_packing_is_bit_identical(golden, key, make, kind, n):
+    assert outcome(make, kind, n) == golden[key]
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_json_round_trip_is_bit_exact(name):
+    doc = pack_entry(CONTAINERS[name], "uniform", 500)
+    text = doc.to_json()
+    again = PackingDocument.from_dict(json.loads(text))
+    assert document_digest(again.to_dict()) == document_digest(doc.to_dict())
+    for a, b in zip(doc.placements, again.placements):
+        for field in ("x", "y", "radius"):
+            assert math.copysign(1.0, a[field]) == math.copysign(1.0, b[field])
+    assert again.to_json() == text
+
+
+if __name__ == "__main__":
+    json.dump({key: outcome(make, kind, n) for key, make, kind, n in corpus()}, sys.stdout, indent=2)
+    sys.stdout.write("\n")
