@@ -30,8 +30,8 @@ OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
 
-def save(root, container, name):
-    doc = PackingDocument.from_tree(root, container)
+def save(packing, container, name):
+    doc = PackingDocument.from_tree(packing, container)
     path = OUT / name
     path.write_text(render_packing_svg(doc))
     print(f"  figure written to {path}")
@@ -44,20 +44,20 @@ twins = square_twincircles(square.side)
 print(f"twincircle radius {twins[0].radius:.6f}, centers {twins[0].center} / {twins[1].center}")
 
 areas = [PHI_SQUARE / 2.0, PHI_SQUARE / 2.0]
-root = pack(PackRequest(square, CircleSet.from_areas(areas)))
-report = verify(root, expected_areas=areas)
+packing = pack(PackRequest(square, CircleSet.from_areas(areas)))
+report = verify(packing, expected_areas=areas)
 print(f"packed the worst case: {report.summary()}")
-for leaf in root.circle_leaves():
+for leaf in packing.circle_leaves():
     print(f"  circle {leaf.input_index}: center {leaf.shape.center}, r = {leaf.shape.radius:.6f}")
-save(root, square, "01_square_worst_case.svg")
+save(packing, square, "01_square_worst_case.svg")
 
 print()
 triangle = Triangle.from_sides(3.0, 4.0, 5.0)
 print(f"critical density of the (3,4,5) triangle: {critical_density(triangle):.6f} (= pi/6)")
-root = pack(PackRequest(triangle, CircleSet.from_areas([math.pi])))
-report = verify(root)
+packing = pack(PackRequest(triangle, CircleSet.from_areas([math.pi])))
+report = verify(packing)
 print(f"packed the incircle itself: {report.summary()}")
-save(root, triangle, "01_triangle_worst_case.svg")
+save(packing, triangle, "01_triangle_worst_case.svg")
 
 # any larger area is witnessed unpackable by two equal circles
 epsilon = 1.001

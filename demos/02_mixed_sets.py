@@ -16,7 +16,6 @@ import numpy as np
 from splitpack import (
     PHI_SQUARE,
     CircleSet,
-    Hat,
     PackRequest,
     PackStats,
     PackingDocument,
@@ -36,16 +35,16 @@ weights = rng.random(24) ** 2 + 0.05  # a few large, many small
 areas = list(weights * (PHI_SQUARE / weights.sum()))
 
 stats = PackStats()
-root = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
-report = verify(root, expected_areas=areas)
+packing = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
+report = verify(packing, expected_areas=areas)
 print("mixed 24-circle set at 100% of the packable area")
 print(f"  {report.summary()}")
 print(f"  subcontainers: {stats.hat_count} (bound 2n-2 = {2 * len(areas) - 2})")
 print(f"  splits: {stats.split_calls}, element moves: {stats.element_moves}, "
       f"depth: {stats.max_depth}")
-roundings = [n.shape.rounding_radius for n, _ in root.walk() if isinstance(n.shape, Hat)]
+roundings = packing.hat_rounding
 print(f"  rounded subcontainers: {sum(1 for s in roundings if s > 0)} of {len(roundings)}")
-doc = PackingDocument.from_tree(root, square)
+doc = PackingDocument.from_tree(packing, square)
 (OUT / "02_mixed_set.svg").write_text(render_packing_svg(doc))
 print(f"  figure written to {OUT / '02_mixed_set.svg'}")
 
@@ -53,10 +52,10 @@ print()
 print("16 equal circles summing exactly to the packable area")
 areas = [PHI_SQUARE / 16.0] * 16
 stats = PackStats()
-root = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
-print(f"  {verify(root, expected_areas=areas).summary()}")
+packing = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
+print(f"  {verify(packing, expected_areas=areas).summary()}")
 unique_scales = sorted(set(stats.scale_factors))
 print(f"  scale factors used: {unique_scales}  (self-similar halving)")
-doc = PackingDocument.from_tree(root, square)
+doc = PackingDocument.from_tree(packing, square)
 (OUT / "02_power_of_two.svg").write_text(render_packing_svg(doc))
 print(f"  figure written to {OUT / '02_power_of_two.svg'}")

@@ -48,10 +48,10 @@ for i, (name, tri) in enumerate(shapes):
     n = int(rng.integers(15, 40))
     weights = rng.random(n) + 0.02
     areas = list(weights * (packable_area(tri) / weights.sum()))
-    root = pack(PackRequest(tri, CircleSet.from_areas(areas)))
-    report = verify(root, expected_areas=areas)
+    packing = pack(PackRequest(tri, CircleSet.from_areas(areas)))
+    report = verify(packing, expected_areas=areas)
     print(f"{name}: {n} circles at 100% capacity -> {report.summary()}")
-    doc = PackingDocument.from_tree(root, tri)
+    doc = PackingDocument.from_tree(packing, tri)
     path = OUT / f"03_triangle_{i}.svg"
     path.write_text(render_packing_svg(doc))
     print(f"  figure written to {path}")

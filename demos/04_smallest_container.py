@@ -36,9 +36,9 @@ container = min_container(circles, "square")
 print(f"  side {container.side:.6f} (= 1 + sqrt 2), area {container.area:.6f}")
 print(f"  guaranteed bound:   area/sum <= {(3 + 2 * SQRT2) / math.pi:.4f}")
 print(f"  realized vs optimum: {container.area / 4.0:.4f}  (the best square has side 2)")
-root = pack(PackRequest(container, circles))
+packing = pack(PackRequest(container, circles))
 (OUT / "04_single_circle.svg").write_text(
-    render_packing_svg(PackingDocument.from_tree(root, container))
+    render_packing_svg(PackingDocument.from_tree(packing, container))
 )
 
 print()
@@ -48,11 +48,11 @@ areas = list(rng.random(30) * 2.0 + 0.05)
 circles = CircleSet.from_areas(areas)
 for name, family in (("square", "square"), ("(3,4,5)-similar", Triangle.from_sides(3, 4, 5))):
     container = min_container(circles, family)
-    root = pack(PackRequest(container, circles))
-    report = verify(root, expected_areas=areas)
+    packing = pack(PackRequest(container, circles))
+    report = verify(packing, expected_areas=areas)
     ratio = container.area / circles.combined
     print(f"  {name:<16} area {container.area:8.3f}  area/sum {ratio:.4f}  -> {report.summary()}")
-    doc = PackingDocument.from_tree(root, container)
+    doc = PackingDocument.from_tree(packing, container)
     path = OUT / f"04_min_{name.split('-')[0].strip('()').replace(',', '')}.svg"
     path.write_text(render_packing_svg(doc))
     print(f"    figure written to {path}")

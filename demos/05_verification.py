@@ -1,7 +1,7 @@
 """The independent verifier: certifying packings, catching broken ones.
 
 The verifier never reuses the packer's placement formulas. It checks circle
-pairs, containment in the root container, each subcontainer against its
+pairs, containment in the container, each subcontainer against its
 parent via the three corner disks (exact, because a hat is the convex hull of
 its corner disks), and sibling disjointness via eroded-triangle distances.
 Slack is signed: a tangent configuration reports ~0, a violation < 0.
@@ -13,10 +13,8 @@ import numpy as np
 
 from splitpack import (
     PHI_SQUARE,
-    Circle,
     CircleSet,
     PackRequest,
-    Point,
     Square,
     pack,
     verify,
@@ -26,9 +24,9 @@ square = Square(1.0)
 rng = np.random.default_rng(5)
 weights = rng.random(12) + 0.1
 areas = list(weights * (0.97 * PHI_SQUARE / weights.sum()))
-root = pack(PackRequest(square, CircleSet.from_areas(areas)))
+packing = pack(PackRequest(square, CircleSet.from_areas(areas)))
 
-report = verify(root, expected_areas=areas)
+report = verify(packing, expected_areas=areas)
 print("fresh packing:")
 print(f"  {report.summary()}")
 by_kind = {}
@@ -39,14 +37,14 @@ for kind, slacks in sorted(by_kind.items()):
 
 print()
 print("now nudge one circle onto its neighbour...")
-leaf = root.circle_leaves()[0]
-c = leaf.shape
-leaf.shape = Circle(Point(c.center.x + 0.02, c.center.y), c.radius)
-report = verify(root, expected_areas=areas)
+k = 1  # the circle of input index 1 (the record keeps circles in input order)
+x, r = packing.x[k], packing.radius[k]
+packing.x[k] = x + 0.02
+report = verify(packing, expected_areas=areas)
 print(f"  {report.summary()}")
 
 print()
 print("...and inflate a radius past the container instead")
-leaf.shape = Circle(c.center, c.radius * 1.5)
-report = verify(root, expected_areas=areas)
+packing.x[k], packing.radius[k] = x, r * 1.5
+report = verify(packing, expected_areas=areas)
 print(f"  {report.summary()}")

@@ -40,7 +40,7 @@ from .splitting import (
 from .packer import (
     PackRequest,
     PackStats,
-    PackingNode,
+    Packing,
     min_container,
     pack,
     packable_area,
@@ -66,8 +66,8 @@ __all__ = [
     "OverCapacityError",
     "PackRequest",
     "PackStats",
+    "Packing",
     "PackingDocument",
-    "PackingNode",
     "Point",
     "SplitKey",
     "SplitPackError",

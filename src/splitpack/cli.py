@@ -72,17 +72,18 @@ def _load_json(path: str):
 
 
 def _load_instance(args) -> InstanceDocument:
+    """The instance of --circles (standard input when neither --circles nor
+    --container is given); --container alone is the empty instance."""
     container = parse_container_spec(args.container) if args.container else None
-    if args.circles:
-        data = _load_json(args.circles)
+    source = args.circles or (None if container else "-")
+    if source:
+        data = _load_json(source)
         if isinstance(data, list):
             data = {"circles": data}
             if container is None:
                 raise DocumentError("a bare circle list needs --container")
         instance = InstanceDocument.from_dict(data, container=container)
     else:
-        if container is None:
-            raise DocumentError("either --circles or --container is required")
         instance = InstanceDocument(container=container, areas=[])
     if args.min_size is not None:
         instance.min_size = args.min_size
@@ -106,8 +107,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_pack(args) -> int:
     instance = _load_instance(args)
-    root = pack(instance.to_request())
-    doc = PackingDocument.from_tree(root, instance.container)
+    packing = pack(instance.to_request())
+    doc = PackingDocument.from_tree(packing, instance.container)
     _emit_packing(doc, args)
     return EXIT_OK
 
@@ -116,8 +117,8 @@ def _cmd_approx(args) -> int:
     instance = _load_instance(args)
     circles = CircleSet.from_areas(instance.areas)
     container = min_container(circles, instance.container)
-    root = pack(PackRequest(container=container, circles=circles, min_size=instance.min_size))
-    doc = PackingDocument.from_tree(root, container)
+    packing = pack(PackRequest(container=container, circles=circles, min_size=instance.min_size))
+    doc = PackingDocument.from_tree(packing, container)
     if args.format == "svg":
         _write_output(render_packing_svg(doc), args.out)
         return EXIT_OK
@@ -135,8 +136,7 @@ def _cmd_approx(args) -> int:
 def _cmd_verify(args) -> int:
     data = _load_json(args.packing)
     doc = PackingDocument.from_dict(data)
-    root = doc.to_tree()
-    report = verify(root, tolerance=args.tolerance)
+    report = verify(doc.to_tree(), tolerance=args.tolerance)
     _write_output(report.summary(), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_instance_flags(p):
         p.add_argument("--container", help="container spec: square:SIDE or triangle:X,Y,Z")
-        p.add_argument("--circles", help="instance JSON file, or - for stdin")
+        p.add_argument("--circles", help="instance JSON file, or - for stdin (the default "
+                       "without --container)")
         p.add_argument("--min-size", dest="min_size", type=float, default=None,
                        help="declared minimum circle area")
         p.add_argument("--out", help="output file (default stdout)")

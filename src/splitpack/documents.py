@@ -1,4 +1,4 @@
-"""JSON documents for instances and packings, plus tree reconstruction.
+"""JSON documents for instances and packings.
 
 Numbers are serialized through Python's shortest-round-trip float repr, so
 parse(serialize(doc)) reproduces every double bit-exactly and verification
@@ -8,12 +8,12 @@ their input index throughout, keeping equal-area circles distinguishable.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
-from .geometry import Circle, Hat, Point, Square, Triangle, critical_density
-from .packer import PackingNode, PackRequest, _check_feasible, packable_area
+from .geometry import Point, Square, Triangle, critical_density
+from .packer import Packing, PackRequest, _check_feasible, packable_area
 from .splitting import CircleSet
 
 
@@ -120,52 +120,50 @@ def circle_entry_area(entry) -> float:
 
 @dataclass
 class PackingDocument:
-    """Flat, serializable view of a packing tree.
+    """Serializable form of a :class:`~splitpack.packer.Packing` record.
 
-    ``placements`` lists the circles sorted by input index; ``subcontainers``
-    lists every non-root hat in depth-first preorder, so the parent of an
-    entry at depth d is the nearest preceding entry at depth d-1 (or the
-    container for d = 1).
+    In its dict and JSON form, ``placements`` lists the circles in the
+    record's order (by input index for a packed record) and
+    ``subcontainers`` lists every hat in depth-first preorder, so the parent
+    of an entry at depth d is the nearest preceding entry at depth d-1 (or
+    the container for d = 1). The record is the document's only copy of the
+    geometry: both forms are written from it and parsed into it.
     """
 
     container: dict
-    placements: list[dict] = field(default_factory=list)
-    subcontainers: list[dict] = field(default_factory=list)
+    packing: Packing
     density_used: float = 0.0
     critical_density: float = 0.0
 
     @classmethod
-    def from_tree(cls, root: PackingNode, container: Union[Square, Triangle]) -> "PackingDocument":
-        placements = []
-        subcontainers = []
-        for node, depth in root.walk():
-            shape = node.shape
-            if isinstance(shape, Circle):
-                placements.append(
-                    {
-                        "x": shape.center.x,
-                        "y": shape.center.y,
-                        "radius": shape.radius,
-                        "input_index": node.input_index,
-                    }
-                )
-            elif isinstance(shape, Hat) and depth > 0:
-                subcontainers.append(
-                    {
-                        "vertices": [[p.x, p.y] for p in shape.triangle.vertices],
-                        "rounding_radius": shape.rounding_radius,
-                        "depth": depth,
-                    }
-                )
-        placements.sort(key=lambda p: (p["input_index"] is None, p["input_index"]))
-        total = math.fsum(math.pi * p["radius"] ** 2 for p in placements)
+    def from_tree(cls, packing: Packing, container: Union[Square, Triangle]) -> "PackingDocument":
+        """The document of a packed record (``container`` is the record's)."""
+        total = math.fsum(math.pi * r**2 for r in packing.radius)
         return cls(
             container=container_to_dict(container),
-            placements=placements,
-            subcontainers=subcontainers,
+            packing=packing,
             density_used=total / container.area,
             critical_density=critical_density(container),
         )
+
+    @property
+    def placements(self) -> list[dict]:
+        p = self.packing
+        return [
+            {"x": x, "y": y, "radius": r, "input_index": k}
+            for x, y, r, k in zip(p.x, p.y, p.radius, p.input_index)
+        ]
+
+    @property
+    def subcontainers(self) -> list[dict]:
+        p = self.packing
+        coords = iter(p.hat_vertices)
+        return [
+            {"vertices": [[x0, y0], [x1, y1], [x2, y2]], "rounding_radius": rounding, "depth": depth}
+            for x0, y0, x1, y1, x2, y2, rounding, depth in zip(
+                coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths()
+            )
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -180,59 +178,51 @@ class PackingDocument:
     def from_dict(cls, data: dict) -> "PackingDocument":
         if not isinstance(data, dict) or "container" not in data:
             raise DocumentError("packing document must be an object with a container")
-        container_from_dict(data["container"])  # validate eagerly
-        placements = data.get("placements", [])
-        subcontainers = data.get("subcontainers", [])
-        for p in placements:
-            if not isinstance(p, dict) or "x" not in p or "y" not in p or "radius" not in p:
-                raise DocumentError(f"malformed placement entry: {p!r}")
-        for s in subcontainers:
-            if not isinstance(s, dict) or "vertices" not in s or "depth" not in s:
-                raise DocumentError(f"malformed subcontainer entry: {s!r}")
+        packing = Packing(container_from_dict(data["container"]))
+        for pos, entry in enumerate(data.get("placements", [])):
+            try:
+                x, y, r = float(entry["x"]), float(entry["y"]), float(entry["radius"])
+                k = int(entry.get("input_index", pos))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DocumentError(f"malformed placement entry: {entry!r}") from exc
+            packing.x.append(x)
+            packing.y.append(y)
+            packing.radius.append(r)
+            packing.input_index.append(k)
+        # the hat on the chain at depth d is the latest one at that depth
+        chain: list[int] = [-1]
+        for entry in data.get("subcontainers", []):
+            try:
+                depth = int(entry["depth"])
+                (x0, y0), (x1, y1), (x2, y2) = entry["vertices"]
+                coords = (float(x0), float(y0), float(x1), float(y1), float(x2), float(y2))
+                rounding = float(entry.get("rounding_radius", 0.0))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise DocumentError(f"malformed subcontainer entry: {entry!r}") from exc
+            if not 1 <= depth <= len(chain):
+                raise DocumentError(f"subcontainer at depth {depth} has no parent")
+            del chain[depth:]
+            packing.hat_parent.append(chain[-1])
+            chain.append(len(packing.hat_rounding))
+            packing.hat_vertices.extend(coords)
+            packing.hat_rounding.append(rounding)
         return cls(
             container=data["container"],
-            placements=list(placements),
-            subcontainers=list(subcontainers),
+            packing=packing,
             density_used=float(data.get("density_used", 0.0)),
             critical_density=float(data.get("critical_density", 0.0)),
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # compact separators let json use its C encoder
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     def container_shape(self) -> Union[Square, Triangle]:
-        return container_from_dict(self.container)
+        return self.packing.container
 
-    def to_tree(self) -> PackingNode:
-        """Rebuild a verifiable tree: the hat hierarchy from the depth chain,
-        with all placed circles attached under the root container."""
-        container = self.container_shape()
-        if isinstance(container, Square):
-            root = PackingNode(container)
-        else:
-            root = PackingNode(Hat(container, 0.0))
-        chain: list[tuple[int, PackingNode]] = [(0, root)]
-        for entry in self.subcontainers:
-            try:
-                depth = int(entry["depth"])
-                tri = Triangle(tuple(Point(float(v[0]), float(v[1])) for v in entry["vertices"]))
-                hat = Hat(tri, float(entry.get("rounding_radius", 0.0)))
-            except (DocumentError, KeyError, TypeError, ValueError) as exc:
-                raise DocumentError(f"malformed subcontainer entry: {entry!r}") from exc
-            while chain and chain[-1][0] >= depth:
-                chain.pop()
-            if not chain or chain[-1][0] != depth - 1:
-                raise DocumentError(f"subcontainer at depth {depth} has no parent")
-            node = PackingNode(hat)
-            chain[-1][1].children.append(node)
-            chain.append((depth, node))
-        for pos, entry in enumerate(self.placements):
-            try:
-                circle = Circle(Point(float(entry["x"]), float(entry["y"])), float(entry["radius"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DocumentError(f"malformed placement entry: {entry!r}") from exc
-            root.children.append(PackingNode(circle, input_index=entry.get("input_index", pos)))
-        return root
+    def to_tree(self) -> Packing:
+        """The document's packing record, ready for :func:`splitpack.verify`."""
+        return self.packing
 
 
 def decide(instance: InstanceDocument) -> dict:

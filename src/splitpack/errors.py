@@ -26,7 +26,7 @@ class ConjugacyError(InvalidParameterError):
 
 
 class MalformedTreeError(SplitPackError, ValueError):
-    """A packing tree violates structural invariants (e.g. a circle with children)."""
+    """A packing record is not well formed (e.g. a hat listed before its parent)."""
 
 
 class DocumentError(SplitPackError, ValueError):

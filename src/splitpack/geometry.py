@@ -218,36 +218,6 @@ def _incenter(a: Point, b: Point, c: Point) -> Point:
     )
 
 
-def _triangle_fast(v0: Point, v1: Point, v2: Point, base_split=None) -> Triangle:
-    """Trusted constructor: vertices must already be CCW and non-degenerate.
-
-    Used on the packer's hot path where the triangles are built from an
-    already-validated parent; optionally seeds the base decomposition cache.
-    """
-    t = object.__new__(Triangle)
-    object.__setattr__(t, "vertices", (v0, v1, v2))
-    if base_split is not None:
-        t.__dict__["base_split"] = base_split
-    return t
-
-
-def _hat_fast(triangle: Triangle, rounding_radius: float) -> "Hat":
-    """Trusted constructor: the triangle must be non-acute and the rounding
-    radius within [0, inradius]."""
-    h = object.__new__(Hat)
-    object.__setattr__(h, "triangle", triangle)
-    object.__setattr__(h, "rounding_radius", rounding_radius)
-    return h
-
-
-def _circle_fast(center: Point, radius: float) -> "Circle":
-    """Trusted constructor: center must be a finite Point, radius positive."""
-    c = object.__new__(Circle)
-    object.__setattr__(c, "center", center)
-    object.__setattr__(c, "radius", radius)
-    return c
-
-
 @dataclass(frozen=True)
 class Hat:
     """A non-acute triangle whose three corners are rounded to a given radius.

@@ -15,11 +15,14 @@ incircle.
 `pack` builds the first-level hats (the container triangle itself, or the
 square's two corner hats) and hands them to one iterative loop, which builds
 every further hat and places every circle, directly in world coordinates.
+The result is one flat record, :class:`Packing`: a column per circle and
+hat attribute, and no object per shape.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ConjugacyError,
@@ -30,18 +33,14 @@ from .errors import (
 from .geometry import (
     PHI_SQUARE,
     Circle,
-    Hat,
     Point,
     SplitKey,
     Square,
     Triangle,
     triangle_incircle,
     _altitude_split,
-    _circle_fast,
-    _hat_fast,
     _incenter,
     _inradius,
-    _triangle_fast,
 )
 from .splitting import CircleSet, min_guarantee, split, weighted_split
 
@@ -56,33 +55,49 @@ _SNAP_REL_TOL = 1e-12
 # slack; the verifier is the actual oracle for the produced geometry.
 _PLACEMENT_REL_TOL = 1e-9
 
-Shape = Union[Square, Hat, Circle]
+
+class CircleLeaf(NamedTuple):
+    """One placed circle and the position of its area in the input."""
+
+    shape: Circle
+    input_index: int
 
 
 @dataclass
-class PackingNode:
-    """Node of a packing tree.
+class Packing:
+    """A packing as one flat record: a column per circle and hat attribute.
 
-    The root carries the user's container. A hat node has either two hat
-    children or a single circle child (its incircle); circle nodes are leaves
-    and remember the position of their area in the input.
+    Circle ``k`` has center (``x[k]``, ``y[k]``), radius ``radius[k]`` and
+    input position ``input_index[k]``. Hat ``h`` (a subcontainer; the
+    container itself is not one) has the counterclockwise vertices
+    ``hat_vertices[6h:6h + 6]`` (x0, y0, x1, y1, x2, y2), rounding radius
+    ``hat_rounding[h]`` and parent hat ``hat_parent[h]``, -1 for the
+    container. Hats are stored in depth-first preorder, so every parent
+    precedes its children and siblings keep their order.
     """
 
-    shape: Shape
-    children: list["PackingNode"] = field(default_factory=list)
-    input_index: Optional[int] = None
+    container: Union[Square, Triangle]
+    x: array = field(default_factory=lambda: array("d"))
+    y: array = field(default_factory=lambda: array("d"))
+    radius: array = field(default_factory=lambda: array("d"))
+    input_index: array = field(default_factory=lambda: array("q"))
+    hat_vertices: array = field(default_factory=lambda: array("d"))
+    hat_rounding: array = field(default_factory=lambda: array("d"))
+    hat_parent: array = field(default_factory=lambda: array("q"))
 
-    def walk(self) -> Iterator[tuple["PackingNode", int]]:
-        """Iterative preorder traversal yielding (node, depth)."""
-        stack: list[tuple[PackingNode, int]] = [(self, 0)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
+    def hat_depths(self) -> list[int]:
+        """Each hat's depth: 1 for a child of the container, one more per level."""
+        depths: list[int] = []
+        for parent in self.hat_parent:
+            depths.append(depths[parent] + 1 if parent >= 0 else 1)
+        return depths
 
-    def circle_leaves(self) -> list["PackingNode"]:
-        return [n for n, _ in self.walk() if isinstance(n.shape, Circle)]
+    def circle_leaves(self) -> list[CircleLeaf]:
+        """The circles as shape objects, in record order."""
+        return [
+            CircleLeaf(Circle(Point(x, y), r), k)
+            for x, y, r, k in zip(self.x, self.y, self.radius, self.input_index)
+        ]
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class PackRequest:
 class PackStats:
     """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
 
-    ``scale_factors`` holds each hat's scale factor, in the order the hats were built.
+    ``scale_factors`` holds each hat's scale factor, in the packing's hat order.
     """
 
     split_calls: int = 0
@@ -154,8 +169,8 @@ def _scale_factor(a: float, f: float) -> float:
     return math.sqrt(a / f)
 
 
-def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: PackStats) -> None:
-    """Fill each (hat node, non-empty circle set, inherited min size) subtree.
+def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> None:
+    """Fill each hat (entry as on the stack below) with its non-empty circle set.
 
     The only place that splits a hat into subhats and places a circle in a
     hat: a lone circle goes concentric with its hat's incircle; otherwise the
@@ -163,17 +178,28 @@ def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: Pac
     set is split against the halves' incircle areas, and each half is scaled
     about its base vertex to its group's combined area and rounded by the
     group's minimum-size guarantee, clamped to the group's smallest circle.
+    A hat enters the record when it is popped, so the record's hats come out
+    in depth-first preorder.
     """
     pi = math.pi
     sqrt = math.sqrt
-    # (node, L, R, C, inradius, subset, inherited min size, depth) with L, R
-    # the base (longest side) ends and C the apex of the hat triangle
-    stack = []
-    for node, subset, b_min in hats:
-        tri = node.shape.triangle
-        stack.append((node, *tri.base_split, _inradius(tri), subset, b_min, 1))
+    xs, ys, radii = packing.x, packing.y, packing.radius
+    vertices, roundings, parents = packing.hat_vertices, packing.hat_rounding, packing.hat_parent
+    scale_factors = stats.scale_factors
+    # (parent, recorded vertex coordinates or None for the container
+    #  triangle, rounding, scale factor, L, R, C, inradius, subset, inherited
+    #  min size, depth) with L, R the base (longest side) ends and C the apex
+    stack = list(reversed(hats))
     while stack:
-        node, left, right, apex, r_in, subset, b_min, depth = stack.pop()
+        parent, coords, rounding, t, left, right, apex, r_in, subset, b_min, depth = stack.pop()
+        if coords is None:
+            me = -1
+        else:
+            me = len(roundings)
+            vertices.extend(coords)
+            roundings.append(rounding)
+            parents.append(parent)
+            scale_factors.append(t)
         if depth > stats.max_depth:
             stats.max_depth = depth
 
@@ -184,8 +210,9 @@ def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: Pac
                 raise InvalidParameterError(
                     f"circle of area {area!r} exceeds the hat's incircle area {pi * r_in * r_in!r}"
                 )
-            circle = _circle_fast(_incenter(left, right, apex), sqrt(area / pi))
-            node.children.append(PackingNode(circle, input_index=subset.indices[0]))
+            k = subset.indices[0]
+            xs[k], ys[k] = _incenter(left, right, apex)
+            radii[k] = sqrt(area / pi)
             continue
 
         foot, r1, r2 = _altitude_split(left, right, apex)
@@ -203,29 +230,22 @@ def _pack_into_hats(hats: list[tuple[PackingNode, CircleSet, float]], stats: Pac
 
         t1 = _scale_factor(a1, f1)
         t2 = _scale_factor(a2, f2)
-        stats.scale_factors += (t1, t2)
-        stats.hat_count += 2
 
         (lx, ly), (rx, ry), (cx, cy), (fx, fy) = left, right, apex, foot
-        # child 1: left half scaled about the left base vertex; its hypotenuse
-        # (the next base) runs from the scaled apex back to that vertex
-        p_f = Point(lx + t1 * (fx - lx), ly + t1 * (fy - ly))
-        p_c = Point(lx + t1 * (cx - lx), ly + t1 * (cy - ly))
-        r1c = t1 * r1
-        tri1 = _triangle_fast(left, p_f, p_c, base_split=(p_c, left, p_f))
-        hat1 = _hat_fast(tri1, min(sqrt(b1 / pi), r1c))
         # child 2: right half scaled about the right base vertex
         q_f = Point(rx + t2 * (fx - rx), ry + t2 * (fy - ry))
         q_c = Point(rx + t2 * (cx - rx), ry + t2 * (cy - ry))
         r2c = t2 * r2
-        tri2 = _triangle_fast(q_f, right, q_c, base_split=(right, q_c, q_f))
-        hat2 = _hat_fast(tri2, min(sqrt(b2 / pi), r2c))
-
-        child1 = PackingNode(hat1)
-        child2 = PackingNode(hat2)
-        node.children = [child1, child2]
-        stack.append((child1, p_c, left, p_f, r1c, part1, b1, depth + 1))
-        stack.append((child2, right, q_c, q_f, r2c, part2, b2, depth + 1))
+        stack.append((me, (*q_f, rx, ry, *q_c), min(sqrt(b2 / pi), r2c), t2,
+                      right, q_c, q_f, r2c, part2, b2, depth + 1))
+        # child 1, popped first: left half scaled about the left base vertex;
+        # its hypotenuse (the next base) runs from the scaled apex back to
+        # that vertex
+        p_f = Point(lx + t1 * (fx - lx), ly + t1 * (fy - ly))
+        p_c = Point(lx + t1 * (cx - lx), ly + t1 * (cy - ly))
+        r1c = t1 * r1
+        stack.append((me, (lx, ly, *p_f, *p_c), min(sqrt(b1 / pi), r1c), t1,
+                      p_c, left, p_f, r1c, part1, b1, depth + 1))
 
 
 def _validate_request(request: PackRequest) -> float:
@@ -264,13 +284,13 @@ def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> Non
         )
 
 
-def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode:
-    """Pack the requested circle set, returning the subdivision tree.
+def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
+    """Pack the requested circle set into a flat :class:`Packing` record.
 
-    The tree's circle leaves have the input areas, each of radius
-    sqrt(area / pi), placed without overlap inside the container (checkable
-    with :func:`splitpack.verifier.verify`). An empty input yields a bare
-    root. Counters go into ``stats`` when given.
+    Every input area gets a circle of radius sqrt(area / pi), recorded at its
+    input index and placed without overlap inside the container (checkable
+    with :func:`splitpack.verifier.verify`); the record also holds the
+    subdivision's hats. Counters go into ``stats`` when given.
     """
     if stats is None:
         stats = PackStats()
@@ -278,21 +298,26 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
     circles = request.circles
     container = request.container
     b0 = request.min_size
+    n = len(circles)
+    packing = Packing(
+        container,
+        x=array("d", bytes(8 * n)),
+        y=array("d", bytes(8 * n)),
+        radius=array("d", bytes(8 * n)),
+        input_index=array("q", range(n)),
+    )
+    if n == 0:
+        return packing
 
     if isinstance(container, Square):
-        root = PackingNode(container)
-        n = len(circles)
-        if n == 0:
-            return root
+        s = container.side
         if n == 1:
             # Degenerate corner-anchored hat: the circle ends up tangent to
             # the two sides meeting at the far corner.
-            area = circles.areas[0]
-            r = math.sqrt(area / math.pi)
-            s = container.side
-            circle = Circle(Point(s - r, s - r), r)
-            root.children.append(PackingNode(circle, input_index=circles.indices[0]))
-            return root
+            r = math.sqrt(circles.areas[0] / math.pi)
+            packing.x[0] = packing.y[0] = s - r
+            packing.radius[0] = r
+            return packing
         part1, part2 = split(circles)
         stats.split_calls += 1
         stats.element_moves += n
@@ -305,29 +330,28 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> PackingNode
         _check_tuples(capacity, 0.0, SplitKey(f, f), (a1, b1), (a2, b2))
         # Group 1's hat is the right isosceles half-square with its right
         # angle at (0, 0), group 2's the one with it at (s, s), each scaled
-        # about that corner.
-        s = container.side
+        # about that corner. A hat's inradius is carried as t times the
+        # half-square's: recomputed from the scaled vertices, it keeps only
+        # the digits of t that survive next to s.
         hats = []
         for corner, p, q, part, b in (
             (Point(0.0, 0.0), Point(s, 0.0), Point(0.0, s), part1, b1),
             (Point(s, s), Point(0.0, s), Point(s, 0.0), part2, b2),
         ):
             t = _scale_factor(part.combined, f)
-            tri = Triangle((corner, p, q)).scaled_about(corner, t)
-            node = PackingNode(Hat(tri, min(math.sqrt(b / math.pi), _inradius(tri))))
-            root.children.append(node)
-            hats.append((node, part, b))
-            stats.scale_factors.append(t)
-            stats.hat_count += 1
-        _pack_into_hats(hats, stats)
-        return root
-
-    # Triangle container: the root is the bare triangle (a hat with zero
-    # rounding); the caller's min_size only sharpens the guarantees below.
-    root = PackingNode(Hat(container, 0.0))
-    if len(circles):
-        _pack_into_hats([(root, circles, b0)], stats)
-    return root
+            half = Triangle((corner, p, q))
+            tri = half.scaled_about(corner, t)
+            rounding = min(math.sqrt(b / math.pi), _inradius(tri))
+            hats.append((-1, tuple(c for v in tri.vertices for c in v), rounding, t, *tri.base_split,
+                         t * _inradius(half), part, b, 1))
+    else:
+        # Triangle container: the loop splits it like a hat with zero
+        # rounding; the caller's min_size only sharpens the guarantees below.
+        hats = [(-1, None, 0.0, 1.0, *container.base_split,
+                 _inradius(container), circles, b0, 1)]
+    _pack_into_hats(packing, hats, stats)
+    stats.hat_count += len(packing.hat_rounding)
+    return packing
 
 
 def min_container(

@@ -5,55 +5,58 @@ gray, the container as an outline. The output contains exactly one <circle>
 element per placement and one <path> element per subcontainer.
 """
 
-import math
+import numpy as np
 
 from .documents import PackingDocument
-from .geometry import Hat, Point, Square, Triangle
+from .geometry import Square
 
 _SUBCONTAINER_FILL = "#d4d4d4"
 _SUBCONTAINER_STROKE = "#a0a0a0"
 _CIRCLE_FILL = "#696969"
 
+# Numbers below this share of the figure's extent print as 0, so that
+# rounding noise in the geometry (-1.7e-18 for 0) does not reach the text.
+_ZERO_REL = 1e-12
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+_CIRCLE = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="{_CIRCLE_FILL}"/>'
+_SHARP = "M %.10g %.10g L %.10g %.10g L %.10g %.10g Z"
+_ARC = "%.10g %.10g A %.10g %.10g 0 0 1 %.10g %.10g"
+_ROUNDED = f"M {_ARC} L {_ARC} L {_ARC} Z"
+# a fully rounded hat is its incircle, drawn as two half arcs
+_FULL = "M %.10g %.10g A %.10g %.10g 0 1 1 %.10g %.10g A %.10g %.10g 0 1 1 %.10g %.10g Z"
 
 
-def _hat_path(vertices: list[Point], rounding_radius: float) -> str:
-    """SVG path data for a triangle with corners rounded to the given radius."""
-    tri = Triangle(tuple(vertices))
-    hat = Hat(tri, rounding_radius)
-    s = hat.rounding_radius
-    corners = hat.eroded_corners()
-    verts = tri.vertices
-    if s == 0.0:
-        pts = " L ".join(f"{_fmt(p.x)} {_fmt(p.y)}" for p in verts)
-        return f"M {pts} Z"
-    if math.dist(corners[0], corners[1]) < 1e-12 * s and math.dist(corners[1], corners[2]) < 1e-12 * s:
-        # fully rounded: the hat is its incircle, drawn as two half arcs
-        cx, cy = corners[0]
-        return (
-            f"M {_fmt(cx + s)} {_fmt(cy)} "
-            f"A {_fmt(s)} {_fmt(s)} 0 1 1 {_fmt(cx - s)} {_fmt(cy)} "
-            f"A {_fmt(s)} {_fmt(s)} 0 1 1 {_fmt(cx + s)} {_fmt(cy)} Z"
-        )
-    normals = []
-    for i in range(3):
-        (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % 3]
-        ln = math.hypot(x2 - x1, y2 - y1)
-        normals.append(((y2 - y1) / ln, -(x2 - x1) / ln))  # outward for CCW
-    parts = []
-    for i in range(3):
-        n_prev = normals[(i + 2) % 3]
-        n_next = normals[i]
-        cx, cy = corners[i]
-        arc_start = (cx + s * n_prev[0], cy + s * n_prev[1])
-        arc_end = (cx + s * n_next[0], cy + s * n_next[1])
-        verb = "M" if i == 0 else "L"
-        parts.append(f"{verb} {_fmt(arc_start[0])} {_fmt(arc_start[1])}")
-        parts.append(f"A {_fmt(s)} {_fmt(s)} 0 0 1 {_fmt(arc_end[0])} {_fmt(arc_end[1])}")
-    parts.append("Z")
-    return " ".join(parts)
+def _rows(values: np.ndarray, zero: float):
+    """The rows of ``values`` as tuples, with entries below ``zero`` in magnitude set to 0."""
+    flat = iter(np.where(np.abs(values) < zero, 0.0, values).ravel().tolist())
+    return zip(*[flat] * values.shape[1])
+
+
+def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]:
+    """SVG path data for triangles (m, 3, 2) with corners rounded to the given radii."""
+    doubled = (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1]) - (
+        tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
+    tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)  # counterclockwise
+    edges = np.roll(tris, -1, axis=1) - tris  # edge i runs from vertex i to vertex i + 1
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    perimeter = lengths.sum(axis=1)
+    # the corners of the triangle shrunk inward by s are its homothety about
+    # the incenter with ratio (inradius - s) / inradius
+    incenter = (np.roll(lengths, -1, axis=1)[..., None] * tris).sum(axis=1) / perimeter[:, None]
+    inradius = np.abs(doubled) / perimeter
+    s = np.minimum(rounding, inradius)[:, None, None]
+    k = (inradius[:, None, None] - s) / inradius[:, None, None]
+    corners = incenter[:, None, :] + k * (tris - incenter[:, None, :])
+    normals = np.stack((edges[..., 1], -edges[..., 0]), axis=-1) / lengths[..., None]  # outward
+    radii = np.broadcast_to(s, (len(s), 3, 2))
+    arcs = np.concatenate((corners + s * np.roll(normals, 1, axis=1), radii, corners + s * normals), axis=2)
+    ix, iy, r = incenter[:, 0], incenter[:, 1], s[:, 0, 0]
+    full = np.stack((ix + r, iy, r, r, ix - r, iy, r, r, ix + r, iy), axis=1)
+    kinds = np.where(r <= 0.0, 0, np.where(k[:, 0, 0] * lengths.max(axis=1) < 1e-12 * r, 2, 1))
+    templates = (_SHARP, _ROUNDED, _FULL)
+    rows = [_rows(args[kinds == kind], zero)
+            for kind, args in enumerate((tris.reshape(-1, 6), arcs.reshape(-1, 18), full))]
+    return [templates[kind] % next(rows[kind]) for kind in kinds.tolist()]
 
 
 def render_packing_svg(doc: PackingDocument, size: float = 640.0) -> str:
@@ -68,6 +71,11 @@ def render_packing_svg(doc: PackingDocument, size: float = 640.0) -> str:
         min_x, max_x = min(xs), max(xs)
         min_y, max_y = min(ys), max(ys)
     extent = max(max_x - min_x, max_y - min_y)
+    zero = _ZERO_REL * extent
+
+    def fmt(x: float) -> str:
+        return "0" if abs(x) < zero else f"{x:.10g}"
+
     pad = 0.04 * extent
     vb_x, vb_y = min_x - pad, min_y - pad
     vb_w, vb_h = (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad
@@ -76,33 +84,31 @@ def render_packing_svg(doc: PackingDocument, size: float = 640.0) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(size)}" height="{_fmt(size * vb_h / vb_w)}" '
-        f'viewBox="{_fmt(vb_x)} {_fmt(vb_y)} {_fmt(vb_w)} {_fmt(vb_h)}">',
+        f'width="{fmt(size)}" height="{fmt(size * vb_h / vb_w)}" '
+        f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
         # flip to the usual y-up orientation
-        f'<g transform="matrix(1 0 0 -1 0 {_fmt(vb_y + vb_y + vb_h)})">',
+        f'<g transform="matrix(1 0 0 -1 0 {fmt(vb_y + vb_y + vb_h)})">',
     ]
     if isinstance(container, Square):
         lines.append(
-            f'<rect x="0" y="0" width="{_fmt(container.side)}" height="{_fmt(container.side)}" '
-            f'fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
+            f'<rect x="0" y="0" width="{fmt(container.side)}" height="{fmt(container.side)}" '
+            f'fill="none" stroke="black" stroke-width="{fmt(stroke)}"/>'
         )
     else:
-        pts = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in container.vertices)
+        pts = " ".join(f"{fmt(p.x)},{fmt(p.y)}" for p in container.vertices)
         lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
+            f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="{fmt(stroke)}"/>'
         )
-    for entry in sorted(doc.subcontainers, key=lambda e: e["depth"]):
-        vertices = [Point(float(v[0]), float(v[1])) for v in entry["vertices"]]
-        path = _hat_path(vertices, float(entry.get("rounding_radius", 0.0)))
-        lines.append(
-            f'<path d="{path}" fill="{_SUBCONTAINER_FILL}" '
-            f'stroke="{_SUBCONTAINER_STROKE}" stroke-width="{_fmt(stroke / 2)}"/>'
-        )
-    for p in doc.placements:
-        lines.append(
-            f'<circle cx="{_fmt(p["x"])}" cy="{_fmt(p["y"])}" r="{_fmt(p["radius"])}" '
-            f'fill="{_CIRCLE_FILL}"/>'
-        )
+    packing = doc.packing
+    # shallow hats first, so that deeper ones are drawn on top
+    order = np.argsort(np.array(packing.hat_depths(), dtype=np.intp), kind="stable")
+    tris = np.asarray(packing.hat_vertices, dtype=float).reshape(-1, 3, 2)[order]
+    paths = _hat_paths(tris, np.asarray(packing.hat_rounding, dtype=float)[order], zero)
+    hat_style = (f'fill="{_SUBCONTAINER_FILL}" stroke="{_SUBCONTAINER_STROKE}" '
+                 f'stroke-width="{fmt(stroke / 2)}"')
+    lines += [f'<path d="{path}" {hat_style}/>' for path in paths]
+    circles = np.column_stack([np.asarray(c, dtype=float) for c in (packing.x, packing.y, packing.radius)])
+    lines += [_CIRCLE % row for row in _rows(circles, zero)]
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Independent numeric validation of packing trees.
+"""Independent numeric validation of packing records.
 
 Containment and disjointness are established from primitive geometry only:
 point/segment distances, separating axes and inward erosions of triangles.
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedTreeError
-from .geometry import Circle, Hat, Square
+from .geometry import Square, Triangle
 
 # Reports keep at most this many individual check entries; failures are
 # always retained.
@@ -208,130 +208,105 @@ def _square_signed_np(points: np.ndarray, side: float) -> np.ndarray:
     return np.where((ax <= 0.0) & (ay <= 0.0), inside_depth, -outside)
 
 
-def _erode_tris(tris: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Triangles shrunk inward by their radii: homothety about the incenter."""
-    sides = np.linalg.norm(np.roll(tris, -1, axis=1) - tris, axis=-1)  # (m, 3)
-    perimeter = sides.sum(axis=1)
+def _inradii(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inradius, side lengths (m, 3)) of triangles; 0 for a degenerate one."""
+    sides = np.linalg.norm(np.roll(tris, -1, axis=1) - tris, axis=-1)
     area2 = np.abs(_cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]))
-    inradius = area2 / perimeter
+    return area2 / np.where(area2 > 0.0, sides.sum(axis=1), 1.0), sides
+
+
+def _erode_tris(tris: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Triangles shrunk inward by their radii (at most their inradii): the
+    homothety about the incenter. A degenerate triangle stays as it is."""
+    inradius, sides = _inradii(tris)
+    perimeter = sides.sum(axis=1)
     weights = np.roll(sides, -1, axis=1)  # opposite side length per vertex
-    incenter = (weights[..., None] * tris).sum(axis=1) / perimeter[:, None]
-    k = (inradius - radii) / inradius
+    incenter = (weights[..., None] * tris).sum(axis=1) / np.where(perimeter > 0.0, perimeter, 1.0)[:, None]
+    positive = inradius > 0.0
+    k = np.where(positive, (inradius - radii) / np.where(positive, inradius, 1.0), 1.0)
     return incenter[:, None, :] + k[:, None, None] * (tris - incenter[:, None, :])
 
 
 # ---------------------------------------------------------------------------
-# Tree walk
+# Record columns
 # ---------------------------------------------------------------------------
 
-class _TreeIndex:
-    """Flat arrays extracted from a packing tree.
+class _Columns:
+    """numpy views of a packing record's columns, checked for well-formedness.
 
-    Check ids are derived lazily: hats know their parent index and child
-    position, circles their input index.
+    Check ids are derived lazily: hats know their parent and their position
+    among its children, circles their input index.
     """
 
-    def __init__(self, root):
-        self.root_shape = root.shape
-        if not isinstance(self.root_shape, (Square, Hat)):
-            raise MalformedTreeError("the root must be a square or hat container")
-
-        circle_flat: list[float] = []  # x, y, radius triples
-        circle_labels: list = []
-        hat_flat: list[float] = []  # three vertices per hat
-        hat_radii: list[float] = []
-        hat_parent: list[int] = []  # hat index, -1 root container, -2 the root hat itself
-        hat_pos: list[int] = []  # child position under the parent node
-        sibling_pairs: list[tuple[int, int]] = []
-
-        root_hat_idx = -1
-        if isinstance(self.root_shape, Hat):
-            v = self.root_shape.triangle.vertices
-            hat_flat += (v[0][0], v[0][1], v[1][0], v[1][1], v[2][0], v[2][1])
-            hat_radii.append(self.root_shape.rounding_radius)
-            hat_parent.append(-2)
-            hat_pos.append(-1)
-            root_hat_idx = 0
-        stack = [(root, root_hat_idx)]
-        while stack:
-            node, parent_idx = stack.pop()
-            child_hats: list[int] = []
-            for k, child in enumerate(node.children):
-                cshape = child.shape
-                tshape = type(cshape)
-                if tshape is Circle:
-                    if child.children:
-                        raise MalformedTreeError("circle nodes cannot have children")
-                    center = cshape.center
-                    circle_flat += (center[0], center[1], cshape.radius)
-                    circle_labels.append(child.input_index)
-                elif tshape is Hat:
-                    idx = len(hat_radii)
-                    v = cshape.triangle.vertices
-                    hat_flat += (v[0][0], v[0][1], v[1][0], v[1][1], v[2][0], v[2][1])
-                    hat_radii.append(cshape.rounding_radius)
-                    hat_parent.append(parent_idx)
-                    hat_pos.append(k)
-                    child_hats.append(idx)
-                    stack.append((child, idx))
-                elif tshape is Square:
-                    raise MalformedTreeError("square nodes are only allowed at the root")
-                else:
-                    raise MalformedTreeError(f"unknown shape type {tshape.__name__} in tree")
-            if len(child_hats) > 1:
-                for i in range(len(child_hats)):
-                    for j in range(i + 1, len(child_hats)):
-                        sibling_pairs.append((child_hats[i], child_hats[j]))
-
-        self._circle_labels = circle_labels
-        centers_radii = np.array(circle_flat, dtype=float).reshape(-1, 3)
-        self.centers = centers_radii[:, :2]
-        self.radii = centers_radii[:, 2]
-        self.hat_tris = np.array(hat_flat, dtype=float).reshape(-1, 3, 2)
-        self.hat_radii = np.array(hat_radii, dtype=float)
-        self.hat_parent = hat_parent
-        self._hat_pos = hat_pos
-        self.sibling_pairs = sibling_pairs
-        self.eroded = (
-            _erode_tris(self.hat_tris, self.hat_radii)
-            if len(hat_radii)
-            else np.empty((0, 3, 2))
+    def __init__(self, packing):
+        self.container = packing.container
+        if isinstance(self.container, Square):
+            self.diameter = self.container.side * math.sqrt(2.0)
+        elif isinstance(self.container, Triangle):
+            self.diameter = max(self.container.side_lengths)
+        else:
+            raise MalformedTreeError("the container must be a square or a triangle")
+        n, m = len(packing.radius), len(packing.hat_rounding)
+        if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
+                and len(packing.hat_vertices) == 6 * m and len(packing.hat_parent) == m):
+            raise MalformedTreeError("the record's columns differ in length")
+        self.centers = np.column_stack(
+            (np.asarray(packing.x, dtype=float), np.asarray(packing.y, dtype=float))
         )
+        self.radii = np.asarray(packing.radius, dtype=float)
+        self._labels = np.asarray(packing.input_index)
+        if not (np.all(np.isfinite(self.centers)) and np.all(self.radii > 0.0)
+                and np.all(np.isfinite(self.radii))):
+            raise MalformedTreeError("circles need finite centers and positive radii")
+
+        tris = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2)
+        rounding = np.asarray(packing.hat_rounding, dtype=float)
+        self.hat_parent = np.asarray(packing.hat_parent, dtype=np.intp)
+        if np.any((self.hat_parent < -1) | (self.hat_parent >= np.arange(m))):
+            raise MalformedTreeError("every hat's parent must precede it (-1: the container)")
+        if not (np.all(np.isfinite(tris)) and np.all(rounding >= 0.0)
+                and np.all(np.isfinite(rounding))):
+            raise MalformedTreeError("hats need finite vertices and non-negative rounding")
+        # counterclockwise, and rounded by at most the inradius (a rounding
+        # past it, as rounding noise in the vertices of tiny hats leaves,
+        # makes the hat its incircle)
+        doubled = _cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)
+        self.hat_radii = np.minimum(rounding, _inradii(tris)[0])
+        self.eroded = _erode_tris(tris, self.hat_radii)
+        if isinstance(self.container, Triangle):
+            self._container_tri = np.array([self.container.vertices], dtype=float)
 
     @cached_property
     def circle_ids(self) -> list[str]:
-        return [
-            f"circle:{label if label is not None else '@' + str(pos)}"
-            for pos, label in enumerate(self._circle_labels)
-        ]
+        return [f"circle:{label}" for label in self._labels.tolist()]
 
     @cached_property
     def hat_ids(self) -> list[str]:
+        """"hat:0" is the container; a hat's id extends its parent's by its position."""
         ids: list[str] = []
-        for i in range(len(self.hat_radii)):
-            parts: list[str] = []
-            j = i
-            while j >= 0 and self._hat_pos[j] >= 0:
-                parts.append(str(self._hat_pos[j]))
-                j = self.hat_parent[j]
-            parts.append("0")
-            ids.append("hat:" + ".".join(reversed(parts)))
+        children: dict[int, int] = {}
+        for parent in self.hat_parent.tolist():
+            pos = children.get(parent, 0)
+            children[parent] = pos + 1
+            ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{pos}")
         return ids
 
+    def sibling_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs of the hats that share a parent."""
+        kids: dict[int, list[int]] = {}
+        for i, parent in enumerate(self.hat_parent.tolist()):
+            kids.setdefault(parent, []).append(i)
+        pairs = [(a, b) for group in kids.values() for i, a in enumerate(group) for b in group[i + 1:]]
+        pa = np.array([a for a, _ in pairs], dtype=np.intp)
+        pb = np.array([b for _, b in pairs], dtype=np.intp)
+        return pa, pb
+
     def container_signed_distance(self, points: np.ndarray) -> np.ndarray:
-        if isinstance(self.root_shape, Square):
-            return _square_signed_np(points, self.root_shape.side)
-        # the root hat's depth is its rounding radius plus the signed set
-        # distance to its eroded triangle (index 0 when the root is a hat)
-        eroded = np.broadcast_to(self.eroded[0], (len(points), 3, 2))
-        depth = _point_tri_set_distance_np(points, eroded)
-        return depth + self.root_shape.rounding_radius
-
-
-def _diameter(root_shape) -> float:
-    if isinstance(root_shape, Square):
-        return root_shape.side * math.sqrt(2.0)
-    return max(root_shape.triangle.side_lengths)
+        if isinstance(self.container, Square):
+            return _square_signed_np(points, self.container.side)
+        tris = np.broadcast_to(self._container_tri, (len(points), 3, 2))
+        return _point_tri_set_distance_np(points, tris)
 
 
 def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,24 +354,25 @@ def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 def verify(
-    root,
+    packing,
     tolerance: Optional[float] = None,
     expected_areas: Optional[Sequence[float]] = None,
 ) -> VerificationReport:
-    """Check a packing tree for containment and pairwise disjointness.
+    """Check a packing record for containment and pairwise disjointness.
 
-    Evaluates, with signed slack per check:
+    ``packing`` is a :class:`splitpack.packer.Packing` (anything with its
+    columns will do). Evaluates, with signed slack per check:
 
     * circle-circle: center distance minus the radius sum, for every pair
       whose bounding boxes overlap or touch (found by a sort-and-sweep; the
       other pairs are disjoint, with a positive gap along x or y);
-    * circle-in-container: containment depth of each leaf in the root;
+    * circle-in-container: containment depth of each circle in the container;
     * hat-in-parent: for each hat, the worst of its three corner disks
       against the parent shape (exact, since a hat is the convex hull of its
       corner disks);
     * hat-hat-disjoint: distance between sibling hats' eroded triangles
       minus the sum of their rounding radii;
-    * leaf-multiset: when ``expected_areas`` is given, the leaves' radii
+    * leaf-multiset: when ``expected_areas`` is given, the circles' radii
       against the radii ``sqrt(a / pi)`` of those areas, as multisets
       (exact equality, the radius rule of :func:`splitpack.pack`).
 
@@ -405,10 +381,12 @@ def verify(
     container diameter, and each circle pair is judged at
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
     tiny circles cannot overlap by more than a share of their own size. The
-    report passes iff no check fails.
+    report passes iff no check fails. A record that is not well formed
+    (non-positive radii, negative rounding, a hat before its parent)
+    raises :class:`MalformedTreeError`.
     """
-    index = _TreeIndex(root)
-    diameter = _diameter(index.root_shape)
+    index = _Columns(packing)
+    diameter = index.diameter
     scale_aware = tolerance is None
     if scale_aware:
         tolerance = DEFAULT_REL_TOLERANCE * diameter
@@ -446,12 +424,10 @@ def verify(
         )
 
     # hat-in-parent
-    checked = [i for i, p in enumerate(index.hat_parent) if p != -2]
-    if checked:
-        child_idx = np.array(checked, dtype=int)
-        corners = index.eroded[child_idx].reshape(-1, 2)  # (3k, 2)
-        child_s = np.repeat(index.hat_radii[child_idx], 3)
-        parent_of = np.array([index.hat_parent[i] for i in checked], dtype=int)
+    parent_of = index.hat_parent
+    if len(parent_of):
+        corners = index.eroded.reshape(-1, 2)  # (3m, 2)
+        child_s = np.repeat(index.hat_radii, 3)
         depths = np.empty(len(corners))
         in_root = np.repeat(parent_of < 0, 3)
         if in_root.any():
@@ -467,18 +443,16 @@ def verify(
             )
         slacks = (depths - child_s).reshape(-1, 3).min(axis=1)
 
-        def hat_ids(child_idx=child_idx, parent_of=parent_of, index=index):
-            out = []
-            for c, p in zip(child_idx, parent_of):
-                out.append((index.hat_ids[c], index.hat_ids[p] if p >= 0 else "container"))
-            return out
+        def hat_ids(parent_of=parent_of, index=index):
+            ids = index.hat_ids
+            return [(ids[c], ids[p] if p >= 0 else "container")
+                    for c, p in enumerate(parent_of.tolist())]
 
         groups.append((CheckKind.HAT_IN_PARENT, hat_ids, slacks))
 
     # hat-hat-disjoint (siblings)
-    if index.sibling_pairs:
-        pa = np.array([i for i, _ in index.sibling_pairs], dtype=int)
-        pb = np.array([j for _, j in index.sibling_pairs], dtype=int)
+    pa, pb = index.sibling_pairs()
+    if len(pa):
         dist = _tri_pair_distance_np(index.eroded[pa], index.eroded[pb])
         slacks = dist - (index.hat_radii[pa] + index.hat_radii[pb])
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from splitpack import Square, Triangle, packable_area
+from splitpack import Hat, PackingDocument, Square, Triangle, packable_area
 
 
 def triangle_from_angles(alpha: float, apex: float, scale: float = 1.0) -> Triangle:
@@ -43,3 +43,34 @@ def random_feasible_instance(rng: np.random.Generator, container, max_n: int = 2
     fraction = float(rng.uniform(0.0, 1.0))
     total = capacity if fraction == 0.0 or rng.random() < 0.1 else fraction * capacity
     return random_areas(rng, n, total)
+
+
+def parse_packing(container: dict, placements=(), subcontainers=()):
+    """A packing record built by hand, as the document it would be parsed from."""
+    doc = {"container": container, "placements": list(placements),
+           "subcontainers": list(subcontainers)}
+    return PackingDocument.from_dict(doc).to_tree()
+
+
+def placement(x: float, y: float, radius: float, input_index: int) -> dict:
+    return {"x": x, "y": y, "radius": radius, "input_index": input_index}
+
+
+def subcontainer(triangle: Triangle, rounding: float, depth: int) -> dict:
+    return {"vertices": [list(p) for p in triangle.vertices], "rounding_radius": rounding,
+            "depth": depth}
+
+
+def hat_shapes(packing) -> list[Hat]:
+    """The record's hats as validated shape objects, in record order."""
+    v = packing.hat_vertices
+    return [
+        Hat(Triangle(((v[6 * h], v[6 * h + 1]), (v[6 * h + 2], v[6 * h + 3]),
+                      (v[6 * h + 4], v[6 * h + 5]))), packing.hat_rounding[h])
+        for h in range(len(packing.hat_rounding))
+    ]
+
+
+def child_hats(packing, parent: int) -> list[int]:
+    """Record indices of the hats whose parent is ``parent`` (-1: the container)."""
+    return [h for h, p in enumerate(packing.hat_parent) if p == parent]

@@ -266,7 +266,7 @@ def test_criterion_9_verifier_independence():
             "place_circle_in_hat",
             "hat_dimensions",
             "min_container",
-            "PackingNode",
+            "Packing",
         }
         used = {
             node.id for node in ast.walk(tree) if isinstance(node, ast.Name)

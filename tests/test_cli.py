@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -124,12 +125,46 @@ class TestSvg:
         assert "A " in svg  # rounded corners render as arcs
 
     def test_fully_rounded_hat_renders_as_circle_path(self):
-        from splitpack.svg import _hat_path
+        from splitpack.svg import _hat_paths
 
         t = Triangle.from_sides(3.0, 4.0, 5.0)
-        path = _hat_path(list(t.vertices), 1.0)  # rounding = inradius
+        (path,) = _hat_paths(np.array([t.vertices]), np.array([1.0]), 0.0)  # rounding = inradius
         assert path.count("A ") == 2  # two half arcs make the incircle
         assert "L" not in path
+
+    def test_hat_paths_match_the_hat_shape(self):
+        # every drawn arc starts and ends on the hat's corner disks, and
+        # clockwise vertices are drawn like counterclockwise ones
+        from splitpack.svg import _hat_paths
+
+        t = Triangle.from_sides(3.0, 4.0, 5.0)
+        for s in (0.0, 0.25, 0.999):
+            hat = sp.Hat(t, s)
+            a, b, c = t.vertices
+            ccw, cw = _hat_paths(np.array([(a, b, c), (a, c, b)]), np.array([s, s]), 0.0)
+            assert ccw == cw
+            numbers = [float(w) for w in ccw.replace("M", "").replace("L", "").replace("Z", "")
+                       .replace("A", "").split()]
+            if s == 0.0:
+                assert ccw.startswith("M ") and ccw.count("L ") == 2
+                assert np.allclose(np.reshape(numbers, (3, 2)), t.vertices, atol=1e-9)
+                continue
+            arcs = np.reshape(numbers, (3, 9))
+            for (x0, y0, rx, ry, _, _, _, x1, y1), corner in zip(arcs, hat.eroded_corners()):
+                assert rx == ry == pytest.approx(s, rel=1e-9)
+                assert math.dist((x0, y0), corner) == pytest.approx(s, rel=1e-9)
+                assert math.dist((x1, y1), corner) == pytest.approx(s, rel=1e-9)
+
+    def test_rounding_noise_prints_as_zero(self):
+        # the square worst case and a self-similar square packing: numbers
+        # that are zero up to rounding print as 0, not as -1.7e-18
+        for n in (2, 16, 40):
+            areas = [PHI_SQUARE / n] * n if n < 40 else [PHI_SQUARE * 0.5 ** (k + 1) for k in range(n)]
+            root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
+            svg = render_packing_svg(PackingDocument.from_tree(root, Square(1.0)))
+            numbers = [float(w) for w in re.findall(r"-?[0-9.]+(?:e[-+][0-9]+)?", svg.split("<g ", 1)[1])]
+            assert numbers and all(x == 0.0 or abs(x) >= 1e-12 for x in numbers)
+            assert "-0 " not in svg and '"-0"' not in svg
 
 
 class TestDecide:
@@ -240,6 +275,27 @@ class TestPack:
         assert code == 0
         svg = out_path.read_text()
         assert svg.count("<circle ") == 2
+
+    def test_instance_from_stdin(self, capsys, monkeypatch):
+        # without --circles and --container, pack, decide and approx read the
+        # instance from standard input, as in `splitpack gen | splitpack pack`
+        code, inst, _ = run_cli(["gen", "-n", "30", "--distribution", "uniform"], capsys)
+        assert code == 0
+        code, packed, err = run_cli(["pack"], capsys, stdin=inst, monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert len(json.loads(packed)["placements"]) == 30
+        code, report, _ = run_cli(["verify"], capsys, stdin=packed, monkeypatch=monkeypatch)
+        assert code == 0 and report.startswith("PASS")
+        code, out, _ = run_cli(["decide"], capsys, stdin=inst, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["packable"] == "yes"
+        code, out, _ = run_cli(["approx"], capsys, stdin=inst, monkeypatch=monkeypatch)
+        assert code == 0 and len(json.loads(out)["packing"]["placements"]) == 30
+        # --container alone is still the empty instance, whatever stdin holds
+        code, out, _ = run_cli(["pack", "--container", "square:1"], capsys, stdin=inst,
+                               monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["placements"] == []
+        code, _, err = run_cli(["pack"], capsys, stdin="[]", monkeypatch=monkeypatch)
+        assert code == 2 and "needs --container" in err
 
     def test_container_flag_with_bare_list(self, tmp_path, capsys):
         path = tmp_path / "circles.json"

@@ -1,6 +1,7 @@
 """Tests for the recursive packer and the hats it places."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from splitpack import (
     OverCapacityError,
     PackRequest,
     PackStats,
-    PackingNode,
+    Packing,
     Point,
     SplitKey,
     Square,
@@ -30,7 +31,13 @@ from splitpack import (
     weighted_split,
 )
 from splitpack import packer
-from conftest import random_container, random_feasible_instance, random_non_acute_triangle
+from conftest import (
+    child_hats,
+    hat_shapes,
+    random_container,
+    random_feasible_instance,
+    random_non_acute_triangle,
+)
 from reference_geometry import altitude_halves, signed_distance
 
 SQRT2 = math.sqrt(2.0)
@@ -42,9 +49,13 @@ def right_isosceles_with_incircle(area: float) -> Triangle:
     return Triangle.from_sides(leg, leg, leg * SQRT2)
 
 
-def non_root_hat_count(root: PackingNode) -> int:
-    hats = sum(isinstance(node.shape, Hat) for node, _depth in root.walk())
-    return hats - 1 if isinstance(root.shape, Hat) else hats
+def non_root_hat_count(packing: Packing) -> int:
+    return len(packing.hat_rounding)
+
+
+def first_level_hats(packing: Packing) -> list[Hat]:
+    hats = hat_shapes(packing)
+    return [hats[h] for h in child_hats(packing, -1)]
 
 
 class TestSquarePacking:
@@ -77,7 +88,7 @@ class TestSquarePacking:
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
         assert verify(root, expected_areas=areas).passed
         # the lighter bucket anchors at the origin corner
-        hat1, hat2 = (child.shape for child in root.children)
+        hat1, hat2 = first_level_hats(root)
         assert hat1.triangle.vertices[0] == (0.0, 0.0)
         assert hat1.incircle.area == pytest.approx(0.3 * a, rel=1e-12)
         assert hat2.incircle.area == pytest.approx(0.7 * a, rel=1e-12)
@@ -94,9 +105,20 @@ class TestSquarePacking:
             assert report.passed
             assert non_root_hat_count(root) == 2 * n - 2
 
+    def test_tiny_pair_keeps_its_incircle_guard_exact(self):
+        # Corner hats scaled by t ~ 1.9e-10 have vertices 1 - t that keep
+        # only seven digits of t; the lone-circle guard must use t times the
+        # half-square's inradius, not an inradius recomputed from them.
+        areas = [1e-20, 1e-20]
+        root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
+        report = verify(root, expected_areas=areas)
+        assert report.passed, report.summary()
+        r = math.sqrt(1e-20 / math.pi)
+        assert sorted(root.radius) == [r, r]
+
     def test_empty_input(self):
         root = pack(PackRequest(Square(2.0), CircleSet.from_areas([])))
-        assert root.children == []
+        assert non_root_hat_count(root) == 0 and len(root.radius) == 0
         assert verify(root).passed
 
 
@@ -164,7 +186,7 @@ class TestPlacementOperations:
     def test_hats_in_square_equal_halves(self):
         a = PHI_SQUARE
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas([a / 2.0, a / 2.0])))
-        h1, h2 = (child.shape for child in root.children)
+        h1, h2 = first_level_hats(root)
         assert h1.triangle.vertices == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert h2.triangle.vertices == ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
         assert h1.rounding_radius == 0.0
@@ -202,7 +224,7 @@ class TestPlacementOperations:
             s1 = float(rng.uniform(0.0, total))
             areas = [s1, total - s1]
             root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
-            hat_areas = sorted(child.shape.incircle.area for child in root.children)
+            hat_areas = sorted(hat.incircle.area for hat in first_level_hats(root))
             assert hat_areas == pytest.approx(sorted(areas), rel=1e-9)
             assert verify(root, expected_areas=areas).passed
 
@@ -214,8 +236,7 @@ class TestPlacementOperations:
         assert (c1.combined, c2.combined) == (9.0 * math.pi / 25.0, 16.0 * math.pi / 25.0)
         root = pack(PackRequest(t, cs))
         left, right = altitude_halves(t)
-        for child, expected in zip(root.children, (left, right)):
-            got = child.shape
+        for got, expected in zip(first_level_hats(root), (left, right)):
             for p, q in zip(got.triangle.vertices, expected.vertices):
                 assert p == pytest.approx(q, abs=1e-12)
             assert got.rounding_radius == 0.0
@@ -226,8 +247,8 @@ class TestPlacementOperations:
         a = math.pi
         root = pack(PackRequest(t, CircleSet.from_areas([a / 2.0, a / 2.0])))
         left, right = altitude_halves(t)
-        for child, expected in zip(root.children, (left, right)):
-            assert child.shape.triangle.vertices == expected.vertices
+        for got, expected in zip(first_level_hats(root), (left, right)):
+            assert got.triangle.vertices == expected.vertices
 
     def test_subhats_overshooting_child_stays_inside(self):
         # the relatively larger child pokes past the apex but its rounded
@@ -237,7 +258,7 @@ class TestPlacementOperations:
         key = hat_split_key(t)
         areas = [0.7 * math.pi, 0.3 * math.pi]
         root = pack(PackRequest(t, CircleSet.from_areas(areas)))
-        h1, h2 = (child.shape for child in root.children)
+        h1, h2 = first_level_hats(root)
         assert h1.incircle.area == pytest.approx(0.7 * math.pi, rel=1e-12)
         # b1 = a1 - f1 * a2 / f2
         assert math.pi * h1.rounding_radius**2 == pytest.approx(0.4 * math.pi, rel=1e-12)
@@ -269,10 +290,10 @@ class TestPlacementOperations:
         with pytest.raises(OverCapacityError):
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
-            packer._pack_into_hats(
-                [(PackingNode(hat), CircleSet.from_areas([math.pi * 1.01]), 0.0)],
-                PackStats(),
-            )
+            entry = (-1, None, 0.0, 1.0, *t.base_split, 1.0,
+                     CircleSet.from_areas([math.pi * 1.01]), 0.0, 1)
+            packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
+                                           radius=array("d", [0.0])), [entry], PackStats())
 
     def test_recursion_matches_public_placement_ops(self):
         # pack's first-level children match the altitude halves scaled about
@@ -297,10 +318,10 @@ class TestPlacementOperations:
                 expected.append((tri, rounding))
             root = pack(PackRequest(t, cs))
             scale = max(t.side_lengths)
-            for got, (tri, rounding) in zip(root.children, expected):
-                for p, q in zip(got.shape.triangle.vertices, tri.vertices):
+            for got, (tri, rounding) in zip(first_level_hats(root), expected):
+                for p, q in zip(got.triangle.vertices, tri.vertices):
                     assert p == pytest.approx(q, abs=1e-9 * scale)
-                assert got.shape.rounding_radius == pytest.approx(rounding, abs=1e-9 * scale)
+                assert got.rounding_radius == pytest.approx(rounding, abs=1e-9 * scale)
 
 
 class TestTreeInvariants:

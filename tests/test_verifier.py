@@ -2,6 +2,7 @@
 
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from splitpack import (
     Circle,
     CircleSet,
     Hat,
+    DocumentError,
     MalformedTreeError,
     PackRequest,
-    PackingNode,
+    Packing,
     Point,
     Square,
     Triangle,
@@ -26,7 +28,7 @@ from splitpack import (
 )
 from splitpack import verifier
 from splitpack.verifier import (
-    _TreeIndex,
+    _Columns,
     _circle_pairs,
     _erode_tris,
     _cross_np,
@@ -34,10 +36,15 @@ from splitpack.verifier import (
     _tri_pair_distance_np,
 )
 from conftest import (
+    child_hats,
+    hat_shapes,
+    parse_packing,
+    placement,
     random_areas,
     random_container,
     random_feasible_instance,
     random_non_acute_triangle,
+    subcontainer,
 )
 from reference_geometry import (
     all_pairs_circle_slacks,
@@ -75,17 +82,24 @@ def boxes_meet(centers: np.ndarray, radii: np.ndarray, iu, ju) -> np.ndarray:
     return np.all((lo[iu] <= hi[ju]) & (lo[ju] <= hi[iu]), axis=1)
 
 
-def default_pair_tolerance(root_shape, ri, rj):
+def default_pair_tolerance(container, ri, rj):
     """The documented default circle-pair tolerance, written out independently."""
-    if isinstance(root_shape, Square):
-        diameter = root_shape.side * SQRT2
+    if isinstance(container, Square):
+        diameter = container.side * SQRT2
     else:
-        diameter = max(root_shape.triangle.side_lengths)
+        diameter = max(container.side_lengths)
     floor = 64 * np.finfo(float).eps * diameter
     return np.minimum(1e-9 * diameter, np.maximum(1e-9 * np.minimum(ri, rj), floor))
 
 
-def twincircle_tree() -> tuple[PackingNode, list[float]]:
+SQUARE = {"type": "square", "side": 1.0}
+
+
+def move_circle(packing: Packing, k: int, center: Point) -> None:
+    packing.x[k], packing.y[k] = center
+
+
+def twincircle_tree() -> tuple[Packing, list[float]]:
     areas = [PHI_SQUARE / 2.0, PHI_SQUARE / 2.0]
     return pack(PackRequest(Square(1.0), CircleSet.from_areas(areas))), areas
 
@@ -99,8 +113,7 @@ class TestVerify:
 
     def test_inflated_radius_fails_circle_circle(self):
         root, areas = twincircle_tree()
-        leaf = root.circle_leaves()[0]
-        leaf.shape = Circle(leaf.shape.center, leaf.shape.radius * (1.0 + 1e-6))
+        root.radius[0] *= 1.0 + 1e-6
         report = verify(root, tolerance=1e-9)
         assert not report.passed
         assert any(c.kind is CheckKind.CIRCLE_CIRCLE for c in report.failures)
@@ -114,11 +127,9 @@ class TestVerify:
     def test_tangent_pair_moved_together_is_rejected(self):
         tolerance = 1e-9
         root, _ = twincircle_tree()
-        leaves = root.circle_leaves()
         # move one circle toward its tangent partner by just over 10x tolerance
         delta = 11.0 * tolerance / SQRT2
-        c = leaves[0].shape
-        leaves[0].shape = Circle(Point(c.center.x + delta, c.center.y + delta), c.radius)
+        move_circle(root, 0, Point(root.x[0] + delta, root.y[0] + delta))
         report = verify(root, tolerance=tolerance)
         assert not report.passed
 
@@ -144,26 +155,27 @@ class TestVerify:
             ux = (b.center.x - a.center.x) / math.dist(a.center, b.center)
             uy = (b.center.y - a.center.y) / math.dist(a.center, b.center)
             shift = float(rng.uniform(11.0, 1000.0)) * tolerance
-            leaves[i].shape = Circle(
-                Point(a.center.x + ux * shift, a.center.y + uy * shift), a.radius
-            )
+            move_circle(root, i, Point(a.center.x + ux * shift, a.center.y + uy * shift))
             assert not verify(root, tolerance=tolerance).passed
 
-    def test_rounded_root_hat_corner_region_is_checked(self):
-        # the container hat's rounded-off corner is not part of the shape
+    def test_rounded_hat_corner_region_is_checked(self):
+        # a hat's rounded-off corner is not part of the shape: a child hat
+        # sitting there, inside the bare triangle, sticks out of its parent
         tri = Triangle.from_sides(3.0, 4.0, 5.0)
-        root = PackingNode(Hat(tri, 0.5))
         corner = tri.vertices[0]
         inward = Point(corner.x + 0.12, corner.y + 0.05)
-        root.children.append(PackingNode(Circle(inward, 0.02), input_index=0))
+        child = Triangle(((inward.x, inward.y), (inward.x + 0.03, inward.y), (inward.x, inward.y + 0.03)))
+        assert signed_distance(inward, tri) > 0.0
+        root = parse_packing(tri_dict(tri), subcontainers=[
+            subcontainer(tri, 0.5, 1), subcontainer(child, 0.0, 2)])
         report = verify(root)
         assert not report.passed
-        assert any(c.kind is CheckKind.CIRCLE_IN_CONTAINER for c in report.failures)
+        assert [c.ids for c in report.failures] == [("hat:0.0.0", "hat:0.0")]
+        assert report.failures[0].kind is CheckKind.HAT_IN_PARENT
 
     def test_monotone_in_tolerance(self):
         root, areas = twincircle_tree()
-        leaf = root.circle_leaves()[0]
-        leaf.shape = Circle(leaf.shape.center, leaf.shape.radius * (1.0 + 1e-6))
+        root.radius[0] *= 1.0 + 1e-6
         slack = verify(root, tolerance=1e-9).worst_slack
         assert not verify(root, tolerance=1e-9).passed
         assert verify(root, tolerance=abs(slack) * 2.0).passed
@@ -190,8 +202,7 @@ class TestVerify:
                 report = verify(tree, expected_areas=areas)
                 assert report.passed, report.summary()
             # the check compares the placed disks: a radius one ulp off fails
-            leaf = rebuilt.circle_leaves()[7]
-            leaf.shape = Circle(leaf.shape.center, math.nextafter(leaf.shape.radius, 0.0))
+            rebuilt.radius[7] = math.nextafter(rebuilt.radius[7], 0.0)
             report = verify(rebuilt, expected_areas=areas)
             assert [c.kind for c in report.failures] == [CheckKind.LEAF_MULTISET]
 
@@ -206,10 +217,13 @@ class TestVerify:
             roots.append(pack(PackRequest(container, CircleSet.from_areas(areas))))
         t = Triangle.from_sides(3.0, 4.0, 5.0)
         roots.append(pack(PackRequest(t, CircleSet.from_areas(random_areas(rng, 20, math.pi)))))
-        parent = roots[-1].children[0]
+        last = roots[-1]
+        parent = hat_shapes(last)[0]
         # a grandchild hat grown past its parent
-        grown = parent.shape.triangle.scaled_about(parent.shape.incircle.center, 1.1)
-        parent.children[0].shape = Hat(grown, 0.0)
+        grown = parent.triangle.scaled_about(parent.incircle.center, 1.1)
+        child = child_hats(last, 0)[0]
+        last.hat_vertices[6 * child : 6 * child + 6] = array("d", [c for p in grown.vertices for c in p])
+        last.hat_rounding[child] = 0.0
 
         def slacks(root):
             report = verify(root)
@@ -227,45 +241,50 @@ class TestVerify:
         assert any(c.kind is CheckKind.HAT_IN_PARENT for c in whole[-1][1])
 
     def test_circle_outside_container_fails(self):
-        root = PackingNode(Square(1.0))
-        root.children.append(PackingNode(Circle(Point(0.9, 0.5), 0.2), input_index=0))
+        root = parse_packing(SQUARE, [placement(0.9, 0.5, 0.2, 0)])
         report = verify(root)
         assert not report.passed
         assert any(c.kind is CheckKind.CIRCLE_IN_CONTAINER for c in report.failures)
 
     def test_hat_poking_out_fails(self):
         # a half-square hat scaled past the square without rounding must fail
-        square = Square(1.0)
         tri = Triangle(((0.0, 0.0), (1.2, 0.0), (0.0, 1.2)))
-        root = PackingNode(square)
-        root.children.append(PackingNode(Hat(tri, 0.0)))
+        root = parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 1)])
         report = verify(root)
         assert not report.passed
         assert any(c.kind is CheckKind.HAT_IN_PARENT for c in report.failures)
 
     def test_overlapping_sibling_hats_fail(self):
-        container = Hat(Triangle.from_sides(3.0, 4.0, 5.0), 0.0)
+        container = Triangle.from_sides(3.0, 4.0, 5.0)
         left = Triangle(((0.0, 0.0), (2.4, 0.0), (2.4, 3.2)))  # scaled left half
         right = Triangle(((1.8, 0.0), (5.0, 0.0), (1.8, 2.4)))  # full right half: overlaps
-        root = PackingNode(container)
-        root.children = [PackingNode(Hat(left, 0.0)), PackingNode(Hat(right, 0.0))]
+        root = parse_packing(tri_dict(container), subcontainers=[
+            subcontainer(left, 0.0, 1), subcontainer(right, 0.0, 1)])
         report = verify(root)
         assert any(c.kind is CheckKind.HAT_HAT_DISJOINT for c in report.failures)
 
     def test_malformed_trees(self):
-        circle = Circle(Point(0.5, 0.5), 0.1)
-        node = PackingNode(circle)
-        node.children.append(PackingNode(circle))
-        root = PackingNode(Square(1.0))
-        root.children.append(node)
+        tri = Triangle(((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)))
+        # a hat without a parent at the depth above it
+        with pytest.raises(DocumentError):
+            parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 2)])
+        for entry in ({"x": 0.5, "y": 0.5}, {"x": "a", "y": 0.5, "radius": 0.1}, [0.5, 0.5, 0.1]):
+            with pytest.raises(DocumentError):
+                parse_packing(SQUARE, [entry])
+        with pytest.raises(DocumentError):
+            parse_packing(SQUARE, subcontainers=[{"vertices": [[0, 0], [1, 0]], "depth": 1}])
+        # a hat listed before its parent
+        root = parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 1)] * 2)
+        root.hat_parent[0] = 1
         with pytest.raises(MalformedTreeError):
             verify(root)
-        root = PackingNode(Square(1.0))
-        root.children.append(PackingNode(Square(0.5)))
+        for radius in (0.0, -0.1, math.nan):
+            with pytest.raises(MalformedTreeError):
+                verify(parse_packing(SQUARE, [placement(0.5, 0.5, radius, 0)]))
         with pytest.raises(MalformedTreeError):
-            verify(root)
+            verify(parse_packing(SQUARE, subcontainers=[subcontainer(tri, -0.1, 1)]))
         with pytest.raises(MalformedTreeError):
-            verify(PackingNode(circle))
+            verify(Packing(Circle(Point(0.5, 0.5), 0.1)))
 
     def test_checks_sorted_and_counted(self):
         rng = np.random.default_rng(71)
@@ -277,7 +296,7 @@ class TestVerify:
         assert report.check_count == len(report.checks)
         # circle pairs are evaluated exactly where their bounding boxes overlap
         # or touch; every other pair is disjoint
-        index = _TreeIndex(root)
+        index = _Columns(root)
         iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
         meet = boxes_meet(index.centers, index.radii, iu, ju)
         assert 0 < meet.sum() < len(iu)
@@ -287,9 +306,7 @@ class TestVerify:
     def test_coincident_tiny_circles_fail(self):
         # slack -2e-10 is far below the global 1.4e-9 tolerance, but it is the
         # full overlap of two circles of radius 1e-10
-        root = PackingNode(Square(1.0))
-        for k in range(2):
-            root.children.append(PackingNode(Circle(Point(0.5, 0.5), 1e-10), input_index=k))
+        root = parse_packing(SQUARE, [placement(0.5, 0.5, 1e-10, k) for k in range(2)])
         report = verify(root)
         assert not report.passed
         assert [c.kind for c in report.failures] == [CheckKind.CIRCLE_CIRCLE]
@@ -306,7 +323,7 @@ class TestCirclePairSweep:
     @staticmethod
     def assert_matches_oracle(root, tolerance=None):
         report = verify(root, tolerance=tolerance)
-        index = _TreeIndex(root)
+        index = _Columns(root)
         iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
         ids = index.circle_ids
         keys = [tuple(sorted((ids[i], ids[j]))) for i, j in zip(iu, ju)]
@@ -319,7 +336,7 @@ class TestCirclePairSweep:
         assert np.array_equal(got.view(np.uint64), slacks[meet].view(np.uint64))
         assert np.all(slacks[~meet] > 0.0)
         if tolerance is None:
-            tolerance = default_pair_tolerance(index.root_shape, index.radii[iu], index.radii[ju])
+            tolerance = default_pair_tolerance(index.container, index.radii[iu], index.radii[ju])
         bad = slacks < -np.broadcast_to(tolerance, slacks.shape)
         failed = {c.ids for c in report.failures if c.kind is CheckKind.CIRCLE_CIRCLE}
         assert failed == {k for k, b in zip(keys, bad) if b}
@@ -328,7 +345,7 @@ class TestCirclePairSweep:
         return report
 
     @staticmethod
-    def packed(container, areas) -> PackingNode:
+    def packed(container, areas) -> Packing:
         return pack(PackRequest(container, CircleSet.from_areas(areas)))
 
     def test_random_corpus(self):
@@ -364,7 +381,7 @@ class TestCirclePairSweep:
                                    b.center.y + float(rng.uniform(-1, 1)) * b.radius)
                 else:
                     target = b.center
-                leaves[i].shape = Circle(target, a.radius)
+                move_circle(root, i, target)
                 assert not self.assert_matches_oracle(root).passed
                 self.assert_matches_oracle(root, tolerance=1e-9)
 
@@ -373,19 +390,18 @@ class TestCirclePairSweep:
         for factor, fails in ((1.01, True), (0.99, False)):
             for trial in range(8):
                 root = self.packed(Square(1.0), areas)
-                leaves = {leaf.input_index: leaf for leaf in root.circle_leaves()}
-                index = _TreeIndex(root)
+                leaves = root.circle_leaves()
+                index = _Columns(root)
                 iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
                 tangent = np.nonzero(np.abs(slacks) <= 1e-15)[0]
                 k = tangent[trial * 7 % len(tangent)]
-                first = leaves[index._circle_labels[iu[k]]]
-                a, b = first.shape, leaves[index._circle_labels[ju[k]]].shape
+                a, b = leaves[iu[k]].shape, leaves[ju[k]].shape
                 tol = float(default_pair_tolerance(Square(1.0), a.radius, b.radius))
                 shift = factor * tol + float(slacks[k])
                 d = math.dist(a.center, b.center)
                 moved = Point(a.center.x + (b.center.x - a.center.x) / d * shift,
                               a.center.y + (b.center.y - a.center.y) / d * shift)
-                first.shape = Circle(moved, a.radius)
+                move_circle(root, iu[k], moved)
                 report = self.assert_matches_oracle(root)
                 ids = tuple(sorted((index.circle_ids[iu[k]], index.circle_ids[ju[k]])))
                 assert (ids in {c.ids for c in report.failures}) == fails
@@ -396,23 +412,22 @@ class TestCirclePairSweep:
             assert self.assert_matches_oracle(self.packed(Square(1.0), areas)).passed
         # equal circles touching in a row, then in a column (one x-run for all)
         for column in (False, True):
-            root = PackingNode(Square(1.0))
+            entries = []
             for k in range(10):
                 c = (0.05 + 0.1 * k, 0.5)
                 center = Point(c[1], c[0]) if column else Point(*c)
-                root.children.append(PackingNode(Circle(center, 0.05), input_index=k))
+                entries.append(placement(*center, 0.05, k))
+            root = parse_packing(SQUARE, entries)
             report = self.assert_matches_oracle(root)
             assert report.passed
             assert sum(c.kind is CheckKind.CIRCLE_CIRCLE for c in report.checks) >= 9
         # one huge circle among many tiny ones, some of them inside it
         rng = np.random.default_rng(139)
-        root = PackingNode(Square(1.0))
-        root.children.append(PackingNode(Circle(Point(0.5, 0.5), 0.3), input_index=0))
+        entries = [placement(0.5, 0.5, 0.3, 0)]
         for k in range(1, 300):
             x, y = rng.uniform(0.002, 0.998, size=2)
-            root.children.append(
-                PackingNode(Circle(Point(float(x), float(y)), 1e-3), input_index=k)
-            )
+            entries.append(placement(float(x), float(y), 1e-3, k))
+        root = parse_packing(SQUARE, entries)
         assert not self.assert_matches_oracle(root).passed
         # 0.7**k sets
         weights = [0.7**k for k in range(60)]
@@ -428,18 +443,15 @@ class TestCirclePairSweep:
             container = random_container(rng)
             root = self.packed(container, random_feasible_instance(rng, container, max_n=60))
             self.assert_matches_oracle(root)
-        root = PackingNode(Square(1.0))
-        for k in range(40):  # one column: every circle's x-run holds all later ones
-            root.children.append(
-                PackingNode(Circle(Point(0.5, 0.0125 + 0.025 * k), 0.0125), input_index=k)
-            )
+        # one column: every circle's x-run holds all later ones
+        root = parse_packing(SQUARE, [placement(0.5, 0.0125 + 0.025 * k, 0.0125, k) for k in range(40)])
         self.assert_matches_oracle(root)
 
     def test_work_stays_linear_on_a_large_packing(self):
         n = 20000
         rng = np.random.default_rng(151)
         root = self.packed(Square(1.0), random_areas(rng, n, sp.packable_area(Square(1.0))))
-        index = _TreeIndex(root)
+        index = _Columns(root)
         first, _ = _circle_pairs(index.centers, index.radii)
         assert len(first) <= 2 * n
 
@@ -486,13 +498,12 @@ class TestProjectionWidths:
             t = random_non_acute_triangle(rng, right=bool(rng.random() < 0.5))
             areas = random_feasible_instance(rng, t, max_n=30)
             root = pack(PackRequest(t, CircleSet.from_areas(areas)))
-            for node, _depth in root.walk():
-                if not isinstance(node.shape, Hat) or len(node.children) != 2:
+            hats = hat_shapes(root)
+            for parent in range(-1, len(hats)):
+                kids = [hats[h] for h in child_hats(root, parent)]
+                if len(kids) != 2:
                     continue
-                kids = [c.shape for c in node.children]
-                if not all(isinstance(s, Hat) for s in kids):
-                    continue
-                left, right, _apex = node.shape.triangle.base_split
+                left, right, _apex = (hats[parent].triangle if parent >= 0 else t).base_split
                 e1, e2 = projection_widths(kids[0].incircle, kids[1].incircle, (left, right))
                 base_len = math.dist(left, right)
                 assert e1 + e2 <= base_len * (1.0 + 1e-9)
@@ -612,8 +623,9 @@ class TestBatchPrimitivesMatchScalar:
             report = verify(root)
             by_ids = {c.ids: c for c in report.checks if c.kind is CheckKind.HAT_HAT_DISJOINT}
             # recompute each sibling check with the scalar primitive
-            for node, _d in root.walk():
-                kids = [c.shape for c in node.children if isinstance(c.shape, Hat)]
+            hats = hat_shapes(root)
+            for parent in range(-1, len(hats)):
+                kids = [hats[h] for h in child_hats(root, parent)]
                 if len(kids) != 2:
                     continue
                 scalar = convex_polygon_distance(
@@ -623,3 +635,7 @@ class TestBatchPrimitivesMatchScalar:
                     c for c in by_ids.values() if abs(c.slack - scalar) <= 1e-9
                 ]
                 assert matches, f"no batch check matches scalar slack {scalar}"
+
+
+def tri_dict(tri: Triangle) -> dict:
+    return {"type": "triangle", "vertices": [list(p) for p in tri.vertices]}
