@@ -17,6 +17,7 @@ _CIRCLE_FILL = "#696969"
 # Numbers below this share of the figure's extent print as 0, so that
 # rounding noise in the geometry (-1.7e-18 for 0) does not reach the text.
 _ZERO_REL = 1e-12
+_TINY = np.finfo(float).tiny
 
 _CIRCLE = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="{_CIRCLE_FILL}"/>'
 _SHARP = "M %.10g %.10g L %.10g %.10g L %.10g %.10g Z"
@@ -38,12 +39,13 @@ def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]
         tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
     tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)  # counterclockwise
     edges = np.roll(tris, -1, axis=1) - tris  # edge i runs from vertex i to vertex i + 1
-    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    # a zero-area hat is drawn sharp; the floor only keeps its numbers finite
+    lengths = np.maximum(np.hypot(edges[..., 0], edges[..., 1]), _TINY)
     perimeter = lengths.sum(axis=1)
     # the corners of the triangle shrunk inward by s are its homothety about
     # the incenter with ratio (inradius - s) / inradius
     incenter = (np.roll(lengths, -1, axis=1)[..., None] * tris).sum(axis=1) / perimeter[:, None]
-    inradius = np.abs(doubled) / perimeter
+    inradius = np.maximum(np.abs(doubled) / perimeter, _TINY)
     s = np.minimum(rounding, inradius)[:, None, None]
     k = (inradius[:, None, None] - s) / inradius[:, None, None]
     corners = incenter[:, None, :] + k * (tris - incenter[:, None, :])
