@@ -95,6 +95,10 @@ def default_pair_tolerance(container, ri, rj):
 SQUARE = {"type": "square", "side": 1.0}
 
 
+def tri_dict(tri: Triangle) -> dict:
+    return {"type": "triangle", "vertices": [list(p) for p in tri.vertices]}
+
+
 def move_circle(packing: Packing, k: int, center: Point) -> None:
     packing.x[k], packing.y[k] = center
 
@@ -635,7 +639,3 @@ class TestBatchPrimitivesMatchScalar:
                     c for c in by_ids.values() if abs(c.slack - scalar) <= 1e-9
                 ]
                 assert matches, f"no batch check matches scalar slack {scalar}"
-
-
-def tri_dict(tri: Triangle) -> dict:
-    return {"type": "triangle", "vertices": [list(p) for p in tri.vertices]}
