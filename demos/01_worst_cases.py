@@ -16,7 +16,6 @@ from splitpack import (
     PHI_SQUARE,
     CircleSet,
     PackRequest,
-    PackingDocument,
     Square,
     Triangle,
     critical_density,
@@ -30,10 +29,9 @@ OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
 
-def save(packing, container, name):
-    doc = PackingDocument.from_tree(packing, container)
+def save(packing, name):
     path = OUT / name
-    path.write_text(render_packing_svg(doc))
+    path.write_text(render_packing_svg(packing))
     print(f"  figure written to {path}")
 
 
@@ -49,7 +47,7 @@ report = verify(packing, expected_areas=areas)
 print(f"packed the worst case: {report.summary()}")
 for leaf in packing.circle_leaves():
     print(f"  circle {leaf.input_index}: center {leaf.shape.center}, r = {leaf.shape.radius:.6f}")
-save(packing, square, "01_square_worst_case.svg")
+save(packing, "01_square_worst_case.svg")
 
 print()
 triangle = Triangle.from_sides(3.0, 4.0, 5.0)
@@ -57,7 +55,7 @@ print(f"critical density of the (3,4,5) triangle: {critical_density(triangle):.6
 packing = pack(PackRequest(triangle, CircleSet.from_areas([math.pi])))
 report = verify(packing)
 print(f"packed the incircle itself: {report.summary()}")
-save(packing, triangle, "01_triangle_worst_case.svg")
+save(packing, "01_triangle_worst_case.svg")
 
 # any larger area is witnessed unpackable by two equal circles
 epsilon = 1.001

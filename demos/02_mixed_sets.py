@@ -18,7 +18,6 @@ from splitpack import (
     CircleSet,
     PackRequest,
     PackStats,
-    PackingDocument,
     Square,
     pack,
     render_packing_svg,
@@ -44,8 +43,7 @@ print(f"  splits: {stats.split_calls}, element moves: {stats.element_moves}, "
       f"depth: {stats.max_depth}")
 roundings = packing.hat_rounding
 print(f"  rounded subcontainers: {sum(1 for s in roundings if s > 0)} of {len(roundings)}")
-doc = PackingDocument.from_tree(packing, square)
-(OUT / "02_mixed_set.svg").write_text(render_packing_svg(doc))
+(OUT / "02_mixed_set.svg").write_text(render_packing_svg(packing))
 print(f"  figure written to {OUT / '02_mixed_set.svg'}")
 
 print()
@@ -56,6 +54,5 @@ packing = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
 print(f"  {verify(packing, expected_areas=areas).summary()}")
 unique_scales = sorted(set(stats.scale_factors))
 print(f"  scale factors used: {unique_scales}  (self-similar halving)")
-doc = PackingDocument.from_tree(packing, square)
-(OUT / "02_power_of_two.svg").write_text(render_packing_svg(doc))
+(OUT / "02_power_of_two.svg").write_text(render_packing_svg(packing))
 print(f"  figure written to {OUT / '02_power_of_two.svg'}")

@@ -17,7 +17,6 @@ import numpy as np
 from splitpack import (
     CircleSet,
     PackRequest,
-    PackingDocument,
     Triangle,
     critical_density,
     hat_split_key,
@@ -51,7 +50,6 @@ for i, (name, tri) in enumerate(shapes):
     packing = pack(PackRequest(tri, CircleSet.from_areas(areas)))
     report = verify(packing, expected_areas=areas)
     print(f"{name}: {n} circles at 100% capacity -> {report.summary()}")
-    doc = PackingDocument.from_tree(packing, tri)
     path = OUT / f"03_triangle_{i}.svg"
-    path.write_text(render_packing_svg(doc))
+    path.write_text(render_packing_svg(packing))
     print(f"  figure written to {path}")

@@ -17,7 +17,6 @@ import numpy as np
 from splitpack import (
     CircleSet,
     PackRequest,
-    PackingDocument,
     Triangle,
     min_container,
     pack,
@@ -37,9 +36,7 @@ print(f"  side {container.side:.6f} (= 1 + sqrt 2), area {container.area:.6f}")
 print(f"  guaranteed bound:   area/sum <= {(3 + 2 * SQRT2) / math.pi:.4f}")
 print(f"  realized vs optimum: {container.area / 4.0:.4f}  (the best square has side 2)")
 packing = pack(PackRequest(container, circles))
-(OUT / "04_single_circle.svg").write_text(
-    render_packing_svg(PackingDocument.from_tree(packing, container))
-)
+(OUT / "04_single_circle.svg").write_text(render_packing_svg(packing))
 
 print()
 print("a random 30-circle set, square and triangular families")
@@ -52,7 +49,6 @@ for name, family in (("square", "square"), ("(3,4,5)-similar", Triangle.from_sid
     report = verify(packing, expected_areas=areas)
     ratio = container.area / circles.combined
     print(f"  {name:<16} area {container.area:8.3f}  area/sum {ratio:.4f}  -> {report.summary()}")
-    doc = PackingDocument.from_tree(packing, container)
     path = OUT / f"04_min_{name.split('-')[0].strip('()').replace(',', '')}.svg"
-    path.write_text(render_packing_svg(doc))
+    path.write_text(render_packing_svg(packing))
     print(f"    figure written to {path}")

@@ -21,7 +21,6 @@ from .errors import (
 from .geometry import (
     PHI_SQUARE,
     Circle,
-    Hat,
     Point,
     SplitKey,
     Square,
@@ -29,7 +28,6 @@ from .geometry import (
     critical_density,
     hat_split_key,
     square_twincircles,
-    triangle_incircle,
 )
 from .splitting import (
     CircleSet,
@@ -59,7 +57,6 @@ __all__ = [
     "CircleSet",
     "ConjugacyError",
     "DocumentError",
-    "Hat",
     "InstanceDocument",
     "InvalidParameterError",
     "MalformedTreeError",
@@ -85,7 +82,6 @@ __all__ = [
     "render_packing_svg",
     "split",
     "square_twincircles",
-    "triangle_incircle",
     "verify",
     "weighted_split",
     "__version__",

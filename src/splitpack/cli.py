@@ -90,26 +90,18 @@ def _load_instance(args) -> InstanceDocument:
     return instance
 
 
-def _emit_packing(doc: PackingDocument, args) -> None:
-    if args.format == "svg":
-        _write_output(render_packing_svg(doc), args.out)
-    else:
-        _write_output(doc.to_json(), args.out)
-
-
 def _cmd_decide(args) -> int:
-    instance = _load_instance(args)
-    packable_area(instance.container)  # raises on unsupported containers
-    result = decide(instance)
+    result = decide(_load_instance(args))
     _write_output(json.dumps(result, indent=2), args.out)
     return EXIT_OK
 
 
 def _cmd_pack(args) -> int:
-    instance = _load_instance(args)
-    packing = pack(instance.to_request())
-    doc = PackingDocument.from_tree(packing, instance.container)
-    _emit_packing(doc, args)
+    packing = pack(_load_instance(args).to_request())
+    if args.format == "svg":
+        _write_output(render_packing_svg(packing), args.out)
+    else:
+        _write_output(PackingDocument.from_tree(packing, packing.container).to_json(), args.out)
     return EXIT_OK
 
 
@@ -118,16 +110,15 @@ def _cmd_approx(args) -> int:
     circles = CircleSet.from_areas(instance.areas)
     container = min_container(circles, instance.container)
     packing = pack(PackRequest(container=container, circles=circles, min_size=instance.min_size))
-    doc = PackingDocument.from_tree(packing, container)
     if args.format == "svg":
-        _write_output(render_packing_svg(doc), args.out)
+        _write_output(render_packing_svg(packing), args.out)
         return EXIT_OK
     result = {
         "container": container_to_dict(container),
         "container_area": container.area,
         "lower_bound_area": circles.combined,
         "ratio": container.area / circles.combined,
-        "packing": doc.to_dict(),
+        "packing": PackingDocument.from_tree(packing, container).to_dict(),
     }
     _write_output(json.dumps(result, indent=2), args.out)
     return EXIT_OK
@@ -153,7 +144,10 @@ def _generate_areas(n: int, total: float, distribution: str, seed: int) -> list[
         weights = [rng.random() + 1e-9 for _ in range(n)]
     else:
         raise DocumentError(f"unknown distribution {distribution!r}")
-    scale = total / sum(weights)
+    weight_sum = 0.0
+    for w in weights:  # left to right: builtin sum() compensates floats from Python 3.12
+        weight_sum += w
+    scale = total / weight_sum
     return [w * scale for w in weights]
 
 

@@ -44,7 +44,7 @@ def container_from_dict(data) -> Union[Square, Triangle]:
             raise DocumentError("triangle containers need 'vertices' or 'sides'")
     except DocumentError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed container: {exc}") from exc
     raise DocumentError(f"unknown container type {kind!r}")
 
@@ -82,8 +82,13 @@ class InstanceDocument:
                 raise DocumentError("instance document lacks a container")
             container = container_from_dict(data["container"])
         circles = data.get("circles", [])
+        if not isinstance(circles, list):
+            raise DocumentError(f"'circles' must be a list, got {circles!r}")
         areas = [circle_entry_area(entry) for entry in circles]
-        min_size = float(data.get("min_size", 0.0))
+        try:
+            min_size = float(data.get("min_size", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"'min_size' must be a number, got {data['min_size']!r}") from exc
         return cls(container=container, areas=areas, min_size=min_size)
 
     def to_dict(self) -> dict:
@@ -108,14 +113,25 @@ def circle_entry_area(entry) -> float:
     """Area of a circle entry: exactly one of {'area': a} or {'radius': r}."""
     if not isinstance(entry, dict) or len(entry.keys() & {"area", "radius"}) != 1:
         raise DocumentError(f"circle entries need exactly one of 'area' or 'radius', got {entry!r}")
-    if "area" in entry:
-        value = float(entry["area"])
-    else:
-        r = float(entry["radius"])
-        value = math.pi * r * r
+    try:
+        if "area" in entry:
+            value = float(entry["area"])
+        else:
+            r = float(entry["radius"])
+            value = math.pi * r * r
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"circle entries must be numbers, got {entry!r}") from exc
     if not (math.isfinite(value) and value > 0.0):
         raise DocumentError(f"circle entries must be positive, got {entry!r}")
     return value
+
+
+def _integer(value) -> int:
+    """``value`` as an int; a number with a fractional part is refused, not truncated."""
+    k = int(value)
+    if k != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return k
 
 
 @dataclass
@@ -126,64 +142,52 @@ class PackingDocument:
     record's order (by input index for a packed record) and
     ``subcontainers`` lists every hat in depth-first preorder, so the parent
     of an entry at depth d is the nearest preceding entry at depth d-1 (or
-    the container for d = 1). The record is the document's only copy of the
-    geometry: both forms are written from it and parsed into it.
+    the container for d = 1). The record is the document's only state: the
+    container and both densities are written from it, and a parsed document
+    keeps only what its record holds.
     """
 
-    container: dict
     packing: Packing
-    density_used: float = 0.0
-    critical_density: float = 0.0
 
     @classmethod
     def from_tree(cls, packing: Packing, container: Union[Square, Triangle]) -> "PackingDocument":
-        """The document of a packed record (``container`` is the record's)."""
-        total = math.fsum(math.pi * r**2 for r in packing.radius)
-        return cls(
-            container=container_to_dict(container),
-            packing=packing,
-            density_used=total / container.area,
-            critical_density=critical_density(container),
-        )
-
-    @property
-    def placements(self) -> list[dict]:
-        p = self.packing
-        return [
-            {"x": x, "y": y, "radius": r, "input_index": k}
-            for x, y, r, k in zip(p.x, p.y, p.radius, p.input_index)
-        ]
-
-    @property
-    def subcontainers(self) -> list[dict]:
-        p = self.packing
-        coords = iter(p.hat_vertices)
-        return [
-            {"vertices": [[x0, y0], [x1, y1], [x2, y2]], "rounding_radius": rounding, "depth": depth}
-            for x0, y0, x1, y1, x2, y2, rounding, depth in zip(
-                coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths()
-            )
-        ]
+        """The document of a packed record; ``container`` repeats the record's own."""
+        return cls(packing)
 
     def to_dict(self) -> dict:
+        p = self.packing
+        coords = iter(p.hat_vertices)
         return {
-            "container": self.container,
-            "placements": self.placements,
-            "subcontainers": self.subcontainers,
-            "density_used": self.density_used,
-            "critical_density": self.critical_density,
+            "container": container_to_dict(p.container),
+            "placements": [
+                {"x": x, "y": y, "radius": r, "input_index": k}
+                for x, y, r, k in zip(p.x, p.y, p.radius, p.input_index)
+            ],
+            "subcontainers": [
+                {"vertices": [[x0, y0], [x1, y1], [x2, y2]], "rounding_radius": rounding,
+                 "depth": depth}
+                for x0, y0, x1, y1, x2, y2, rounding, depth in zip(
+                    coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths()
+                )
+            ],
+            "density_used": math.fsum(math.pi * r**2 for r in p.radius) / p.container.area,
+            "critical_density": critical_density(p.container),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PackingDocument":
         if not isinstance(data, dict) or "container" not in data:
             raise DocumentError("packing document must be an object with a container")
+        placements = data.get("placements", [])
+        subcontainers = data.get("subcontainers", [])
+        if not (isinstance(placements, list) and isinstance(subcontainers, list)):
+            raise DocumentError("'placements' and 'subcontainers' must be lists")
         packing = Packing(container_from_dict(data["container"]))
-        for pos, entry in enumerate(data.get("placements", [])):
+        for pos, entry in enumerate(placements):
             try:
                 x, y, r = float(entry["x"]), float(entry["y"]), float(entry["radius"])
-                k = int(entry.get("input_index", pos))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                k = _integer(entry.get("input_index", pos))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DocumentError(f"malformed placement entry: {entry!r}") from exc
             packing.x.append(x)
             packing.y.append(y)
@@ -191,13 +195,13 @@ class PackingDocument:
             packing.input_index.append(k)
         # the hat on the chain at depth d is the latest one at that depth
         chain: list[int] = [-1]
-        for entry in data.get("subcontainers", []):
+        for entry in subcontainers:
             try:
-                depth = int(entry["depth"])
+                depth = _integer(entry["depth"])
                 (x0, y0), (x1, y1), (x2, y2) = entry["vertices"]
                 coords = (float(x0), float(y0), float(x1), float(y1), float(x2), float(y2))
                 rounding = float(entry.get("rounding_radius", 0.0))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DocumentError(f"malformed subcontainer entry: {entry!r}") from exc
             if not 1 <= depth <= len(chain):
                 raise DocumentError(f"subcontainer at depth {depth} has no parent")
@@ -206,19 +210,11 @@ class PackingDocument:
             chain.append(len(packing.hat_rounding))
             packing.hat_vertices.extend(coords)
             packing.hat_rounding.append(rounding)
-        return cls(
-            container=data["container"],
-            packing=packing,
-            density_used=float(data.get("density_used", 0.0)),
-            critical_density=float(data.get("critical_density", 0.0)),
-        )
+        return cls(packing)
 
     def to_json(self) -> str:
         # compact separators let json use its C encoder
         return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    def container_shape(self) -> Union[Square, Triangle]:
-        return self.packing.container
 
     def to_tree(self) -> Packing:
         """The document's packing record, ready for :func:`splitpack.verify`."""
@@ -231,10 +227,10 @@ def decide(instance: InstanceDocument) -> dict:
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
     instance as over capacity or below its minimum size."""
-    capacity = packable_area(instance.container)
-    circles = CircleSet.from_areas(instance.areas)
+    request = instance.to_request()  # refuses a bad min_size, as pack does
+    capacity = packable_area(request.container)
     try:
-        _check_feasible(circles, instance.min_size, capacity)
+        _check_feasible(request.circles, request.min_size, capacity)
         packable = "yes"
     except (InvalidParameterError, OverCapacityError):
         packable = "unknown"

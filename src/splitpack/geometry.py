@@ -1,7 +1,9 @@
 """Closed-form geometric constructions for circle packing.
 
-Hats (corner-rounded triangles), incircles, twincircles, split keys and
-critical densities.
+Points, circles, squares and triangles; the altitude split and the incenter
+that the packer builds and fills hats (corner-rounded triangles) with;
+twincircles, split keys and critical densities. A hat has no class of its
+own: the packer records it as numbers in a :class:`~splitpack.packer.Packing`.
 
 All lengths and areas are plain double precision; tolerances elsewhere in the
 package are expressed relative to the container scale.
@@ -182,7 +184,9 @@ class Triangle:
 
 
 def _inradius(t: Triangle) -> float:
-    return 2.0 * t.area / sum(t.side_lengths)
+    # summed left to right: builtin sum() compensates floats from Python 3.12
+    a, b, c = t.side_lengths
+    return 2.0 * t.area / (a + b + c)
 
 
 def _altitude_split(left: Point, right: Point, apex: Point) -> tuple[Point, float, float]:
@@ -218,60 +222,9 @@ def _incenter(a: Point, b: Point, c: Point) -> Point:
     )
 
 
-@dataclass(frozen=True)
-class Hat:
-    """A non-acute triangle whose three corners are rounded to a given radius.
-
-    The shape is the morphological opening of the triangle: equivalently the
-    convex hull of three disks of the rounding radius centered on the corners
-    of the triangle shrunk inward by that radius along both adjacent sides.
-    Rounding zero gives the bare triangle; rounding equal to the inradius
-    degenerates the hat to its incircle.
-    """
-
-    triangle: Triangle
-    rounding_radius: float = 0.0
-
-    def __post_init__(self):
-        if not self.triangle.is_non_acute:
-            raise InvalidParameterError("hat triangles must be right or obtuse")
-        s = float(self.rounding_radius)
-        if not (math.isfinite(s) and s >= 0.0):
-            raise InvalidParameterError(f"rounding radius must be non-negative, got {s!r}")
-        r = _inradius(self.triangle)
-        if s > r * (1.0 + 1e-9):
-            raise InvalidParameterError("rounding radius exceeds the triangle's inradius")
-        object.__setattr__(self, "rounding_radius", min(s, r))
-
-    @cached_property
-    def incircle(self) -> Circle:
-        return triangle_incircle(self.triangle)
-
-    def eroded_corners(self) -> tuple[Point, Point, Point]:
-        """Corners of the triangle shrunk inward by the rounding radius.
-
-        Shrinking all sides inward by s is the homothety about the incenter
-        with ratio (R - s) / R, so the result stays exactly similar.
-        """
-        s = self.rounding_radius
-        if s == 0.0:
-            return self.triangle.vertices
-        center = self.incircle.center
-        k = (self.incircle.radius - s) / self.incircle.radius
-        return tuple(
-            Point(center.x + k * (p.x - center.x), center.y + k * (p.y - center.y))
-            for p in self.triangle.vertices
-        )
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
-
-def triangle_incircle(t: Triangle) -> Circle:
-    """Largest inscribed circle: radius area/semiperimeter, center the incenter."""
-    return Circle(_incenter(*t.vertices), _inradius(t))
-
 
 def square_twincircles(side: float) -> tuple[Circle, Circle]:
     """The two largest equal circles packable into the square.
@@ -310,8 +263,7 @@ def critical_density(container: Union[Square, Triangle]) -> float:
     raise UnsupportedContainerError(f"unsupported container type: {type(container).__name__}")
 
 
-def hat_split_key(h: Union[Hat, Triangle]) -> SplitKey:
-    """Incircle areas (f1, f2) of the two altitude halves of the underlying triangle."""
-    t = h.triangle if isinstance(h, Hat) else h
+def hat_split_key(t: Triangle) -> SplitKey:
+    """Incircle areas (f1, f2) of the two altitude halves of the triangle."""
     _foot, r1, r2 = _altitude_split(*t.base_split)
     return SplitKey(math.pi * r1 * r1, math.pi * r2 * r2)

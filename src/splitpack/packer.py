@@ -37,7 +37,6 @@ from .geometry import (
     SplitKey,
     Square,
     Triangle,
-    triangle_incircle,
     _altitude_split,
     _incenter,
     _inradius,
@@ -112,6 +111,12 @@ class PackRequest:
     container: Union[Square, Triangle]
     circles: CircleSet
     min_size: float = 0.0
+
+    def __post_init__(self):
+        # pack and decide both build a request, so both refuse a bad min_size here
+        if not (math.isfinite(self.min_size) and self.min_size >= 0.0):
+            raise InvalidParameterError(
+                f"min_size must be finite and non-negative, got {self.min_size!r}")
 
 
 @dataclass
@@ -253,8 +258,6 @@ def _validate_request(request: PackRequest) -> float:
     for area in circles.areas:
         if not (math.isfinite(area) and area > 0.0):
             raise InvalidParameterError(f"circle areas must be positive, got {area!r}")
-    if request.min_size < 0.0:
-        raise InvalidParameterError("min_size must be non-negative")
     capacity = packable_area(request.container)
     _check_feasible(circles, request.min_size, capacity)
     return capacity
@@ -369,9 +372,6 @@ def min_container(
     if family == "square" or isinstance(family, Square):
         return Square(math.sqrt(total / PHI_SQUARE))
     if isinstance(family, Triangle):
-        if not family.is_non_acute:
-            raise UnsupportedContainerError("acute triangle containers are not supported")
-        incircle = triangle_incircle(family)
-        factor = math.sqrt(total / (math.pi * incircle.radius * incircle.radius))
+        factor = math.sqrt(total / packable_area(family))
         return family.scaled_about(family.vertices[0], factor)
     raise InvalidParameterError(f"unknown container family: {family!r}")

@@ -39,10 +39,13 @@ class CircleSet:
                 raise InvalidParameterError(f"circle areas must be positive, got {a!r}")
         order = sorted(range(len(values)), key=lambda i: -values[i])
         ordered = [values[i] for i in order]
+        combined = 0.0
+        for a in ordered:  # left to right: builtin sum() compensates floats from Python 3.12
+            combined += a
         return cls(
             areas=tuple(ordered),
             indices=tuple(order),
-            combined=sum(ordered),
+            combined=combined,
             minimum=ordered[-1] if ordered else math.inf,
         )
 

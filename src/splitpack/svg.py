@@ -7,8 +7,8 @@ element per placement and one <path> element per subcontainer.
 
 import numpy as np
 
-from .documents import PackingDocument
 from .geometry import Square
+from .packer import Packing
 
 _SUBCONTAINER_FILL = "#d4d4d4"
 _SUBCONTAINER_STROKE = "#a0a0a0"
@@ -61,9 +61,9 @@ def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]
     return [templates[kind] % next(rows[kind]) for kind in kinds.tolist()]
 
 
-def render_packing_svg(doc: PackingDocument, size: float = 640.0) -> str:
-    """Render a packing document as a standalone SVG figure."""
-    container = doc.container_shape()
+def render_packing_svg(packing: Packing, size: float = 640.0) -> str:
+    """Render a packing record as a standalone SVG figure."""
+    container = packing.container
     if isinstance(container, Square):
         min_x = min_y = 0.0
         max_x = max_y = container.side
@@ -101,7 +101,6 @@ def render_packing_svg(doc: PackingDocument, size: float = 640.0) -> str:
         lines.append(
             f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="{fmt(stroke)}"/>'
         )
-    packing = doc.packing
     # shallow hats first, so that deeper ones are drawn on top
     order = np.argsort(np.array(packing.hat_depths(), dtype=np.intp), kind="stable")
     tris = np.asarray(packing.hat_vertices, dtype=float).reshape(-1, 3, 2)[order]

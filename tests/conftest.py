@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from splitpack import Hat, PackingDocument, Square, Triangle, packable_area
+from splitpack import PackingDocument, Square, Triangle, packable_area
 
 
 def triangle_from_angles(alpha: float, apex: float, scale: float = 1.0) -> Triangle:
@@ -59,16 +59,6 @@ def placement(x: float, y: float, radius: float, input_index: int) -> dict:
 def subcontainer(triangle: Triangle, rounding: float, depth: int) -> dict:
     return {"vertices": [list(p) for p in triangle.vertices], "rounding_radius": rounding,
             "depth": depth}
-
-
-def hat_shapes(packing) -> list[Hat]:
-    """The record's hats as validated shape objects, in record order."""
-    v = packing.hat_vertices
-    return [
-        Hat(Triangle(((v[6 * h], v[6 * h + 1]), (v[6 * h + 2], v[6 * h + 3]),
-                      (v[6 * h + 4], v[6 * h + 5]))), packing.hat_rounding[h])
-        for h in range(len(packing.hat_rounding))
-    ]
 
 
 def child_hats(packing, parent: int) -> list[int]:

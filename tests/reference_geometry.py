@@ -9,15 +9,22 @@ The construction's measurements, each with arithmetic of its own: the
 altitude halves of a triangle, the closed-form dimensions of a right
 isosceles hat, and the conjugatedness conditions on a split. Tests compare
 the packer's hats and splits with these.
+
+The hat as a validated shape object, :class:`Hat`, with its incircle
+(:func:`triangle_incircle`): the package records hats only as numbers in a
+``Packing``, and tests rebuild them as shapes from its columns
+(:func:`hat_shapes`, :func:`first_level_hats`).
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from splitpack import InvalidParameterError, Point, SplitKey, Triangle
-from splitpack.geometry import _as_point
+from splitpack import Circle, InvalidParameterError, Point, SplitKey, Triangle
+from splitpack.geometry import _as_point, _incenter, _inradius
 
 SQRT2 = math.sqrt(2.0)
 
@@ -244,3 +251,70 @@ def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: SplitKey) ->
     if b2 < a2 - f2 * a1 / f1 - tol:
         return False
     return True
+
+
+@dataclass(frozen=True)
+class Hat:
+    """A non-acute triangle whose three corners are rounded to a given radius.
+
+    The shape is the morphological opening of the triangle: equivalently the
+    convex hull of three disks of the rounding radius centered on the corners
+    of the triangle shrunk inward by that radius along both adjacent sides.
+    Rounding zero gives the bare triangle; rounding equal to the inradius
+    degenerates the hat to its incircle.
+    """
+
+    triangle: Triangle
+    rounding_radius: float = 0.0
+
+    def __post_init__(self):
+        if not self.triangle.is_non_acute:
+            raise InvalidParameterError("hat triangles must be right or obtuse")
+        s = float(self.rounding_radius)
+        if not (math.isfinite(s) and s >= 0.0):
+            raise InvalidParameterError(f"rounding radius must be non-negative, got {s!r}")
+        r = _inradius(self.triangle)
+        if s > r * (1.0 + 1e-9):
+            raise InvalidParameterError("rounding radius exceeds the triangle's inradius")
+        object.__setattr__(self, "rounding_radius", min(s, r))
+
+    @cached_property
+    def incircle(self) -> Circle:
+        return triangle_incircle(self.triangle)
+
+    def eroded_corners(self) -> tuple[Point, Point, Point]:
+        """Corners of the triangle shrunk inward by the rounding radius.
+
+        Shrinking all sides inward by s is the homothety about the incenter
+        with ratio (R - s) / R, so the result stays exactly similar.
+        """
+        s = self.rounding_radius
+        if s == 0.0:
+            return self.triangle.vertices
+        center = self.incircle.center
+        k = (self.incircle.radius - s) / self.incircle.radius
+        return tuple(
+            Point(center.x + k * (p.x - center.x), center.y + k * (p.y - center.y))
+            for p in self.triangle.vertices
+        )
+
+
+def triangle_incircle(t: Triangle) -> Circle:
+    """Largest inscribed circle: radius area/semiperimeter, center the incenter."""
+    return Circle(_incenter(*t.vertices), _inradius(t))
+
+
+def hat_shapes(packing) -> list[Hat]:
+    """The record's hats as validated shape objects, in record order."""
+    v = packing.hat_vertices
+    return [
+        Hat(Triangle(((v[6 * h], v[6 * h + 1]), (v[6 * h + 2], v[6 * h + 3]),
+                      (v[6 * h + 4], v[6 * h + 5]))), packing.hat_rounding[h])
+        for h in range(len(packing.hat_rounding))
+    ]
+
+
+def first_level_hats(packing) -> list[Hat]:
+    """The shapes of the hats whose parent is the container, in record order."""
+    hats = hat_shapes(packing)
+    return [hats[h] for h, parent in enumerate(packing.hat_parent) if parent == -1]

@@ -28,14 +28,18 @@ from splitpack import (
     min_guarantee,
     pack,
     packable_area,
-    triangle_incircle,
     verify,
     weighted_split,
 )
 from splitpack.cli import main as cli_main
 from splitpack.geometry import SplitKey
 from conftest import random_areas, random_non_acute_triangle, triangle_from_angles
-from reference_geometry import ConjugatedPair, check_conjugated, hat_dimensions
+from reference_geometry import (
+    ConjugatedPair,
+    check_conjugated,
+    hat_dimensions,
+    triangle_incircle,
+)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -28,6 +28,7 @@ from splitpack import (
 from splitpack import cli
 from splitpack.cli import main
 from splitpack.documents import container_from_dict, container_to_dict
+from reference_geometry import Hat
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,10 +84,27 @@ class TestDocuments:
         doc = PackingDocument.from_tree(root, Square(1.0))
         again = PackingDocument.from_dict(json.loads(doc.to_json()))
         assert again.to_dict() == doc.to_dict()
-        assert len(doc.placements) == 2
-        assert [p["input_index"] for p in doc.placements] == [0, 1]
-        assert doc.density_used == pytest.approx(PHI_SQUARE, rel=1e-12)
-        assert doc.critical_density == pytest.approx(PHI_SQUARE, rel=1e-12)
+        data = doc.to_dict()
+        assert len(data["placements"]) == 2
+        assert [p["input_index"] for p in data["placements"]] == [0, 1]
+        assert data["density_used"] == pytest.approx(PHI_SQUARE, rel=1e-12)
+        assert data["critical_density"] == pytest.approx(PHI_SQUARE, rel=1e-12)
+
+    def test_parsed_document_is_rewritten_from_its_record(self):
+        # the container is written from the record's triangle, not copied as
+        # "sides", and stored densities are recomputed, not kept
+        data = {
+            "container": {"type": "triangle", "sides": [3.0, 4.0, 5.0]},
+            "placements": [{"x": 1.0, "y": 1.0, "radius": 0.5, "input_index": 0}],
+            "density_used": 7.0,
+            "critical_density": -1.0,
+        }
+        out = PackingDocument.from_dict(data).to_dict()
+        triangle = Triangle.from_sides(3.0, 4.0, 5.0)
+        assert out["container"] == container_to_dict(triangle)
+        assert out["density_used"] == math.pi * 0.25 / triangle.area
+        assert out["critical_density"] == pytest.approx(math.pi / 6.0, rel=1e-12)
+        assert out["placements"] == data["placements"] and out["subcontainers"] == []
 
     def test_reconstructed_tree_verifies(self):
         rng = np.random.default_rng(11)
@@ -108,9 +126,9 @@ class TestSvg:
         areas = list(w * (PHI_SQUARE * 0.8 / w.sum()))
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
         doc = PackingDocument.from_tree(root, Square(1.0))
-        svg = render_packing_svg(doc)
+        svg = render_packing_svg(root)
         assert svg.count("<circle ") == len(areas)
-        assert svg.count("<path ") == len(doc.subcontainers)
+        assert svg.count("<path ") == len(doc.to_dict()["subcontainers"])
         assert svg.count("<rect ") == 1
 
     def test_triangle_container_and_rounded_hats(self):
@@ -118,9 +136,9 @@ class TestSvg:
         areas = [0.9 * math.pi, 0.05 * math.pi]
         root = pack(PackRequest(t, CircleSet.from_areas(areas)))
         doc = PackingDocument.from_tree(root, t)
-        svg = render_packing_svg(doc)
+        svg = render_packing_svg(root)
         assert svg.count("<circle ") == 2
-        assert svg.count("<path ") == len(doc.subcontainers)
+        assert svg.count("<path ") == len(doc.to_dict()["subcontainers"])
         assert svg.count("<polygon ") == 1
         assert "A " in svg  # rounded corners render as arcs
 
@@ -139,7 +157,7 @@ class TestSvg:
 
         t = Triangle.from_sides(3.0, 4.0, 5.0)
         for s in (0.0, 0.25, 0.999):
-            hat = sp.Hat(t, s)
+            hat = Hat(t, s)
             a, b, c = t.vertices
             ccw, cw = _hat_paths(np.array([(a, b, c), (a, c, b)]), np.array([s, s]), 0.0)
             assert ccw == cw
@@ -161,7 +179,7 @@ class TestSvg:
         for n in (2, 16, 40):
             areas = [PHI_SQUARE / n] * n if n < 40 else [PHI_SQUARE * 0.5 ** (k + 1) for k in range(n)]
             root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
-            svg = render_packing_svg(PackingDocument.from_tree(root, Square(1.0)))
+            svg = render_packing_svg(root)
             numbers = [float(w) for w in re.findall(r"-?[0-9.]+(?:e[-+][0-9]+)?", svg.split("<g ", 1)[1])]
             assert numbers and all(x == 0.0 or abs(x) >= 1e-12 for x in numbers)
             assert "-0 " not in svg and '"-0"' not in svg
@@ -243,6 +261,23 @@ class TestDecide:
         assert answers == {True, False}
 
 
+class TestMinSize:
+    @pytest.mark.parametrize("command", ["decide", "pack"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_decide_and_pack_refuse_the_same_min_size(self, capsys, command, value):
+        code, out, err = run_cli([command, "--container", "square:1", f"--min-size={value}"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: min_size must be finite and non-negative")
+
+    def test_library_refuses_it_before_the_feasibility_rule(self):
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(sp.InvalidParameterError, match="min_size"):
+                PackRequest(Square(1.0), CircleSet.from_areas([0.1]), min_size=value)
+            with pytest.raises(sp.InvalidParameterError, match="min_size"):
+                decide(InstanceDocument(Square(1.0), [0.1], min_size=value))
+
+
 class TestPack:
     def test_pack_verify_roundtrip(self, tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(
@@ -305,7 +340,7 @@ class TestPack:
         )
         assert code == 0
         doc = PackingDocument.from_dict(json.loads(out))
-        assert len(doc.placements) == 2
+        assert len(doc.to_dict()["placements"]) == 2
 
 
 class TestApprox:
@@ -378,6 +413,34 @@ class TestModuleEntryPoint:
         with pytest.raises(BrokenPipeError):
             cli.main(["gen", "-n", "3", "--out", str(tmp_path / "fifo")])
         assert "standard output" not in capsys.readouterr().err
+
+
+_SQUARE_DICT = {"type": "square", "side": 1.0}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pack", {"container": _SQUARE_DICT, "circles": 5}),
+    ("pack", {"container": _SQUARE_DICT, "circles": [{"area": "abc"}]}),
+    ("pack", {"container": _SQUARE_DICT, "circles": [{"area": [1]}]}),
+    ("pack", {"container": _SQUARE_DICT, "circles": [], "min_size": "abc"}),
+    ("verify", {"container": _SQUARE_DICT, "placements": 5}),
+    ("verify", {"container": _SQUARE_DICT, "placements": [
+        {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 1.7}]}),
+    ("verify", {"container": _SQUARE_DICT, "subcontainers": [
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1.7}]}),
+    ("verify", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0], [0]]}}),
+], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
+        "input-index-fraction", "depth-fraction", "vertex-short"])
+def test_malformed_document_exits_2_with_one_error_line(tmp_path, command, doc):
+    # exit 1 from verify means FAIL; a malformed document is invalid input
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["pack", "--circles", str(path)] if command == "pack" else ["verify", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "splitpack", *argv], capture_output=True,
+                          text=True, env=TestModuleEntryPoint.env(), timeout=60)
+    assert proc.returncode == cli.EXIT_INVALID, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

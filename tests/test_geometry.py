@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import splitpack as sp
 from splitpack import (
     PHI_SQUARE,
-    Hat,
     InvalidParameterError,
     Square,
     Triangle,
@@ -18,16 +17,17 @@ from splitpack import (
     critical_density,
     hat_split_key,
     square_twincircles,
-    triangle_incircle,
 )
 from conftest import random_non_acute_triangle, triangle_from_angles
 from reference_geometry import (
+    Hat,
     altitude_foot,
     convex_polygon_distance,
     hat_dimensions,
     point_segment_distance,
     segment_segment_distance,
     signed_distance,
+    triangle_incircle,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -278,10 +278,6 @@ class TestSplitKey:
             key = hat_split_key(t)
             a = triangle_incircle(t).area
             assert key.f1 + key.f2 >= a * (1.0 - 1e-12)
-
-    def test_accepts_hat(self):
-        t = Triangle.from_sides(3.0, 4.0, 5.0)
-        assert hat_split_key(Hat(t, 0.1)) == hat_split_key(t)
 
 
 class TestSignedDistance:

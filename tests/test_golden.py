@@ -106,7 +106,7 @@ def test_json_round_trip_is_bit_exact(name):
     text = doc.to_json()
     again = PackingDocument.from_dict(json.loads(text))
     assert document_digest(again.to_dict()) == document_digest(doc.to_dict())
-    for a, b in zip(doc.placements, again.placements):
+    for a, b in zip(doc.to_dict()["placements"], again.to_dict()["placements"]):
         for field in ("x", "y", "radius"):
             assert math.copysign(1.0, a[field]) == math.copysign(1.0, b[field])
     assert again.to_json() == text

@@ -10,7 +10,6 @@ from splitpack import (
     PHI_SQUARE,
     CircleSet,
     ConjugacyError,
-    Hat,
     InvalidParameterError,
     OverCapacityError,
     PackRequest,
@@ -26,19 +25,22 @@ from splitpack import (
     min_guarantee,
     pack,
     packable_area,
-    triangle_incircle,
     verify,
     weighted_split,
 )
 from splitpack import packer
 from conftest import (
-    child_hats,
-    hat_shapes,
     random_container,
     random_feasible_instance,
     random_non_acute_triangle,
 )
-from reference_geometry import altitude_halves, signed_distance
+from reference_geometry import (
+    Hat,
+    altitude_halves,
+    first_level_hats,
+    signed_distance,
+    triangle_incircle,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,11 +53,6 @@ def right_isosceles_with_incircle(area: float) -> Triangle:
 
 def non_root_hat_count(packing: Packing) -> int:
     return len(packing.hat_rounding)
-
-
-def first_level_hats(packing: Packing) -> list[Hat]:
-    hats = hat_shapes(packing)
-    return [hats[h] for h in child_hats(packing, -1)]
 
 
 class TestSquarePacking:

@@ -36,6 +36,11 @@ class TestCircleSet:
         assert cs.combined == pytest.approx(1.8, rel=1e-12)
         assert cs.minimum == 0.2
 
+    def test_combined_is_the_left_to_right_sum(self):
+        # a compensated sum (builtin sum() from Python 3.12) gives 1 + 2**-52
+        cs = CircleSet.from_areas([1.0, 2.0**-53, 2.0**-53])
+        assert cs.combined == 1.0
+
     def test_empty(self):
         cs = CircleSet.from_areas([])
         assert len(cs) == 0

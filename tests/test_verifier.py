@@ -14,7 +14,6 @@ from splitpack import (
     CheckKind,
     Circle,
     CircleSet,
-    Hat,
     DocumentError,
     MalformedTreeError,
     PackRequest,
@@ -23,7 +22,6 @@ from splitpack import (
     Square,
     Triangle,
     pack,
-    triangle_incircle,
     verify,
 )
 from splitpack import verifier
@@ -37,7 +35,6 @@ from splitpack.verifier import (
 )
 from conftest import (
     child_hats,
-    hat_shapes,
     parse_packing,
     placement,
     random_areas,
@@ -47,11 +44,14 @@ from conftest import (
     subcontainer,
 )
 from reference_geometry import (
+    Hat,
     all_pairs_circle_slacks,
     altitude_halves,
     convex_polygon_distance,
+    hat_shapes,
     point_segment_distance,
     signed_distance,
+    triangle_incircle,
 )
 
 SQRT2 = math.sqrt(2.0)
