@@ -3,8 +3,10 @@
 Each corpus entry is packed and turned into a ``PackingDocument``; its
 placements and subcontainers are hashed through every float's ``repr``, so a
 change in the last bit of any coordinate, radius or rounding changes the
-digest. ``golden_packings.json`` holds the digests. A request that the packer
-refuses is recorded by the name of the error it raises.
+digest. The compact JSON text that ``to_json`` writes is pinned by its
+sha256, byte for byte. ``golden_packings.json`` holds both, under
+``"records"`` and ``"to_json"``. A request that the packer refuses is
+recorded by the name of the error it raises.
 
 Regenerate the digests (only for a deliberate change of the geometry) with
 
@@ -78,12 +80,14 @@ def pack_entry(make, kind: str, n: int) -> PackingDocument:
     return PackingDocument.from_tree(packing, container)
 
 
-def outcome(make, kind: str, n: int) -> str:
+def outcome(make, kind: str, n: int) -> tuple[str, str]:
+    """(record digest, sha256 of the JSON text), or the refusal twice."""
     try:
         doc = pack_entry(make, kind, n)
     except SplitPackError as exc:
-        return f"raises {type(exc).__name__}"
-    return document_digest(doc.to_dict())
+        refused = f"raises {type(exc).__name__}"
+        return refused, refused
+    return document_digest(doc.to_dict()), hashlib.sha256(doc.to_json().encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +96,22 @@ def golden() -> dict:
 
 
 def test_golden_file_covers_the_corpus(golden):
-    assert sorted(golden) == sorted(key for key, *_ in corpus())
+    keys = sorted(key for key, *_ in corpus())
+    assert sorted(golden) == ["records", "to_json"]
+    assert sorted(golden["records"]) == keys
+    assert sorted(golden["to_json"]) == keys
 
 
 @pytest.mark.parametrize("key,make,kind,n", list(corpus()), ids=[c[0] for c in corpus()])
 def test_packing_is_bit_identical(golden, key, make, kind, n):
-    assert outcome(make, kind, n) == golden[key]
+    assert outcome(make, kind, n) == (golden["records"][key], golden["to_json"][key])
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+@pytest.mark.parametrize("n", SIZES)
+def test_to_dict_is_the_parsed_json(name, n):
+    doc = pack_entry(CONTAINERS[name], "uniform", n)
+    assert doc.to_dict() == json.loads(doc.to_json())
 
 
 @pytest.mark.parametrize("name", sorted(CONTAINERS))
@@ -113,5 +127,11 @@ def test_json_round_trip_is_bit_exact(name):
 
 
 if __name__ == "__main__":
-    json.dump({key: outcome(make, kind, n) for key, make, kind, n in corpus()}, sys.stdout, indent=2)
+    results = {key: outcome(make, kind, n) for key, make, kind, n in corpus()}
+    json.dump(
+        {"records": {key: r[0] for key, r in results.items()},
+         "to_json": {key: r[1] for key, r in results.items()}},
+        sys.stdout,
+        indent=2,
+    )
     sys.stdout.write("\n")
