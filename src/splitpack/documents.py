@@ -86,7 +86,7 @@ class InstanceDocument:
             raise DocumentError(f"'circles' must be a list, got {circles!r}")
         areas = [circle_entry_area(entry) for entry in circles]
         try:
-            min_size = float(data.get("min_size", 0.0))
+            min_size = _number(data.get("min_size", 0.0))
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"'min_size' must be a number, got {data['min_size']!r}") from exc
         return cls(container=container, areas=areas, min_size=min_size)
@@ -111,13 +111,13 @@ class InstanceDocument:
 
 def circle_entry_area(entry) -> float:
     """Area of a circle entry: exactly one of {'area': a} or {'radius': r}."""
-    if not isinstance(entry, dict) or len(entry.keys() & {"area", "radius"}) != 1:
+    if not isinstance(entry, dict) or ("area" in entry) == ("radius" in entry):
         raise DocumentError(f"circle entries need exactly one of 'area' or 'radius', got {entry!r}")
     try:
         if "area" in entry:
-            value = float(entry["area"])
+            value = _number(entry["area"])
         else:
-            r = float(entry["radius"])
+            r = _number(entry["radius"])
             value = math.pi * r * r
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"circle entries must be numbers, got {entry!r}") from exc
@@ -126,12 +126,32 @@ def circle_entry_area(entry) -> float:
     return value
 
 
+def _number(value) -> float:
+    """``value`` as a float; a JSON boolean or string is not a number."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``value`` as an int; a number with a fractional part is refused, not truncated."""
+    """``value`` as an int; a boolean, a string or a number with a fractional
+    part is refused, not converted."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not an integer")
     k = int(value)
     if k != value:
         raise ValueError(f"{value!r} is not an integer")
     return k
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+_PLACEMENT = '{"x":%r,"y":%r,"radius":%r,"input_index":%d}'
+_SUBCONTAINER = '{"vertices":[[%r,%r],[%r,%r],[%r,%r]],"rounding_radius":%r,"depth":%d}'
+_DOCUMENT = ('{"container":%s,"placements":[%s],"subcontainers":[%s],'
+             '"density_used":%s,"critical_density":%s}')
 
 
 @dataclass
@@ -144,7 +164,9 @@ class PackingDocument:
     of an entry at depth d is the nearest preceding entry at depth d-1 (or
     the container for d = 1). The record is the document's only state: the
     container and both densities are written from it, and a parsed document
-    keeps only what its record holds.
+    keeps only what its record holds. :meth:`to_dict` builds this layout as
+    dicts and lists; :meth:`to_json` writes the same layout as text straight
+    from the columns.
     """
 
     packing: Packing
@@ -170,9 +192,13 @@ class PackingDocument:
                     coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths()
                 )
             ],
-            "density_used": math.fsum(math.pi * r**2 for r in p.radius) / p.container.area,
+            "density_used": self._density_used(),
             "critical_density": critical_density(p.container),
         }
+
+    def _density_used(self) -> float:
+        p = self.packing
+        return math.fsum(math.pi * r**2 for r in p.radius) / p.container.area
 
     @classmethod
     def from_dict(cls, data: dict) -> "PackingDocument":
@@ -213,8 +239,26 @@ class PackingDocument:
         return cls(packing)
 
     def to_json(self) -> str:
-        # compact separators let json use its C encoder
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """The compact JSON text of :meth:`to_dict`, written from the record's columns.
+
+        One template per placement and per subcontainer, so no dict or list
+        is built per entry; ``%r`` is the ``float.__repr__`` that
+        ``json.dumps`` uses, so the text equals
+        ``json.dumps(self.to_dict(), separators=(",", ":"))`` byte for byte.
+        """
+        p = self.packing
+        # a sum is finite only if every term is; json spells nan and inf as
+        # NaN and Infinity, which float.__repr__ does not
+        if not all(math.isfinite(sum(column))
+                   for column in (p.x, p.y, p.radius, p.hat_vertices, p.hat_rounding)):
+            return _dumps(self.to_dict())
+        coords = iter(p.hat_vertices)
+        placements = ",".join(map(_PLACEMENT.__mod__, zip(p.x, p.y, p.radius, p.input_index)))
+        subcontainers = ",".join(map(_SUBCONTAINER.__mod__, zip(
+            coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths())))
+        return _DOCUMENT % (
+            _dumps(container_to_dict(p.container)), placements, subcontainers,
+            _dumps(self._density_used()), _dumps(critical_density(p.container)))
 
     def to_tree(self) -> Packing:
         """The document's packing record, ready for :func:`splitpack.verify`."""

@@ -189,13 +189,14 @@ def _inradius(t: Triangle) -> float:
     return 2.0 * t.area / (a + b + c)
 
 
-def _altitude_split(left: Point, right: Point, apex: Point) -> tuple[Point, float, float]:
+def _altitude_split(left, right, apex) -> tuple[tuple[float, float], float, float]:
     """Split a non-acute triangle through its apex, orthogonal to the base.
 
     ``left``, ``right`` are the ends of the base (the longest side) and
-    ``apex`` the opposite vertex. Returns the foot of the apex altitude and
-    the inradii of the two right altitude halves (left, foot, apex) and
-    (foot, right, apex), whose right angles sit at the foot.
+    ``apex`` the opposite vertex, each an (x, y) pair. Returns the foot of
+    the apex altitude as a plain (x, y) tuple and the inradii of the two
+    right altitude halves (left, foot, apex) and (foot, right, apex), whose
+    right angles sit at the foot.
     """
     (lx, ly), (rx, ry), (cx, cy) = left, right, apex
     bx, by = rx - lx, ry - ly
@@ -206,17 +207,17 @@ def _altitude_split(left: Point, right: Point, apex: Point) -> tuple[Point, floa
     altitude = math.hypot(cx - fx, cy - fy)
     r1 = leg_left * altitude / (leg_left + altitude + math.hypot(cx - lx, cy - ly))
     r2 = leg_right * altitude / (leg_right + altitude + math.hypot(cx - rx, cy - ry))
-    return Point(fx, fy), r1, r2
+    return (fx, fy), r1, r2
 
 
-def _incenter(a: Point, b: Point, c: Point) -> Point:
-    """Incenter of the triangle abc: its vertices weighted by the opposite sides."""
+def _incenter(a, b, c) -> tuple[float, float]:
+    """Incenter of the triangle abc as an (x, y) tuple: its vertices weighted by the opposite sides."""
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     wa = math.hypot(cx - bx, cy - by)
     wb = math.hypot(cx - ax, cy - ay)
     wc = math.hypot(bx - ax, by - ay)
     perimeter = wa + wb + wc
-    return Point(
+    return (
         (wa * ax + wb * bx + wc * cx) / perimeter,
         (wa * ay + wb * by + wc * cy) / perimeter,
     )

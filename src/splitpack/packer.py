@@ -148,7 +148,7 @@ def packable_area(container: Union[Square, Triangle]) -> float:
 def _check_tuples(
     a_total: float,
     b_floor: float,
-    key: SplitKey,
+    key: tuple[float, float],
     first: tuple[float, float],
     second: tuple[float, float],
 ) -> None:
@@ -193,7 +193,8 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
     scale_factors = stats.scale_factors
     # (parent, recorded vertex coordinates or None for the container
     #  triangle, rounding, scale factor, L, R, C, inradius, subset, inherited
-    #  min size, depth) with L, R the base (longest side) ends and C the apex
+    #  min size, depth) with L, R the base (longest side) ends and C the apex,
+    #  each an (x, y) pair
     stack = list(reversed(hats))
     while stack:
         parent, coords, rounding, t, left, right, apex, r_in, subset, b_min, depth = stack.pop()
@@ -208,7 +209,8 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         if depth > stats.max_depth:
             stats.max_depth = depth
 
-        if len(subset) == 1:
+        size = len(subset.areas)
+        if size == 1:
             # lone circle: concentric with the hat's incircle
             area = subset.areas[0]
             if area > pi * r_in * r_in * (1.0 + _PLACEMENT_REL_TOL):
@@ -220,14 +222,14 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
             radii[k] = sqrt(area / pi)
             continue
 
-        foot, r1, r2 = _altitude_split(left, right, apex)
+        (fx, fy), r1, r2 = _altitude_split(left, right, apex)
         f1 = pi * r1 * r1
         f2 = pi * r2 * r2
-        key = SplitKey(f1, f2)
+        key = (f1, f2)
 
         part1, part2 = weighted_split(subset, key)
         stats.split_calls += 1
-        stats.element_moves += len(subset)
+        stats.element_moves += size
         a1, a2 = part1.combined, part2.combined
         b1 = min(min_guarantee(a1, a2, f1, f2, b_min), part1.minimum)
         b2 = min(min_guarantee(a2, a1, f2, f1, b_min), part2.minimum)
@@ -236,21 +238,25 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         t1 = _scale_factor(a1, f1)
         t2 = _scale_factor(a2, f2)
 
-        (lx, ly), (rx, ry), (cx, cy), (fx, fy) = left, right, apex, foot
+        (lx, ly), (rx, ry), (cx, cy) = left, right, apex
         # child 2: right half scaled about the right base vertex
-        q_f = Point(rx + t2 * (fx - rx), ry + t2 * (fy - ry))
-        q_c = Point(rx + t2 * (cx - rx), ry + t2 * (cy - ry))
+        qfx = rx + t2 * (fx - rx)
+        qfy = ry + t2 * (fy - ry)
+        qcx = rx + t2 * (cx - rx)
+        qcy = ry + t2 * (cy - ry)
         r2c = t2 * r2
-        stack.append((me, (*q_f, rx, ry, *q_c), min(sqrt(b2 / pi), r2c), t2,
-                      right, q_c, q_f, r2c, part2, b2, depth + 1))
+        stack.append((me, (qfx, qfy, rx, ry, qcx, qcy), min(sqrt(b2 / pi), r2c), t2,
+                      right, (qcx, qcy), (qfx, qfy), r2c, part2, b2, depth + 1))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
-        p_f = Point(lx + t1 * (fx - lx), ly + t1 * (fy - ly))
-        p_c = Point(lx + t1 * (cx - lx), ly + t1 * (cy - ly))
+        pfx = lx + t1 * (fx - lx)
+        pfy = ly + t1 * (fy - ly)
+        pcx = lx + t1 * (cx - lx)
+        pcy = ly + t1 * (cy - ly)
         r1c = t1 * r1
-        stack.append((me, (lx, ly, *p_f, *p_c), min(sqrt(b1 / pi), r1c), t1,
-                      p_c, left, p_f, r1c, part1, b1, depth + 1))
+        stack.append((me, (lx, ly, pfx, pfy, pcx, pcy), min(sqrt(b1 / pi), r1c), t1,
+                      (pcx, pcy), left, (pfx, pfy), r1c, part1, b1, depth + 1))
 
 
 def _validate_request(request: PackRequest) -> float:

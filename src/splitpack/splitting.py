@@ -37,7 +37,8 @@ class CircleSet:
         for a in values:
             if not (math.isfinite(a) and a > 0.0):
                 raise InvalidParameterError(f"circle areas must be positive, got {a!r}")
-        order = sorted(range(len(values)), key=lambda i: -values[i])
+        # descending and stable: reverse=True keeps equal areas in input order
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
         ordered = [values[i] for i in order]
         combined = 0.0
         for a in ordered:  # left to right: builtin sum() compensates floats from Python 3.12
@@ -51,7 +52,15 @@ class CircleSet:
 
     @classmethod
     def _presorted(cls, areas: list, indices: list, combined: float) -> "CircleSet":
-        return cls(tuple(areas), tuple(indices), combined, areas[-1] if areas else math.inf)
+        # filled through the instance dict: the frozen constructor's four
+        # object.__setattr__ calls would run twice per split
+        new = object.__new__(cls)
+        fields = new.__dict__
+        fields["areas"] = tuple(areas)
+        fields["indices"] = tuple(indices)
+        fields["combined"] = combined
+        fields["minimum"] = areas[-1] if areas else math.inf
+        return new
 
     def __len__(self) -> int:
         return len(self.areas)
@@ -77,7 +86,8 @@ def weighted_split(circles: CircleSet, key: SplitKey) -> tuple[CircleSet, Circle
 
     Each circle joins the bucket with the smaller relative filling level
     sum_i / f_i, ties to the first bucket; no final swap. Both outputs satisfy
-    min(C_i) >= combined(C_i) - f_i * combined(C_j) / f_j.
+    min(C_i) >= combined(C_i) - f_i * combined(C_j) / f_j. ``key`` is a
+    :class:`SplitKey` or any (f1, f2) pair.
     """
     f1, f2 = float(key[0]), float(key[1])
     if not (f1 > 0.0 and f2 > 0.0):

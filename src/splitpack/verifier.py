@@ -255,6 +255,8 @@ class _Columns:
         )
         self.radii = np.asarray(packing.radius, dtype=float)
         self._labels = np.asarray(packing.input_index)
+        if not np.array_equal(np.sort(self._labels), np.arange(n)):
+            raise MalformedTreeError("the circles' input indices must be 0..n-1, each once")
         if not (np.all(np.isfinite(self.centers)) and np.all(self.radii > 0.0)
                 and np.all(np.isfinite(self.radii))):
             raise MalformedTreeError("circles need finite centers and positive radii")
@@ -382,8 +384,9 @@ def verify(
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
     tiny circles cannot overlap by more than a share of their own size. The
     report passes iff no check fails. A record that is not well formed
-    (non-positive radii, negative rounding, a hat before its parent)
-    raises :class:`MalformedTreeError`.
+    (non-positive radii, negative rounding, a hat before its parent, input
+    indices that are not a permutation of 0..n-1, so that a circle is lost
+    or duplicated) raises :class:`MalformedTreeError`.
     """
     index = _Columns(packing)
     diameter = index.diameter

@@ -68,6 +68,39 @@ class TestDocuments:
             with pytest.raises(sp.DocumentError):
                 InstanceDocument.from_dict({**base, "circles": circles})
 
+    @pytest.mark.parametrize("entry", [{"area": True}, {"area": "0.01"}, {"radius": False},
+                                       {"radius": "0.1"}])
+    def test_booleans_and_strings_are_not_areas(self, entry):
+        base = {"container": {"type": "square", "side": 1.0}}
+        with pytest.raises(sp.DocumentError):
+            InstanceDocument.from_dict({**base, "circles": [entry]})
+        with pytest.raises(sp.DocumentError):
+            InstanceDocument.from_dict({**base, "circles": [], "min_size": entry.popitem()[1]})
+
+    @pytest.mark.parametrize("field,value", [("input_index", True), ("input_index", "0"),
+                                             ("depth", True), ("depth", "1")])
+    def test_booleans_and_strings_are_not_integers(self, field, value):
+        placement = {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 0}
+        hat = {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1}
+        entry = placement if field == "input_index" else hat
+        data = {"container": {"type": "square", "side": 1.0}, "placements": [placement],
+                "subcontainers": [hat]}
+        entry[field] = value
+        with pytest.raises(sp.DocumentError):
+            PackingDocument.from_dict(data)
+
+    def test_non_finite_numbers_are_written_as_json_writes_them(self):
+        data = {
+            "container": {"type": "square", "side": 1.0},
+            "placements": [{"x": math.nan, "y": math.inf, "radius": -math.inf, "input_index": 0},
+                           {"x": 0.25, "y": -0.0, "radius": 1e-300, "input_index": 1}],
+            "subcontainers": [{"vertices": [[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]],
+                               "rounding_radius": math.inf, "depth": 1}],
+        }
+        text = PackingDocument.from_dict(data).to_json()
+        assert "NaN" in text and "-Infinity" in text
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
     def test_container_variants(self):
         sq = container_from_dict({"type": "square", "side": 2.0})
         assert isinstance(sq, Square) and sq.side == 2.0
@@ -429,8 +462,12 @@ _SQUARE_DICT = {"type": "square", "side": 1.0}
     ("verify", {"container": _SQUARE_DICT, "subcontainers": [
         {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1.7}]}),
     ("verify", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0], [0]]}}),
+    # side 10 holds a circle of area 1, which is what true used to be read as
+    ("pack", {"container": {"type": "square", "side": 10.0}, "circles": [{"area": True}]}),
+    ("verify", {"container": _SQUARE_DICT, "placements": [
+        {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": True}]}),
 ], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
-        "input-index-fraction", "depth-fraction", "vertex-short"])
+        "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true"])
 def test_malformed_document_exits_2_with_one_error_line(tmp_path, command, doc):
     # exit 1 from verify means FAIL; a malformed document is invalid input
     path = tmp_path / "doc.json"
@@ -469,6 +506,21 @@ class TestVerifyCommand:
     def test_malformed_document(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{}", monkeypatch=monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("indices", [[0, 0], [5]], ids=["duplicated", "out-of-range"])
+    def test_lost_or_duplicated_circle_is_refused(self, capsys, monkeypatch, indices):
+        # disjoint circles inside the square, but not one per input index 0..n-1
+        doc = {
+            "container": {"type": "square", "side": 1.0},
+            "placements": [{"x": 0.25 + 0.5 * k, "y": 0.5, "radius": 0.1, "input_index": i}
+                           for k, i in enumerate(indices)],
+            "subcontainers": [],
+        }
+        code, out, err = run_cli(
+            ["verify", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == "error: the circles' input indices must be 0..n-1, each once\n"
 
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypatch=monkeypatch)

@@ -111,7 +111,9 @@ def test_packing_is_bit_identical(golden, key, make, kind, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_to_dict_is_the_parsed_json(name, n):
     doc = pack_entry(CONTAINERS[name], "uniform", n)
-    assert doc.to_dict() == json.loads(doc.to_json())
+    text = doc.to_json()
+    assert doc.to_dict() == json.loads(text)
+    assert text == json.dumps(json.loads(text), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("name", sorted(CONTAINERS))

@@ -354,6 +354,25 @@ class TestTreeInvariants:
             assert stats.element_moves <= count * (count + 1) // 2
             assert len(stats.scale_factors) == stats.hat_count
 
+    def test_loop_splits_through_the_module_weighted_split(self, monkeypatch):
+        # the per-split counts of a tracer that wraps packer.weighted_split
+        # (calls, and len of the first argument) add up to PackStats' counters
+        # less the square's first split, which goes through split
+        calls = []
+        original = packer.weighted_split
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(packer, "weighted_split", counting)
+        areas = random_feasible_instance(np.random.default_rng(31), Square(1.0), max_n=300)
+        stats = PackStats()
+        pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)), stats)
+        assert len(areas) > 100
+        assert len(calls) == stats.split_calls - 1
+        assert sum(calls) == stats.element_moves - len(areas)
+
     def test_scale_equivariance(self):
         rng = np.random.default_rng(59)
         areas = random_feasible_instance(rng, Square(1.0), max_n=50)
