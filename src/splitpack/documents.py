@@ -136,6 +136,8 @@ def _number(value) -> float:
 def _integer(value) -> int:
     """``value`` as an int; a boolean, a string or a number with a fractional
     part is refused, not converted."""
+    if type(value) is int:  # a JSON integer: the one test on the parse path
+        return value
     if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not an integer")
     k = int(value)
