@@ -113,14 +113,15 @@ def _cmd_approx(args) -> int:
     if args.format == "svg":
         _write_output(render_packing_svg(packing), args.out)
         return EXIT_OK
-    result = {
+    header = json.dumps({
         "container": container_to_dict(container),
         "container_area": container.area,
         "lower_bound_area": circles.combined,
         "ratio": container.area / circles.combined,
-        "packing": PackingDocument.from_tree(packing, container).to_dict(),
-    }
-    _write_output(json.dumps(result, indent=2), args.out)
+    }, separators=(",", ":"))
+    # compact, with the packing document's own JSON text as the last field
+    document = PackingDocument.from_tree(packing, container).to_json()
+    _write_output(f'{header[:-1]},"packing":{document}}}', args.out)
     return EXIT_OK
 
 

@@ -191,7 +191,7 @@ class PackingDocument:
                 {"vertices": [[x0, y0], [x1, y1], [x2, y2]], "rounding_radius": rounding,
                  "depth": depth}
                 for x0, y0, x1, y1, x2, y2, rounding, depth in zip(
-                    coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths()
+                    coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depth
                 )
             ],
             "density_used": self._density_used(),
@@ -221,8 +221,7 @@ class PackingDocument:
             packing.y.append(y)
             packing.radius.append(r)
             packing.input_index.append(k)
-        # the hat on the chain at depth d is the latest one at that depth
-        chain: list[int] = [-1]
+        previous = 0
         for entry in subcontainers:
             try:
                 depth = _integer(entry["depth"])
@@ -231,11 +230,10 @@ class PackingDocument:
                 rounding = float(entry.get("rounding_radius", 0.0))
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DocumentError(f"malformed subcontainer entry: {entry!r}") from exc
-            if not 1 <= depth <= len(chain):
+            if not 1 <= depth <= previous + 1:
                 raise DocumentError(f"subcontainer at depth {depth} has no parent")
-            del chain[depth:]
-            packing.hat_parent.append(chain[-1])
-            chain.append(len(packing.hat_rounding))
+            previous = depth
+            packing.hat_depth.append(depth)
             packing.hat_vertices.extend(coords)
             packing.hat_rounding.append(rounding)
         return cls(packing)
@@ -257,7 +255,7 @@ class PackingDocument:
         coords = iter(p.hat_vertices)
         placements = ",".join(map(_PLACEMENT.__mod__, zip(p.x, p.y, p.radius, p.input_index)))
         subcontainers = ",".join(map(_SUBCONTAINER.__mod__, zip(
-            coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depths())))
+            coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depth)))
         return _DOCUMENT % (
             _dumps(container_to_dict(p.container)), placements, subcontainers,
             _dumps(self._density_used()), _dumps(critical_density(p.container)))

@@ -70,9 +70,10 @@ class Packing:
     input position ``input_index[k]``. Hat ``h`` (a subcontainer; the
     container itself is not one) has the counterclockwise vertices
     ``hat_vertices[6h:6h + 6]`` (x0, y0, x1, y1, x2, y2), rounding radius
-    ``hat_rounding[h]`` and parent hat ``hat_parent[h]``, -1 for the
-    container. Hats are stored in depth-first preorder, so every parent
-    precedes its children and siblings keep their order.
+    ``hat_rounding[h]`` and depth ``hat_depth[h]``, 1 for a child of the
+    container. Hats are stored in depth-first preorder, as the packing
+    document lists them: a hat's parent is the latest earlier hat one level
+    up, and siblings keep their order.
     """
 
     container: Union[Square, Triangle]
@@ -82,14 +83,7 @@ class Packing:
     input_index: array = field(default_factory=lambda: array("q"))
     hat_vertices: array = field(default_factory=lambda: array("d"))
     hat_rounding: array = field(default_factory=lambda: array("d"))
-    hat_parent: array = field(default_factory=lambda: array("q"))
-
-    def hat_depths(self) -> list[int]:
-        """Each hat's depth: 1 for a child of the container, one more per level."""
-        depths: list[int] = []
-        for parent in self.hat_parent:
-            depths.append(depths[parent] + 1 if parent >= 0 else 1)
-        return depths
+    hat_depth: array = field(default_factory=lambda: array("q"))
 
     def circle_leaves(self) -> list[CircleLeaf]:
         """The circles as shape objects, in record order."""
@@ -123,7 +117,10 @@ class PackRequest:
 class PackStats:
     """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
 
-    ``scale_factors`` holds each hat's scale factor, in the packing's hat order.
+    ``split_calls`` and ``element_moves`` count set splits and the circles
+    they moved; ``hat_count`` counts the record's hats, ``scale_factors`` holds
+    their scale factors in record order. ``max_depth`` is the deepest
+    ``hat_depth``, plus 1 for a triangle container, which counts as a level.
     """
 
     split_calls: int = 0
@@ -189,25 +186,20 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
     pi = math.pi
     sqrt = math.sqrt
     xs, ys, radii = packing.x, packing.y, packing.radius
-    vertices, roundings, parents = packing.hat_vertices, packing.hat_rounding, packing.hat_parent
+    vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
     scale_factors = stats.scale_factors
-    # (parent, recorded vertex coordinates or None for the container
-    #  triangle, rounding, scale factor, L, R, C, inradius, subset, inherited
-    #  min size, depth) with L, R the base (longest side) ends and C the apex,
-    #  each an (x, y) pair
+    # (vertex coordinates, rounding, scale factor, L, R, C, inradius, subset,
+    #  inherited min size, record depth) with L, R the base (longest side)
+    #  ends and C the apex, each an (x, y) pair; the container triangle has
+    #  depth 0 and is not recorded
     stack = list(reversed(hats))
     while stack:
-        parent, coords, rounding, t, left, right, apex, r_in, subset, b_min, depth = stack.pop()
-        if coords is None:
-            me = -1
-        else:
-            me = len(roundings)
+        coords, rounding, t, left, right, apex, r_in, subset, b_min, depth = stack.pop()
+        if depth:
             vertices.extend(coords)
             roundings.append(rounding)
-            parents.append(parent)
+            depths.append(depth)
             scale_factors.append(t)
-        if depth > stats.max_depth:
-            stats.max_depth = depth
 
         size = len(subset.areas)
         if size == 1:
@@ -245,7 +237,7 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         qcx = rx + t2 * (cx - rx)
         qcy = ry + t2 * (cy - ry)
         r2c = t2 * r2
-        stack.append((me, (qfx, qfy, rx, ry, qcx, qcy), min(sqrt(b2 / pi), r2c), t2,
+        stack.append(((qfx, qfy, rx, ry, qcx, qcy), min(sqrt(b2 / pi), r2c), t2,
                       right, (qcx, qcy), (qfx, qfy), r2c, part2, b2, depth + 1))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
@@ -255,7 +247,7 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
         r1c = t1 * r1
-        stack.append((me, (lx, ly, pfx, pfy, pcx, pcy), min(sqrt(b1 / pi), r1c), t1,
+        stack.append(((lx, ly, pfx, pfy, pcx, pcy), min(sqrt(b1 / pi), r1c), t1,
                       (pcx, pcy), left, (pfx, pfy), r1c, part1, b1, depth + 1))
 
 
@@ -351,15 +343,17 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
             half = Triangle((corner, p, q))
             tri = half.scaled_about(corner, t)
             rounding = min(math.sqrt(b / math.pi), _inradius(tri))
-            hats.append((-1, tuple(c for v in tri.vertices for c in v), rounding, t, *tri.base_split,
+            hats.append((tuple(c for v in tri.vertices for c in v), rounding, t, *tri.base_split,
                          t * _inradius(half), part, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding; the caller's min_size only sharpens the guarantees below.
-        hats = [(-1, None, 0.0, 1.0, *container.base_split,
-                 _inradius(container), circles, b0, 1)]
+        hats = [(None, 0.0, 1.0, *container.base_split,
+                 _inradius(container), circles, b0, 0)]
     _pack_into_hats(packing, hats, stats)
     stats.hat_count += len(packing.hat_rounding)
+    depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
+    stats.max_depth = max(stats.max_depth, depth)
     return packing
 
 

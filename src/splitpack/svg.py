@@ -13,6 +13,7 @@ from .packer import Packing
 _SUBCONTAINER_FILL = "#d4d4d4"
 _SUBCONTAINER_STROKE = "#a0a0a0"
 _CIRCLE_FILL = "#696969"
+_WIDTH = 640.0
 
 # Numbers below this share of the figure's extent print as 0, so that
 # rounding noise in the geometry (-1.7e-18 for 0) does not reach the text.
@@ -61,7 +62,7 @@ def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]
     return [templates[kind] % next(rows[kind]) for kind in kinds.tolist()]
 
 
-def render_packing_svg(packing: Packing, size: float = 640.0) -> str:
+def render_packing_svg(packing: Packing) -> str:
     """Render a packing record as a standalone SVG figure."""
     container = packing.container
     if isinstance(container, Square):
@@ -86,7 +87,7 @@ def render_packing_svg(packing: Packing, size: float = 640.0) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(size)}" height="{fmt(size * vb_h / vb_w)}" '
+        f'width="{fmt(_WIDTH)}" height="{fmt(_WIDTH * vb_h / vb_w)}" '
         f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}">',
         # flip to the usual y-up orientation
         f'<g transform="matrix(1 0 0 -1 0 {fmt(vb_y + vb_y + vb_h)})">',
@@ -102,7 +103,7 @@ def render_packing_svg(packing: Packing, size: float = 640.0) -> str:
             f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="{fmt(stroke)}"/>'
         )
     # shallow hats first, so that deeper ones are drawn on top
-    order = np.argsort(np.array(packing.hat_depths(), dtype=np.intp), kind="stable")
+    order = np.argsort(np.asarray(packing.hat_depth), kind="stable")
     tris = np.asarray(packing.hat_vertices, dtype=float).reshape(-1, 3, 2)[order]
     paths = _hat_paths(tris, np.asarray(packing.hat_rounding, dtype=float)[order], zero)
     hat_style = (f'fill="{_SUBCONTAINER_FILL}" stroke="{_SUBCONTAINER_STROKE}" '

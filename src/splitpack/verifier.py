@@ -234,8 +234,8 @@ def _erode_tris(tris: np.ndarray, radii: np.ndarray) -> np.ndarray:
 class _Columns:
     """numpy views of a packing record's columns, checked for well-formedness.
 
-    Check ids are derived lazily: hats know their parent and their position
-    among its children, circles their input index.
+    Hat parents are derived here, from the preorder depths; check ids lazily,
+    from a hat's parent and position among its children or a circle's index.
     """
 
     def __init__(self, packing):
@@ -248,7 +248,7 @@ class _Columns:
             raise MalformedTreeError("the container must be a square or a triangle")
         n, m = len(packing.radius), len(packing.hat_rounding)
         if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
-                and len(packing.hat_vertices) == 6 * m and len(packing.hat_parent) == m):
+                and len(packing.hat_vertices) == 6 * m and len(packing.hat_depth) == m):
             raise MalformedTreeError("the record's columns differ in length")
         self.centers = np.column_stack(
             (np.asarray(packing.x, dtype=float), np.asarray(packing.y, dtype=float))
@@ -263,9 +263,13 @@ class _Columns:
 
         tris = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2)
         rounding = np.asarray(packing.hat_rounding, dtype=float)
-        self.hat_parent = np.asarray(packing.hat_parent, dtype=np.intp)
-        if np.any((self.hat_parent < -1) | (self.hat_parent >= np.arange(m))):
-            raise MalformedTreeError("every hat's parent must precede it (-1: the container)")
+        depth = np.asarray(packing.hat_depth, dtype=np.intp)
+        if np.any(depth < 1) or np.any(np.diff(depth, prepend=0) > 1):
+            raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
+        # a hat's parent is the latest earlier hat one level up (-1: the container)
+        keys = np.sort(depth * (m + 1) + np.arange(m))  # by depth, then position
+        above = keys[np.searchsorted(keys, (depth - 1) * (m + 1) + np.arange(m)) - 1] % (m + 1)
+        self.hat_parent = np.where(depth == 1, -1, above)
         if not (np.all(np.isfinite(tris)) and np.all(rounding >= 0.0)
                 and np.all(np.isfinite(rounding))):
             raise MalformedTreeError("hats need finite vertices and non-negative rounding")
@@ -384,9 +388,9 @@ def verify(
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
     tiny circles cannot overlap by more than a share of their own size. The
     report passes iff no check fails. A record that is not well formed
-    (non-positive radii, negative rounding, a hat before its parent, input
-    indices that are not a permutation of 0..n-1, so that a circle is lost
-    or duplicated) raises :class:`MalformedTreeError`.
+    (non-positive radii, negative rounding, hat depths that are not a preorder,
+    input indices that are not a permutation of 0..n-1, so that a circle is
+    lost or duplicated) raises :class:`MalformedTreeError`.
     """
     index = _Columns(packing)
     diameter = index.diameter

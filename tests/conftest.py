@@ -61,6 +61,20 @@ def subcontainer(triangle: Triangle, rounding: float, depth: int) -> dict:
             "depth": depth}
 
 
+def report_outcome(report) -> tuple:
+    """What two reports on the same tree agree on: verdict, count, worst slack, failures."""
+    return report.passed, report.check_count, report.worst_slack, report.failures
+
+
 def child_hats(packing, parent: int) -> list[int]:
-    """Record indices of the hats whose parent is ``parent`` (-1: the container)."""
-    return [h for h, p in enumerate(packing.hat_parent) if p == parent]
+    """Record indices of the hats whose parent is ``parent`` (-1: the container):
+    in preorder, the hats one level below it up to the next hat at or above its level."""
+    depths = packing.hat_depth
+    level = depths[parent] if parent >= 0 else 0
+    kids = []
+    for h in range(parent + 1, len(depths)):
+        if depths[h] <= level:
+            break
+        if depths[h] == level + 1:
+            kids.append(h)
+    return kids

@@ -315,6 +315,6 @@ def hat_shapes(packing) -> list[Hat]:
 
 
 def first_level_hats(packing) -> list[Hat]:
-    """The shapes of the hats whose parent is the container, in record order."""
+    """The shapes of the hats at depth 1 (children of the container), in record order."""
     hats = hat_shapes(packing)
-    return [hats[h] for h, parent in enumerate(packing.hat_parent) if parent == -1]
+    return [hats[h] for h, depth in enumerate(packing.hat_depth) if depth == 1]

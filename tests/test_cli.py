@@ -21,6 +21,7 @@ from splitpack import (
     Square,
     Triangle,
     decide,
+    min_container,
     pack,
     render_packing_svg,
     verify,
@@ -402,6 +403,22 @@ class TestApprox:
         packing = json.dumps(json.loads(out)["packing"])
         code, report, _ = run_cli(["verify"], capsys, stdin=packing, monkeypatch=monkeypatch)
         assert code == 0, report
+
+    def test_packing_written_as_its_document_text(self, tmp_path, capsys):
+        areas = [0.4, 0.3, 0.2, 0.1, 0.05]
+        for family in (Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0)):
+            path = write_instance(tmp_path, "inst.json", InstanceDocument(family, areas))
+            code, out, _ = run_cli(["approx", "--circles", path], capsys)
+            assert code == 0
+            circles = CircleSet.from_areas(areas)
+            container = min_container(circles, family)
+            packing = pack(PackRequest(container, circles))
+            document = PackingDocument.from_tree(packing, container).to_json()
+            assert f'"packing":{document}}}' in out
+            result = json.loads(out)
+            assert list(result) == ["container", "container_area", "lower_bound_area",
+                                    "ratio", "packing"]
+            assert result["container"] == container_to_dict(container)
 
 
 class TestModuleEntryPoint:

@@ -31,7 +31,9 @@ from splitpack import (
     Triangle,
     pack,
     packable_area,
+    verify,
 )
+from conftest import report_outcome
 
 GOLDEN = Path(__file__).with_name("golden_packings.json")
 
@@ -126,6 +128,13 @@ def test_json_round_trip_is_bit_exact(name):
         for field in ("x", "y", "radius"):
             assert math.copysign(1.0, a[field]) == math.copysign(1.0, b[field])
     assert again.to_json() == text
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_parsed_document_verifies_as_its_record(name):
+    doc = pack_entry(CONTAINERS[name], "uniform", 500)
+    parsed = PackingDocument.from_dict(json.loads(doc.to_json())).to_tree()
+    assert report_outcome(verify(parsed)) == report_outcome(verify(doc.packing))
 
 
 if __name__ == "__main__":

@@ -287,8 +287,8 @@ class TestPlacementOperations:
         with pytest.raises(OverCapacityError):
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
-            entry = (-1, None, 0.0, 1.0, *t.base_split, 1.0,
-                     CircleSet.from_areas([math.pi * 1.01]), 0.0, 1)
+            entry = (None, 0.0, 1.0, *t.base_split, 1.0,
+                     CircleSet.from_areas([math.pi * 1.01]), 0.0, 0)
             packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
                                            radius=array("d", [0.0])), [entry], PackStats())
 
@@ -353,6 +353,19 @@ class TestTreeInvariants:
             assert stats.split_calls == max(count - 1, 0)
             assert stats.element_moves <= count * (count + 1) // 2
             assert len(stats.scale_factors) == stats.hat_count
+
+    @pytest.mark.parametrize("container,depths", [
+        (Square(1.0), (0, 1, 2)),
+        # a triangle container is a level of its own
+        (Triangle.from_sides(3.0, 4.0, 5.0), (1, 2, 3)),
+    ])
+    def test_depth_and_hat_counts_of_equal_circles(self, container, depths):
+        for n, max_depth, hat_count in zip((1, 2, 3), depths, (0, 2, 4)):
+            stats = PackStats()
+            root = pack(PackRequest(container, CircleSet.from_areas(
+                [packable_area(container) / n] * n)), stats)
+            assert (stats.max_depth, stats.hat_count) == (max_depth, hat_count)
+            assert max(root.hat_depth, default=0) == max_depth - isinstance(container, Triangle)
 
     def test_loop_splits_through_the_module_weighted_split(self, monkeypatch):
         # the per-split counts of a tracer that wraps packer.weighted_split

@@ -18,6 +18,7 @@ from splitpack import (
     MalformedTreeError,
     PackRequest,
     Packing,
+    PackingDocument,
     Point,
     Square,
     Triangle,
@@ -41,6 +42,7 @@ from conftest import (
     random_container,
     random_feasible_instance,
     random_non_acute_triangle,
+    report_outcome,
     subcontainer,
 )
 from reference_geometry import (
@@ -177,6 +179,31 @@ class TestVerify:
         assert [c.ids for c in report.failures] == [("hat:0.0.0", "hat:0.0")]
         assert report.failures[0].kind is CheckKind.HAT_IN_PARENT
 
+    def test_parsed_tree_is_the_record_tree(self):
+        # depths 1, 2, 2, 1, 2, 2, 3, 3: the record and its parsed document
+        # derive the same parents, so they get the same report and check ids;
+        # every hat is the same triangle shrunk by level, so siblings overlap
+        tri = Triangle(((0.1, 0.1), (0.9, 0.1), (0.1, 0.9)))
+        center = triangle_incircle(tri).center
+        record = Packing(Square(1.0), hat_depth=array("q", [1, 2, 2, 1, 2, 2, 3, 3]))
+        for depth in record.hat_depth:
+            record.hat_vertices.extend(c for p in tri.scaled_about(center, 0.8**depth).vertices
+                                       for c in p)
+            record.hat_rounding.append(0.0)
+        text = PackingDocument(record).to_json()
+        parsed = PackingDocument.from_dict(json.loads(text)).to_tree()
+        report = verify(record)
+        assert report_outcome(verify(parsed)) == report_outcome(report)
+        assert sorted(c.ids for c in report.checks if c.kind is CheckKind.HAT_IN_PARENT) == [
+            ("hat:0.0", "container"), ("hat:0.0.0", "hat:0.0"), ("hat:0.0.1", "hat:0.0"),
+            ("hat:0.1", "container"), ("hat:0.1.0", "hat:0.1"), ("hat:0.1.1", "hat:0.1"),
+            ("hat:0.1.1.0", "hat:0.1.1"), ("hat:0.1.1.1", "hat:0.1.1"),
+        ]
+        assert [c.ids for c in report.failures if c.kind is CheckKind.HAT_HAT_DISJOINT] == [
+            ("hat:0.0", "hat:0.1"), ("hat:0.0.0", "hat:0.0.1"), ("hat:0.1.0", "hat:0.1.1"),
+            ("hat:0.1.1.0", "hat:0.1.1.1"),
+        ]
+
     def test_monotone_in_tolerance(self):
         root, areas = twincircle_tree()
         root.radius[0] *= 1.0 + 1e-6
@@ -277,9 +304,13 @@ class TestVerify:
                 parse_packing(SQUARE, [entry])
         with pytest.raises(DocumentError):
             parse_packing(SQUARE, subcontainers=[{"vertices": [[0, 0], [1, 0]], "depth": 1}])
-        # a hat listed before its parent
+        # a hat two levels below the hat before it, so without a parent
         root = parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 1)] * 2)
-        root.hat_parent[0] = 1
+        root.hat_depth[1] = 3
+        with pytest.raises(MalformedTreeError):
+            verify(root)
+        # a hat depth below 1
+        root.hat_depth[1] = 0
         with pytest.raises(MalformedTreeError):
             verify(root)
         for radius in (0.0, -0.1, math.nan):
