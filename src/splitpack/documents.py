@@ -270,7 +270,8 @@ def decide(instance: InstanceDocument) -> dict:
     packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
-    instance as over capacity or below its minimum size."""
+    instance as over capacity, below its minimum size or outside the float
+    range."""
     request = instance.to_request()  # refuses a bad min_size, as pack does
     capacity = packable_area(request.container)
     try:

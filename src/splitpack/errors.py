@@ -26,7 +26,8 @@ class ConjugacyError(InvalidParameterError):
 
 
 class MalformedTreeError(SplitPackError, ValueError):
-    """A packing record is not well formed (e.g. a hat listed before its parent)."""
+    """A packing record is not well formed: e.g. a hat depth below 1 or more than
+    one below the hat before it, or input indices that are not 0..n-1, each once."""
 
 
 class DocumentError(SplitPackError, ValueError):

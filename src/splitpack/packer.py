@@ -46,6 +46,11 @@ from .splitting import CircleSet, min_guarantee, split, weighted_split
 # Closed capacity bound: instances sitting exactly on the worst case must pass.
 FEASIBILITY_REL_SLACK = 1e-12
 
+# Packable areas the area arithmetic keeps in the float range: the rounding
+# guarantee multiplies two areas, which overflows past 1e150 and underflows
+# below 1e-150.
+PACKABLE_AREA_RANGE = (1e-150, 1e150)
+
 # Scale factors this close to 1 snap to exactly 1, so self-similar
 # power-of-two instances reproduce the exact subdivision.
 _SNAP_REL_TOL = 1e-12
@@ -262,13 +267,20 @@ def _validate_request(request: PackRequest) -> float:
 
 
 def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> None:
-    """Refuse a circle set that the area bound does not guarantee to pack.
+    """Refuse a circle set that the area bound does not guarantee to pack, or
+    a container whose packable area lies outside PACKABLE_AREA_RANGE.
 
     The one feasibility rule: :func:`pack` refuses exactly the requests this
     raises for, and :func:`splitpack.documents.decide` answers "unknown" for
     them. The total is exactly rounded, so it does not depend on the order of
     the areas.
     """
+    low, high = PACKABLE_AREA_RANGE
+    if not low <= capacity <= high:
+        raise InvalidParameterError(
+            f"the container's packable area {capacity!r} lies outside [{low!r}, {high!r}], "
+            "where its area arithmetic leaves the float range; rescale the container and circles"
+        )
     if len(circles) and min_size > 0.0:
         if circles.minimum < min_size * (1.0 - FEASIBILITY_REL_SLACK):
             raise InvalidParameterError(

@@ -30,11 +30,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import MalformedTreeError
+from .errors import InvalidParameterError, MalformedTreeError
 from .geometry import Square, Triangle
 
 # Reports keep at most this many individual check entries; failures are
@@ -92,7 +92,7 @@ class VerificationReport:
     @cached_property
     def checks(self) -> list[Check]:
         out: list[Check] = []
-        for kind, ids_fn, slacks in self._groups:
+        for kind, ids_fn, slacks, _ in self._groups:
             if len(out) >= MAX_RECORDED_CHECKS:
                 break
             ids = ids_fn()
@@ -165,15 +165,14 @@ def _sat_separation_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     """
     best = np.full(len(ea), -np.inf)
     for first, second in ((ea, eb), (eb, ea)):
-        a1 = first
         edges = np.roll(first, -1, axis=1) - first  # (m, 3, 2)
         lengths = np.linalg.norm(edges, axis=-1)
         valid = lengths > 0.0
         inv = np.where(valid, 1.0 / np.where(valid, lengths, 1.0), 0.0)
         nx = edges[..., 1] * inv  # outward normal for CCW
         ny = -edges[..., 0] * inv
-        proj = nx[..., None] * (second[:, None, :, 0] - a1[..., 0:1]) + ny[..., None] * (
-            second[:, None, :, 1] - a1[..., 1:2]
+        proj = nx[..., None] * (second[:, None, :, 0] - first[..., 0:1]) + ny[..., None] * (
+            second[:, None, :, 1] - first[..., 1:2]
         )  # (m, 3 axes, 3 vertices)
         gap = np.where(valid, proj.min(axis=-1), -np.inf)
         best = np.maximum(best, gap.max(axis=1))
@@ -208,23 +207,21 @@ def _square_signed_np(points: np.ndarray, side: float) -> np.ndarray:
     return np.where((ax <= 0.0) & (ay <= 0.0), inside_depth, -outside)
 
 
-def _inradii(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inradius, side lengths (m, 3)) of triangles; 0 for a degenerate one."""
+def _erode_tris(tris: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eroded triangles, radii): each triangle shrunk inward by its rounding,
+    clamped to its inradius, and the clamped rounding. Shrinking is the
+    homothety about the incenter; a degenerate triangle has inradius 0 and
+    stays as it is."""
     sides = np.linalg.norm(np.roll(tris, -1, axis=1) - tris, axis=-1)
-    area2 = np.abs(_cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]))
-    return area2 / np.where(area2 > 0.0, sides.sum(axis=1), 1.0), sides
-
-
-def _erode_tris(tris: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Triangles shrunk inward by their radii (at most their inradii): the
-    homothety about the incenter. A degenerate triangle stays as it is."""
-    inradius, sides = _inradii(tris)
     perimeter = sides.sum(axis=1)
+    area2 = np.abs(_cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]))
+    inradius = area2 / np.where(area2 > 0.0, perimeter, 1.0)
+    radii = np.minimum(rounding, inradius)
     weights = np.roll(sides, -1, axis=1)  # opposite side length per vertex
     incenter = (weights[..., None] * tris).sum(axis=1) / np.where(perimeter > 0.0, perimeter, 1.0)[:, None]
     positive = inradius > 0.0
     k = np.where(positive, (inradius - radii) / np.where(positive, inradius, 1.0), 1.0)
-    return incenter[:, None, :] + k[:, None, None] * (tris - incenter[:, None, :])
+    return incenter[:, None, :] + k[:, None, None] * (tris - incenter[:, None, :]), radii
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +231,12 @@ def _erode_tris(tris: np.ndarray, radii: np.ndarray) -> np.ndarray:
 class _Columns:
     """numpy views of a packing record's columns, checked for well-formedness.
 
-    Hat parents are derived here, from the preorder depths; check ids lazily,
-    from a hat's parent and position among its children or a circle's index.
+    One preorder pass over the hat depths derives each hat's parent (the
+    latest earlier hat one level up; -1 for the container), its position
+    among that parent's children and its sibling pairs (``siblings``, each
+    earlier child of its parent with it). Each hat is eroded once, by its
+    rounding clamped to its inradius. Check ids come lazily, from a hat's
+    parent and position or a circle's input index.
     """
 
     def __init__(self, packing):
@@ -261,15 +262,24 @@ class _Columns:
                 and np.all(np.isfinite(self.radii))):
             raise MalformedTreeError("circles need finite centers and positive radii")
 
+        chain = [(-1, [])]  # the next hat's open ancestors, each with its children so far
+        parents, self._positions, first, second = [], [], [], []
+        for hat, depth in enumerate(packing.hat_depth):
+            if not 0 < depth <= len(chain):
+                raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
+            del chain[depth:]
+            parent, siblings = chain[-1]
+            parents.append(parent)
+            self._positions.append(len(siblings))
+            first += siblings
+            second += [hat] * len(siblings)
+            siblings.append(hat)
+            chain.append((hat, []))
+        self.hat_parent = np.array(parents, dtype=np.intp)
+        self.siblings = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp))
+
         tris = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2)
         rounding = np.asarray(packing.hat_rounding, dtype=float)
-        depth = np.asarray(packing.hat_depth, dtype=np.intp)
-        if np.any(depth < 1) or np.any(np.diff(depth, prepend=0) > 1):
-            raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
-        # a hat's parent is the latest earlier hat one level up (-1: the container)
-        keys = np.sort(depth * (m + 1) + np.arange(m))  # by depth, then position
-        above = keys[np.searchsorted(keys, (depth - 1) * (m + 1) + np.arange(m)) - 1] % (m + 1)
-        self.hat_parent = np.where(depth == 1, -1, above)
         if not (np.all(np.isfinite(tris)) and np.all(rounding >= 0.0)
                 and np.all(np.isfinite(rounding))):
             raise MalformedTreeError("hats need finite vertices and non-negative rounding")
@@ -278,8 +288,7 @@ class _Columns:
         # makes the hat its incircle)
         doubled = _cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)
-        self.hat_radii = np.minimum(rounding, _inradii(tris)[0])
-        self.eroded = _erode_tris(tris, self.hat_radii)
+        self.eroded, self.hat_radii = _erode_tris(tris, rounding)
         if isinstance(self.container, Triangle):
             self._container_tri = np.array([self.container.vertices], dtype=float)
 
@@ -291,22 +300,9 @@ class _Columns:
     def hat_ids(self) -> list[str]:
         """"hat:0" is the container; a hat's id extends its parent's by its position."""
         ids: list[str] = []
-        children: dict[int, int] = {}
-        for parent in self.hat_parent.tolist():
-            pos = children.get(parent, 0)
-            children[parent] = pos + 1
-            ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{pos}")
+        for parent, position in zip(self.hat_parent.tolist(), self._positions):
+            ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{position}")
         return ids
-
-    def sibling_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs of the hats that share a parent."""
-        kids: dict[int, list[int]] = {}
-        for i, parent in enumerate(self.hat_parent.tolist()):
-            kids.setdefault(parent, []).append(i)
-        pairs = [(a, b) for group in kids.values() for i, a in enumerate(group) for b in group[i + 1:]]
-        pa = np.array([a for a, _ in pairs], dtype=np.intp)
-        pb = np.array([b for _, b in pairs], dtype=np.intp)
-        return pa, pb
 
     def container_signed_distance(self, points: np.ndarray) -> np.ndarray:
         if isinstance(self.container, Square):
@@ -382,9 +378,11 @@ def verify(
       against the radii ``sqrt(a / pi)`` of those areas, as multisets
       (exact equality, the radius rule of :func:`splitpack.pack`).
 
-    A check fails when its slack is below minus its tolerance. An explicit
-    ``tolerance`` applies to every check. By default it is 1e-9 times the
-    container diameter, and each circle pair is judged at
+    Each kind is one group of checks with its own tolerance, one value or one
+    per check; a check fails when its slack is below minus its tolerance. An
+    explicit ``tolerance`` (finite and non-negative, else
+    :class:`InvalidParameterError`) applies to every check. By default it is
+    1e-9 times the container diameter, and each circle pair is judged at
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
     tiny circles cannot overlap by more than a share of their own size. The
     report passes iff no check fails. A record that is not well formed
@@ -392,101 +390,70 @@ def verify(
     input indices that are not a permutation of 0..n-1, so that a circle is
     lost or duplicated) raises :class:`MalformedTreeError`.
     """
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidParameterError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     index = _Columns(packing)
-    diameter = index.diameter
-    scale_aware = tolerance is None
-    if scale_aware:
-        tolerance = DEFAULT_REL_TOLERANCE * diameter
-
-    groups: list[tuple[CheckKind, Callable[[], list], np.ndarray]] = []
 
     # circle-circle
     pi, pj = _circle_pairs(index.centers, index.radii)
     dists = np.linalg.norm(index.centers[pi] - index.centers[pj], axis=-1)
-    slacks = dists - (index.radii[pi] + index.radii[pj])
-    tolerances = {}
-    if scale_aware:
+    pair_slacks = dists - (index.radii[pi] + index.radii[pj])
+    pair_tolerance = tolerance
+    if tolerance is None:
+        tolerance = DEFAULT_REL_TOLERANCE * index.diameter
         smaller = np.minimum(index.radii[pi], index.radii[pj])
-        floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * diameter
-        tolerances[CheckKind.CIRCLE_CIRCLE] = np.minimum(
-            tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor)
-        )
+        floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * index.diameter
+        pair_tolerance = np.minimum(tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor))
 
-    def pair_ids(pi=pi, pj=pj, index=index):
+    def pair_ids():
         ids = index.circle_ids
         return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(pi, pj)]
 
-    groups.append((CheckKind.CIRCLE_CIRCLE, pair_ids, slacks))
-
-    # circle-in-container
-    if len(index.radii):
-        depth = index.container_signed_distance(index.centers)
-        slacks = depth - index.radii
-        groups.append(
-            (
-                CheckKind.CIRCLE_IN_CONTAINER,
-                lambda index=index: [(i, "container") for i in index.circle_ids],
-                slacks,
-            )
-        )
-
-    # hat-in-parent
+    # hat-in-parent: the container's children in it, the others in slices
     parent_of = index.hat_parent
-    if len(parent_of):
-        corners = index.eroded.reshape(-1, 2)  # (3m, 2)
-        child_s = np.repeat(index.hat_radii, 3)
-        depths = np.empty(len(corners))
-        in_root = np.repeat(parent_of < 0, 3)
-        if in_root.any():
-            depths[in_root] = index.container_signed_distance(corners[in_root])
-        in_hat = np.nonzero(~in_root)[0]
-        corner_parent = np.repeat(parent_of, 3)
-        for start in range(0, len(in_hat), _PAIR_CHUNK):
-            rows = in_hat[start : start + _PAIR_CHUNK]
-            pidx = corner_parent[rows]
-            depths[rows] = (
-                _point_tri_set_distance_np(corners[rows], index.eroded[pidx])
-                + index.hat_radii[pidx]
-            )
-        slacks = (depths - child_s).reshape(-1, 3).min(axis=1)
+    corners = index.eroded.reshape(-1, 2)  # (3m, 2)
+    depths = np.empty(len(corners))
+    in_root = np.repeat(parent_of < 0, 3)
+    depths[in_root] = index.container_signed_distance(corners[in_root])
+    in_hat = np.nonzero(~in_root)[0]
+    corner_parent = np.repeat(parent_of, 3)
+    for start in range(0, len(in_hat), _PAIR_CHUNK):
+        rows = in_hat[start : start + _PAIR_CHUNK]
+        pidx = corner_parent[rows]
+        depths[rows] = _point_tri_set_distance_np(corners[rows], index.eroded[pidx]) + index.hat_radii[pidx]
+    in_parent_slacks = (depths - np.repeat(index.hat_radii, 3)).reshape(-1, 3).min(axis=1)
 
-        def hat_ids(parent_of=parent_of, index=index):
-            ids = index.hat_ids
-            return [(ids[c], ids[p] if p >= 0 else "container")
-                    for c, p in enumerate(parent_of.tolist())]
-
-        groups.append((CheckKind.HAT_IN_PARENT, hat_ids, slacks))
+    def in_parent_ids():
+        ids = index.hat_ids
+        return [(ids[c], ids[p] if p >= 0 else "container") for c, p in enumerate(parent_of.tolist())]
 
     # hat-hat-disjoint (siblings)
-    pa, pb = index.sibling_pairs()
-    if len(pa):
-        dist = _tri_pair_distance_np(index.eroded[pa], index.eroded[pb])
-        slacks = dist - (index.hat_radii[pa] + index.hat_radii[pb])
+    pa, pb = index.siblings
+    dists = _tri_pair_distance_np(index.eroded[pa], index.eroded[pb])
+    sibling_slacks = dists - (index.hat_radii[pa] + index.hat_radii[pb])
 
-        def sib_ids(pa=pa, pb=pb, index=index):
-            return [(index.hat_ids[i], index.hat_ids[j]) for i, j in zip(pa, pb)]
+    def sibling_ids():
+        ids = index.hat_ids
+        return [(ids[i], ids[j]) for i, j in zip(pa, pb)]
 
-        groups.append((CheckKind.HAT_HAT_DISJOINT, sib_ids, slacks))
-
-    # leaf-multiset
+    groups: list[tuple[CheckKind, Callable[[], list], np.ndarray, Union[float, np.ndarray]]] = [
+        (CheckKind.CIRCLE_CIRCLE, pair_ids, pair_slacks, pair_tolerance),
+        (CheckKind.CIRCLE_IN_CONTAINER, lambda: [(i, "container") for i in index.circle_ids],
+         index.container_signed_distance(index.centers) - index.radii, tolerance),
+        (CheckKind.HAT_IN_PARENT, in_parent_ids, in_parent_slacks, tolerance),
+        (CheckKind.HAT_HAT_DISJOINT, sibling_ids, sibling_slacks, tolerance),
+    ]
     if expected_areas is not None:
         want = [float(a) for a in expected_areas]
         matched = all(a > 0.0 for a in want) and sorted(index.radii.tolist()) == sorted(
             math.sqrt(a / math.pi) for a in want
         )
-        slacks = np.array([0.0 if matched else -math.inf])
-        groups.append(
-            (CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")], slacks)
-        )
+        groups.append((CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")],
+                       np.array([0.0 if matched else -math.inf]), tolerance))
 
-    check_count = sum(len(s) for _, _, s in groups)
-    worst = math.inf
     failures: list[Check] = []
-    for kind, ids_fn, slacks in groups:
-        if len(slacks) == 0:
-            continue
-        worst = min(worst, float(slacks.min()))
-        bad = np.nonzero(slacks < -tolerances.get(kind, tolerance))[0]
+    for kind, ids_fn, slacks, tol in groups:
+        bad = np.nonzero(slacks < -tol)[0]
         if len(bad):
             ids = ids_fn()
             failures.extend(Check(kind, tuple(ids[i]), float(slacks[i])) for i in bad)
@@ -494,9 +461,9 @@ def verify(
 
     return VerificationReport(
         passed=not failures,
-        worst_slack=worst,
+        worst_slack=float(min(s.min(initial=math.inf) for _, _, s, _ in groups)),
         tolerance=tolerance,
-        check_count=check_count,
+        check_count=sum(len(s) for _, _, s, _ in groups),
         failures=failures,
         _groups=groups,
     )

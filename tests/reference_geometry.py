@@ -13,7 +13,9 @@ the packer's hats and splits with these.
 The hat as a validated shape object, :class:`Hat`, with its incircle
 (:func:`triangle_incircle`): the package records hats only as numbers in a
 ``Packing``, and tests rebuild them as shapes from its columns
-(:func:`hat_shapes`, :func:`first_level_hats`).
+(:func:`hat_shapes`, :func:`first_level_hats`), and the check ids of their
+tree, derived from the preorder depths by a chain of open ancestors
+(:func:`preorder_tree_ids`).
 """
 
 import math
@@ -312,6 +314,31 @@ def hat_shapes(packing) -> list[Hat]:
                       (v[6 * h + 4], v[6 * h + 5]))), packing.hat_rounding[h])
         for h in range(len(packing.hat_rounding))
     ]
+
+
+def preorder_tree_ids(depths) -> tuple[list, list]:
+    """The verifier's hat check ids for a preorder depth list, from a chain.
+
+    The chain holds the open ancestors of the next hat, the container first;
+    a hat of depth d closes every entry past the d-th and becomes a child of
+    the d-th. The container is "container" as a parent and "hat:0" as an id
+    prefix; a hat's id is its parent's prefix plus ``.{position}``. Returns
+    the (hat, parent) pairs and the (earlier, later) sibling pairs, in
+    record order.
+    """
+    chain = [("hat:0", "container", [])]  # (id prefix, parent name, child ids)
+    in_parent, siblings = [], []
+    for depth in depths:
+        if not 1 <= depth <= len(chain):
+            raise ValueError(f"depth {depth} after a hat of depth {len(chain) - 1}")
+        del chain[depth:]
+        prefix, name, kids = chain[-1]
+        hat = f"{prefix}.{len(kids)}"
+        in_parent.append((hat, name))
+        siblings.extend((kid, hat) for kid in kids)
+        kids.append(hat)
+        chain.append((hat, hat, []))
+    return in_parent, siblings
 
 
 def first_level_hats(packing) -> list[Hat]:

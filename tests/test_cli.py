@@ -539,6 +539,21 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: the circles' input indices must be 0..n-1, each once\n"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tolerance):
+        # three circles packed in the unit square, circles 0 and 1 moved on
+        # top of each other: a nan or inf tolerance passed this, and a
+        # negative one fails even a tangent packing
+        packing = pack(PackRequest(Square(1.0), CircleSet.from_areas([0.2, 0.15, 0.1])))
+        packing.x[1], packing.y[1] = packing.x[0], packing.y[0]
+        path = tmp_path / "bad.json"
+        path.write_text(PackingDocument(packing).to_json())
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 1 and out.startswith("FAIL")
+        code, out, err = run_cli(["verify", str(path), "--tolerance", tolerance], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "tolerance" in err
+
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypatch=monkeypatch)
         assert code == 2

@@ -10,6 +10,7 @@ from splitpack import (
     PHI_SQUARE,
     CircleSet,
     ConjugacyError,
+    InstanceDocument,
     InvalidParameterError,
     OverCapacityError,
     PackRequest,
@@ -20,6 +21,7 @@ from splitpack import (
     Square,
     Triangle,
     UnsupportedContainerError,
+    decide,
     hat_split_key,
     min_container,
     min_guarantee,
@@ -30,6 +32,7 @@ from splitpack import (
 )
 from splitpack import packer
 from conftest import (
+    random_areas,
     random_container,
     random_feasible_instance,
     random_non_acute_triangle,
@@ -434,6 +437,24 @@ class TestRequestValidation:
         areas = [0.2, 0.15, 0.1]
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas), min_size=0.1))
         assert verify(root, expected_areas=areas).passed
+
+    @pytest.mark.parametrize("side,packs", [(1e78, False), (1e-80, False), (1e70, True),
+                                            (1e-70, True)])
+    def test_containers_past_the_float_range_are_refused(self, side, packs):
+        # the rounding guarantee multiplies areas; past 1e150 it overflows and
+        # below 1e-150 it underflows, so the request is refused up front
+        rng = np.random.default_rng(211)
+        for container in (Square(side), Triangle.from_sides(3.0, 4.0, 5.0).scaled_about((0, 0), side)):
+            areas = random_areas(rng, 40, 0.999 * packable_area(container))
+            request = PackRequest(container, CircleSet.from_areas(areas))
+            answer = decide(InstanceDocument(container, areas))["packable"]
+            if packs:
+                assert answer == "yes"
+                assert verify(pack(request), expected_areas=areas).passed
+            else:
+                assert answer == "unknown"
+                with pytest.raises(InvalidParameterError, match="rescale"):
+                    pack(request)
 
     def test_non_positive_area_rejected(self):
         with pytest.raises(InvalidParameterError):

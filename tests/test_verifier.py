@@ -6,6 +6,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import splitpack as sp
@@ -52,6 +54,7 @@ from reference_geometry import (
     convex_polygon_distance,
     hat_shapes,
     point_segment_distance,
+    preorder_tree_ids,
     signed_distance,
     triangle_incircle,
 )
@@ -103,6 +106,16 @@ def tri_dict(tri: Triangle) -> dict:
 
 def move_circle(packing: Packing, k: int, center: Point) -> None:
     packing.x[k], packing.y[k] = center
+
+
+def hand_built_tree(depths) -> Packing:
+    """A record in the unit square whose hats have the given preorder depths,
+    each the same small triangle, unrounded."""
+    record = Packing(Square(1.0), hat_depth=array("q", depths))
+    for _ in depths:
+        record.hat_vertices.extend((0.1, 0.1, 0.3, 0.1, 0.1, 0.3))
+        record.hat_rounding.append(0.0)
+    return record
 
 
 def twincircle_tree() -> tuple[Packing, list[float]]:
@@ -203,6 +216,59 @@ class TestVerify:
             ("hat:0.0", "hat:0.1"), ("hat:0.0.0", "hat:0.0.1"), ("hat:0.1.0", "hat:0.1.1"),
             ("hat:0.1.1.0", "hat:0.1.1.1"),
         ]
+
+    def test_three_siblings_and_an_only_child(self):
+        # depths 1, 2, 2, 2, 1, 2, 3: the first hat has three children, the
+        # second one child, which has one child of its own
+        record = hand_built_tree([1, 2, 2, 2, 1, 2, 3])
+        report = verify(record)
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_IN_PARENT] == [
+            ("hat:0.0", "container"), ("hat:0.0.0", "hat:0.0"), ("hat:0.0.1", "hat:0.0"),
+            ("hat:0.0.2", "hat:0.0"), ("hat:0.1", "container"), ("hat:0.1.0", "hat:0.1"),
+            ("hat:0.1.0.0", "hat:0.1.0"),
+        ]
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_HAT_DISJOINT] == [
+            ("hat:0.0", "hat:0.1"), ("hat:0.0.0", "hat:0.0.1"), ("hat:0.0.0", "hat:0.0.2"),
+            ("hat:0.0.1", "hat:0.0.2"),
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=6), max_size=40))
+    def test_tree_ids_match_the_chain_reference(self, steps):
+        # each depth is the drawn one, cut to at most one below the hat before
+        depths = []
+        for step in steps:
+            depths.append(min(step, (depths[-1] if depths else 0) + 1))
+        in_parent, siblings = preorder_tree_ids(depths)
+        report = verify(hand_built_tree(depths))
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_IN_PARENT] == sorted(in_parent)
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_HAT_DISJOINT] == sorted(siblings)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=20),
+           st.integers(min_value=0), st.sampled_from(["zero", "rise by two"]))
+    def test_a_depth_of_zero_or_a_rise_by_two_is_malformed(self, steps, where, fault):
+        depths = []
+        for step in steps:
+            depths.append(min(step, (depths[-1] if depths else 0) + 1))
+        k = where % len(depths)
+        depths[k] = 0 if fault == "zero" else (depths[k - 1] if k else 0) + 2
+        with pytest.raises(ValueError):
+            preorder_tree_ids(depths)
+        with pytest.raises(MalformedTreeError):
+            verify(hand_built_tree(depths))
+
+    @pytest.mark.parametrize("container", [Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0)],
+                             ids=["square", "345"])
+    def test_check_counts_of_the_smallest_packings(self, container):
+        # half of capacity: the two circles' boxes stay apart, so no circle pair
+        # is evaluated; two circles get two sibling hats
+        for n, count in ((0, 0), (1, 1), (2, 5)):
+            areas = [0.5 * sp.packable_area(container) / max(n, 1)] * n
+            report = verify(pack(PackRequest(container, CircleSet.from_areas(areas))))
+            assert (report.passed, report.check_count, len(report.checks)) == (True, count, count)
+            if n == 0:
+                assert report.worst_slack == math.inf
 
     def test_monotone_in_tolerance(self):
         root, areas = twincircle_tree()
@@ -645,7 +711,7 @@ class TestBatchPrimitivesMatchScalar:
             r_in = triangle_incircle(t).radius
             s = float(rng.uniform(0.0, 1.0)) * r_in
             hat = Hat(t, s)
-            batch = _erode_tris(np.array([t.vertices], dtype=float), np.array([s]))[0]
+            batch = _erode_tris(np.array([t.vertices], dtype=float), np.array([s]))[0][0]
             for got, expected in zip(batch, hat.eroded_corners()):
                 assert tuple(got) == pytest.approx(expected, abs=1e-12)
 
