@@ -736,3 +736,93 @@ class TestBatchPrimitivesMatchScalar:
                     c for c in by_ids.values() if abs(c.slack - scalar) <= 1e-9
                 ]
                 assert matches, f"no batch check matches scalar slack {scalar}"
+
+
+RIGHT = Triangle(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)))
+PARENT = Triangle(((0.0, 0.0), (3.0, 0.0), (0.0, 2.0)))
+
+
+def oracle_set_distance(p, corners) -> float:
+    """Scalar signed set distance of p to a triangle: the inward side-line
+    depth inside, minus the Euclidean distance to its edges outside."""
+    inside = signed_distance(p, Triangle(corners))
+    if inside >= 0.0:
+        return inside
+    return -min(point_segment_distance(p, corners[i], corners[(i + 1) % 3]) for i in range(3))
+
+
+def oracle_in_parent_slack(child: Hat, parent: Hat) -> float:
+    corners = parent.eroded_corners()
+    depth = min(oracle_set_distance(q, corners) for q in child.eroded_corners())
+    return depth + parent.rounding_radius - child.rounding_radius
+
+
+def checks_of(report, kind) -> dict:
+    return {c.ids: c.slack for c in report.checks if c.kind is kind}
+
+
+class TestOutsideDistances:
+    """Points outside their container or parent, and sibling hats that overlap
+    or touch, on hand-built records against the scalar oracle."""
+
+    @pytest.mark.parametrize("corners", [
+        ((1.0, -0.1), (1.5, 0.3), (1.0, 0.3)),
+        ((-0.3, -0.3), (0.5, 0.5), (-0.3, 0.5)),
+        ((1.0, 0.0), (1.5, 0.3), (1.0, 0.3)),
+    ], ids=["beyond an edge", "beyond a vertex", "on an edge"])
+    @pytest.mark.parametrize("parent", ["container", "hat", "rounded hat"])
+    def test_hat_corner_against_its_parent(self, corners, parent):
+        child = Hat(Triangle(corners))
+        if parent == "container":
+            root = parse_packing(tri_dict(PARENT), subcontainers=[subcontainer(child.triangle, 0.0, 1)])
+            ids, outer = ("hat:0.0", "container"), Hat(PARENT)
+        else:
+            outer = Hat(PARENT, 0.1 if parent == "rounded hat" else 0.0)
+            root = parse_packing(tri_dict(RIGHT), subcontainers=[
+                subcontainer(PARENT, outer.rounding_radius, 1), subcontainer(child.triangle, 0.0, 2)])
+            ids = ("hat:0.0.0", "hat:0.0")
+        report = verify(root)
+        slack = checks_of(report, CheckKind.HAT_IN_PARENT)[ids]
+        expected = oracle_in_parent_slack(child, outer)
+        assert slack == pytest.approx(expected, abs=1e-12)
+        if corners[0] == (1.0, 0.0) and parent != "rounded hat":
+            assert slack == 0.0  # the corner lies on the parent's edge y = 0
+        assert [c.ids for c in report.failures] == ([ids] if expected < -report.tolerance else [])
+        # beyond a vertex the Euclidean distance is longer than the side-line one
+        if corners[0] == (-0.3, -0.3) and parent != "rounded hat":
+            assert slack == pytest.approx(-math.hypot(0.3, 0.3), abs=1e-12)
+
+    @pytest.mark.parametrize("center", [(2.0, -0.1), (4.2, -0.1), (-0.1, 1.5), (1.0, 1.0)],
+                             ids=["beyond an edge", "beyond a vertex", "beyond the other leg",
+                                  "inside"])
+    def test_circle_centre_against_a_triangle_container(self, center):
+        report = verify(parse_packing(tri_dict(RIGHT), [placement(*center, 0.05, 0)]))
+        slack = checks_of(report, CheckKind.CIRCLE_IN_CONTAINER)[("circle:0", "container")]
+        expected = oracle_set_distance(center, RIGHT.vertices) - 0.05
+        assert slack == pytest.approx(expected, abs=1e-12)
+        assert report.passed == (expected >= -report.tolerance)
+
+    @pytest.mark.parametrize("second,overlap", [
+        (((0.8, 0.0), (1.8, 0.0), (0.8, 1.0)), 0.2 / SQRT2),
+        (((1.0, 0.0), (2.0, 0.0), (1.0, 1.0)), None),
+        (((1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), None),
+        (((1.2, 0.0), (2.2, 0.0), (1.2, 1.0)), None),
+    ], ids=["overlapping", "touching at a corner", "touching along an edge", "apart"])
+    def test_sibling_hats(self, second, overlap):
+        first = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        root = parse_packing({"type": "square", "side": 3.0}, subcontainers=[
+            subcontainer(Triangle(first), 0.0, 1), subcontainer(Triangle(second), 0.0, 1)])
+        report = verify(root)
+        slack = checks_of(report, CheckKind.HAT_HAT_DISJOINT)[("hat:0.0", "hat:0.1")]
+        distance = convex_polygon_distance(first, second)
+        if overlap is None:
+            assert slack == pytest.approx(distance, abs=1e-12)
+            assert report.passed
+        else:
+            # the separating-axis gap is minus the penetration depth, here
+            # along the first hat's hypotenuse normal
+            assert distance == 0.0
+            assert slack == pytest.approx(-overlap, abs=1e-12)
+            assert [(c.kind, c.ids) for c in report.failures] == [
+                (CheckKind.HAT_HAT_DISJOINT, ("hat:0.0", "hat:0.1"))]
+
