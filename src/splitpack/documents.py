@@ -8,6 +8,7 @@ their input index throughout, keeping equal-area circles distinguishable.
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Union
 
@@ -146,6 +147,52 @@ def _integer(value) -> int:
     return k
 
 
+_FLOAT_TYPES, _INT_TYPES = frozenset((float, int)), frozenset((int,))  # JSON numbers
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _floats(values: list) -> array:
+    """The values as doubles; a JSON boolean or string is refused (TypeError)."""
+    if not _FLOAT_TYPES.issuperset(map(type, values)):
+        values = [_number(value) for value in values]
+    return array("d", values)
+
+
+def _integers(values: list) -> array:
+    """The values as 64-bit integers, each refused or kept as :func:`_integer` does."""
+    if not _INT_TYPES.issuperset(map(type, values)):
+        values = [_integer(value) for value in values]
+    return array("q", values)
+
+
+def _placement_columns(entries: list) -> tuple:
+    x, y, radius = ([entry[key] for entry in entries] for key in ("x", "y", "radius"))
+    index = [entry.get("input_index", pos) for pos, entry in enumerate(entries)]
+    return _floats(x), _floats(y), _floats(radius), _integers(index)
+
+
+def _subcontainer_columns(entries: list) -> tuple:
+    vertices = [entry["vertices"] for entry in entries]
+    coords = [c for (x0, y0), (x1, y1), (x2, y2) in vertices for c in (x0, y0, x1, y1, x2, y2)]
+    rounding = [entry.get("rounding_radius", 0.0) for entry in entries]
+    return _floats(coords), _floats(rounding), _integers([entry["depth"] for entry in entries])
+
+
+def _parse_entries(kind: str, entries: list, columns):
+    """``columns(entries)``, each column parsed in bulk; where that fails, a
+    :class:`DocumentError` naming the first entry it refuses on its own."""
+    try:
+        return columns(entries)
+    except _MALFORMED as exc:
+        error = exc
+    for entry in entries:
+        try:
+            columns([entry])
+        except _MALFORMED as exc:
+            raise DocumentError(f"malformed {kind} entry: {entry!r}") from exc
+    raise DocumentError(f"malformed {kind} entries") from error
+
+
 def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
@@ -211,31 +258,15 @@ class PackingDocument:
         if not (isinstance(placements, list) and isinstance(subcontainers, list)):
             raise DocumentError("'placements' and 'subcontainers' must be lists")
         packing = Packing(container_from_dict(data["container"]))
-        for pos, entry in enumerate(placements):
-            try:
-                x, y, r = float(entry["x"]), float(entry["y"]), float(entry["radius"])
-                k = _integer(entry.get("input_index", pos))
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise DocumentError(f"malformed placement entry: {entry!r}") from exc
-            packing.x.append(x)
-            packing.y.append(y)
-            packing.radius.append(r)
-            packing.input_index.append(k)
+        packing.x, packing.y, packing.radius, packing.input_index = _parse_entries(
+            "placement", placements, _placement_columns)
+        packing.hat_vertices, packing.hat_rounding, packing.hat_depth = _parse_entries(
+            "subcontainer", subcontainers, _subcontainer_columns)
         previous = 0
-        for entry in subcontainers:
-            try:
-                depth = _integer(entry["depth"])
-                (x0, y0), (x1, y1), (x2, y2) = entry["vertices"]
-                coords = (float(x0), float(y0), float(x1), float(y1), float(x2), float(y2))
-                rounding = float(entry.get("rounding_radius", 0.0))
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise DocumentError(f"malformed subcontainer entry: {entry!r}") from exc
+        for depth in packing.hat_depth:
             if not 1 <= depth <= previous + 1:
                 raise DocumentError(f"subcontainer at depth {depth} has no parent")
             previous = depth
-            packing.hat_depth.append(depth)
-            packing.hat_vertices.extend(coords)
-            packing.hat_rounding.append(rounding)
         return cls(packing)
 
     def to_json(self) -> str:
@@ -271,7 +302,8 @@ def decide(instance: InstanceDocument) -> dict:
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
     instance as over capacity, below its minimum size or outside the float
-    range."""
+    range. ``ratio`` is the combined area over the packable area, or None
+    where that capacity or the ratio leaves the float range."""
     request = instance.to_request()  # refuses a bad min_size, as pack does
     capacity = packable_area(request.container)
     try:
@@ -279,4 +311,5 @@ def decide(instance: InstanceDocument) -> dict:
         packable = "yes"
     except (InvalidParameterError, OverCapacityError):
         packable = "unknown"
-    return {"packable": packable, "ratio": math.fsum(instance.areas) / capacity}
+    ratio = math.fsum(instance.areas) / capacity if 0.0 < capacity < math.inf else math.inf
+    return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

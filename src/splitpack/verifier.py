@@ -14,10 +14,13 @@ on its eroded corners, so
 * two hats are disjoint iff their eroded triangles are at least the sum of
   the rounding radii apart.
 
-Sibling hats follow one rule: where the separating-axis gap of the eroded
+The hat checks index one edge table per verify, built once from the eroded
+triangles: corner x and y, edge vectors and edge lengths. Each distance is
+computed only where the result uses it. A point's Euclidean distance to a
+triangle is computed only where the point lies outside the side lines.
+Sibling hats follow one rule: where the separating-axis gap of their eroded
 triangles is negative, it is their distance (minus the penetration depth);
-otherwise their distance is the smallest vertex-to-edge distance over both
-triangles.
+only elsewhere is the smallest vertex-to-edge distance over both computed.
 
 Circle pairs are found by a sort-and-sweep over bounding boxes, and only
 pairs whose boxes overlap or touch are evaluated: O(n) of them on a packing,
@@ -49,8 +52,9 @@ DEFAULT_REL_TOLERANCE = 1e-9
 PAIR_TOLERANCE_FLOOR_EPS = 64
 
 # Candidate circle pairs, and hat corners in their parents, are evaluated
-# this many at a time, which bounds the working memory when many circles
-# share an x-range and on packings with many hats.
+# this many at a time (sibling hat pairs, three corners a side, a third as
+# many), which bounds the working memory when many circles share an x-range
+# and on packings with many hats.
 _PAIR_CHUNK = 1 << 17
 
 
@@ -114,114 +118,105 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# numpy primitives
+# numpy kernels on an edge table
 # ---------------------------------------------------------------------------
 
-def _point_segment_np(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points to segments, all arrays shaped (..., 2)."""
-    ab = b - a
-    denom = np.einsum("...i,...i->...", ab, ab)
-    t = np.einsum("...i,...i->...", p - a, ab) / np.where(denom == 0.0, 1.0, denom)
-    t = np.where(denom == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    proj = a + t[..., None] * ab
-    return np.linalg.norm(p - proj, axis=-1)
+_NEXT = [1, 2, 0]
 
 
-def _cross_np(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+def _edge_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (5, 3, m) edge table of triangles with corners (x, y), each (3, m):
+    corner x and y, edge vectors ex and ey (edge i runs from corner i to the
+    next) and edge lengths. The triangle index is last, so numpy's inner
+    loops run along it; ``np.take(table, rows, axis=-1)`` keeps it so."""
+    ex, ey = x[_NEXT] - x, y[_NEXT] - y
+    return np.stack((x, y, ex, ey, np.sqrt(ex * ex + ey * ey)))
 
 
-def _tri_edges(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge start/end arrays (..., 3, 2) for triangle arrays (..., 3, 2)."""
-    return tris, np.roll(tris, -1, axis=-2)
+def _nearest_edge_sq(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Smallest squared distance (k,) from points (c, k) to the edges of triangles (5, 3, k)."""
+    ax, ay, ex, ey, _ = tris[:, None]
+    px, py = px[:, None], py[:, None]
+    denom = ex * ex + ey * ey
+    point = denom == 0.0
+    t = ((px - ax) * ex + (py - ay) * ey) / np.where(point, 1.0, denom)
+    t = np.where(point, 0.0, np.clip(t, 0.0, 1.0))
+    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+    return (dx * dx + dy * dy).min(axis=(0, 1))
 
 
-def _tri_line_signed_np(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Min inward side-line distance of points (k,2) to CCW triangles (k,3,2)."""
-    a, b = _tri_edges(tris)
-    edge = b - a
-    length = np.linalg.norm(edge, axis=-1)
-    rel = points[:, None, :] - a
-    d = _cross_np(edge, rel) / length
-    return d.min(axis=-1)
+def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Signed set distance of points (c, k) to CCW triangles (5, 3, k), column by column.
 
-
-def _point_tri_set_distance_np(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Signed set distance: inward depth inside, minus Euclidean distance outside."""
-    line = _tri_line_signed_np(points, tris)
-    a, b = _tri_edges(tris)
-    outside = _point_segment_np(points[:, None, :], a, b).min(axis=-1)
-    return np.where(line >= 0.0, line, -outside)
-
-
-def _sat_separation_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """Signed separation of CCW triangle pairs along their edge-normal axes.
-
-    For intersecting convex polygons the maximum signed gap over both
-    polygons' edge normals equals minus the penetration depth exactly (the
-    minimal translation vector is normal to an edge); for disjoint ones it is
-    a lower bound of the distance. Degenerate (zero-length) edges contribute
-    no axis; 0 is returned when no axis exists.
+    Inside, the inward depth to the nearest side line; outside, minus the
+    Euclidean distance to the nearest edge, computed only at the points that
+    are outside. A zero-length edge leaves its triangle no inside (its side
+    line is -inf), so every point takes the Euclidean distance there.
     """
-    best = np.full(len(ea), -np.inf)
-    for first, second in ((ea, eb), (eb, ea)):
-        edges = np.roll(first, -1, axis=1) - first  # (m, 3, 2)
-        lengths = np.linalg.norm(edges, axis=-1)
-        valid = lengths > 0.0
-        inv = np.where(valid, 1.0 / np.where(valid, lengths, 1.0), 0.0)
-        nx = edges[..., 1] * inv  # outward normal for CCW
-        ny = -edges[..., 0] * inv
-        proj = nx[..., None] * (second[:, None, :, 0] - first[..., 0:1]) + ny[..., None] * (
-            second[:, None, :, 1] - first[..., 1:2]
-        )  # (m, 3 axes, 3 vertices)
-        gap = np.where(valid, proj.min(axis=-1), -np.inf)
-        best = np.maximum(best, gap.max(axis=1))
-    return np.where(np.isfinite(best), best, 0.0)
+    x, y, ex, ey, length = tris[:, None]
+    cross = ex * (py[:, None] - y) - ey * (px[:, None] - x)
+    line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=length > 0.0).min(axis=1)
+    outside = np.nonzero(line < 0.0)
+    if len(outside[0]):
+        sq = _nearest_edge_sq(px[outside][None], py[outside][None], np.take(tris, outside[1], axis=-1))
+        line[outside] = -np.sqrt(sq)
+    return line
 
 
-def _tri_pair_distance_np(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """Signed distance between CCW triangle pairs (k,3,2), negative if they overlap.
+def _tri_pair_distance(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Signed distance between CCW triangle pairs (5, 3, k), negative if they overlap.
 
-    Where the separating-axis gap is negative it is minus the penetration
-    depth and is returned as is. Otherwise the triangles are disjoint or
-    touch, and their distance is the smallest vertex-to-edge distance over
-    both triangles. A triangle shrunk to a point has no axis and a gap of 0,
-    so a pair of points falls through to the vertex test.
+    The separating-axis gap is the largest signed gap along either
+    triangle's edge normals (a zero-length edge has no axis). Where it is
+    negative it is minus the penetration depth (the minimal translation is
+    normal to an edge); elsewhere the pair is disjoint or touches, and its
+    distance is the smallest vertex-to-edge distance over both triangles. A
+    triangle shrunk to a point has no axis, a gap of 0 and the vertex test.
     """
-    sat = _sat_separation_np(ea, eb)
-    dist = np.full(len(ea), np.inf)
-    for verts, tris in ((eb, ea), (ea, eb)):
-        a, b = _tri_edges(tris)
-        # (k, 3 edges, 3 vertices)
-        d = _point_segment_np(verts[:, None, :, :], a[:, :, None, :], b[:, :, None, :])
-        dist = np.minimum(dist, d.min(axis=(1, 2)))
-    return np.where(sat >= 0.0, dist, sat)
+    sat = np.full(ta.shape[-1], -np.inf)
+    for (x, y, ex, ey, length), second in ((ta, tb), (tb, ta)):
+        valid = length > 0.0
+        inv = np.where(valid, 1.0 / np.where(valid, length, 1.0), 0.0)
+        nx, ny = (ey * inv)[:, None], (-ex * inv)[:, None]  # outward normals for CCW
+        proj = nx * (second[0] - x[:, None]) + ny * (second[1] - y[:, None])  # (3 axes, 3 vertices, k)
+        sat = np.maximum(sat, np.where(valid, proj.min(axis=1), -np.inf).max(axis=0))
+    dist = np.where(np.isfinite(sat), sat, 0.0)
+    apart = np.nonzero(dist >= 0.0)[0]
+    if len(apart):
+        a, b = np.take(ta, apart, axis=-1), np.take(tb, apart, axis=-1)
+        dist[apart] = np.sqrt(np.minimum(_nearest_edge_sq(b[0], b[1], a), _nearest_edge_sq(a[0], a[1], b)))
+    return dist
 
 
-def _square_signed_np(points: np.ndarray, side: float) -> np.ndarray:
+def _square_signed_np(px: np.ndarray, py: np.ndarray, side: float) -> np.ndarray:
     """Signed set distance to the square [0, side]^2 (positive inside)."""
-    ax = np.maximum(-points[:, 0], points[:, 0] - side)
-    ay = np.maximum(-points[:, 1], points[:, 1] - side)
+    ax = np.maximum(-px, px - side)
+    ay = np.maximum(-py, py - side)
     inside_depth = -np.maximum(ax, ay)
     outside = np.hypot(np.maximum(ax, 0.0), np.maximum(ay, 0.0))
     return np.where((ax <= 0.0) & (ay <= 0.0), inside_depth, -outside)
 
 
-def _erode_tris(tris: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eroded triangles, radii): each triangle shrunk inward by its rounding,
-    clamped to its inradius, and the clamped rounding. Shrinking is the
-    homothety about the incenter; a degenerate triangle has inradius 0 and
-    stays as it is."""
-    sides = np.linalg.norm(np.roll(tris, -1, axis=1) - tris, axis=-1)
-    perimeter = sides.sum(axis=1)
-    area2 = np.abs(_cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]))
+def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(edge table, radii) of triangles (3, m) made counterclockwise and shrunk
+    inward by their rounding clamped to the inradius (a rounding past it, as
+    rounding noise in the vertices of tiny hats leaves, makes the hat its
+    incircle). Shrinking is the homothety about the incenter; a degenerate
+    triangle has inradius 0 and stays as it is."""
+    doubled = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    clockwise = doubled < 0.0
+    x, y = np.where(clockwise, x[[0, 2, 1]], x), np.where(clockwise, y[[0, 2, 1]], y)
+    area2 = np.abs(doubled)
+    sides = _edge_table(x, y)[4]
+    perimeter = sides.sum(axis=0)
     inradius = area2 / np.where(area2 > 0.0, perimeter, 1.0)
     radii = np.minimum(rounding, inradius)
-    weights = np.roll(sides, -1, axis=1)  # opposite side length per vertex
-    incenter = (weights[..., None] * tris).sum(axis=1) / np.where(perimeter > 0.0, perimeter, 1.0)[:, None]
+    weights = sides[_NEXT]  # opposite side length per corner
+    divisor = np.where(perimeter > 0.0, perimeter, 1.0)
+    cx, cy = (weights * x).sum(axis=0) / divisor, (weights * y).sum(axis=0) / divisor
     positive = inradius > 0.0
     k = np.where(positive, (inradius - radii) / np.where(positive, inradius, 1.0), 1.0)
-    return incenter[:, None, :] + k[:, None, None] * (tris - incenter[:, None, :]), radii
+    return _edge_table(cx + k * (x - cx), cy + k * (y - cy)), radii
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +230,9 @@ class _Columns:
     latest earlier hat one level up; -1 for the container), its position
     among that parent's children and its sibling pairs (``siblings``, each
     earlier child of its parent with it). Each hat is eroded once, by its
-    rounding clamped to its inradius. Check ids come lazily, from a hat's
-    parent and position or a circle's input index.
+    rounding clamped to its inradius, into the edge table ``hats`` that every
+    hat check indexes. Check ids come lazily, from a hat's parent and
+    position or a circle's input index.
     """
 
     def __init__(self, packing):
@@ -278,19 +274,15 @@ class _Columns:
         self.hat_parent = np.array(parents, dtype=np.intp)
         self.siblings = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp))
 
-        tris = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2)
+        vertices = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2).T
         rounding = np.asarray(packing.hat_rounding, dtype=float)
-        if not (np.all(np.isfinite(tris)) and np.all(rounding >= 0.0)
+        if not (np.all(np.isfinite(vertices)) and np.all(rounding >= 0.0)
                 and np.all(np.isfinite(rounding))):
             raise MalformedTreeError("hats need finite vertices and non-negative rounding")
-        # counterclockwise, and rounded by at most the inradius (a rounding
-        # past it, as rounding noise in the vertices of tiny hats leaves,
-        # makes the hat its incircle)
-        doubled = _cross_np(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-        tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)
-        self.eroded, self.hat_radii = _erode_tris(tris, rounding)
+        self.hats, self.hat_radii = _erode(vertices[0], vertices[1], rounding)
         if isinstance(self.container, Triangle):
-            self._container_tri = np.array([self.container.vertices], dtype=float)
+            corners = np.array(self.container.vertices, dtype=float)[:, :, None]
+            self._container = _edge_table(corners[:, 0], corners[:, 1])
 
     @cached_property
     def circle_ids(self) -> list[str]:
@@ -304,11 +296,12 @@ class _Columns:
             ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{position}")
         return ids
 
-    def container_signed_distance(self, points: np.ndarray) -> np.ndarray:
+    def container_signed_distance(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         if isinstance(self.container, Square):
-            return _square_signed_np(points, self.container.side)
-        tris = np.broadcast_to(self._container_tri, (len(points), 3, 2))
-        return _point_tri_set_distance_np(points, tris)
+            return _square_signed_np(px, py, self.container.side)
+        tris = np.broadcast_to(self._container, (5, 3, px.size))
+        depth = _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), tris)
+        return depth.reshape(px.shape)
 
 
 def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,18 +403,21 @@ def verify(
         return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(pi, pj)]
 
     # hat-in-parent: the container's children in it, the others in slices
-    parent_of = index.hat_parent
-    corners = index.eroded.reshape(-1, 2)  # (3m, 2)
-    depths = np.empty(len(corners))
-    in_root = np.repeat(parent_of < 0, 3)
-    depths[in_root] = index.container_signed_distance(corners[in_root])
+    # of at most _PAIR_CHUNK corners (sibling pairs below are sliced alike)
+    parent_of, hats, radii = index.hat_parent, index.hats, index.hat_radii
+    depths = np.empty(hats.shape[1:])
+    in_root = parent_of < 0
+    root_x, root_y = np.compress(in_root, hats[:2], axis=-1)
+    depths[:, in_root] = index.container_signed_distance(root_x, root_y)
     in_hat = np.nonzero(~in_root)[0]
-    corner_parent = np.repeat(parent_of, 3)
-    for start in range(0, len(in_hat), _PAIR_CHUNK):
-        rows = in_hat[start : start + _PAIR_CHUNK]
-        pidx = corner_parent[rows]
-        depths[rows] = _point_tri_set_distance_np(corners[rows], index.eroded[pidx]) + index.hat_radii[pidx]
-    in_parent_slacks = (depths - np.repeat(index.hat_radii, 3)).reshape(-1, 3).min(axis=1)
+    step = max(1, _PAIR_CHUNK // 3)
+    for start in range(0, len(in_hat), step):
+        rows = in_hat[start : start + step]
+        parents = parent_of[rows]
+        x, y = np.take(hats[:2], rows, axis=-1)
+        signed = _point_tri_set_distance(x, y, np.take(hats, parents, axis=-1))
+        depths[:, rows] = signed + radii[parents]
+    in_parent_slacks = (depths - radii).min(axis=0)
 
     def in_parent_ids():
         ids = index.hat_ids
@@ -429,8 +425,11 @@ def verify(
 
     # hat-hat-disjoint (siblings)
     pa, pb = index.siblings
-    dists = _tri_pair_distance_np(index.eroded[pa], index.eroded[pb])
-    sibling_slacks = dists - (index.hat_radii[pa] + index.hat_radii[pb])
+    sibling_slacks = np.empty(len(pa))
+    for start in range(0, len(pa), step):
+        a, b = pa[start : start + step], pb[start : start + step]
+        dists = _tri_pair_distance(np.take(hats, a, axis=-1), np.take(hats, b, axis=-1))
+        sibling_slacks[start : start + step] = dists - (radii[a] + radii[b])
 
     def sibling_ids():
         ids = index.hat_ids
@@ -439,7 +438,8 @@ def verify(
     groups: list[tuple[CheckKind, Callable[[], list], np.ndarray, Union[float, np.ndarray]]] = [
         (CheckKind.CIRCLE_CIRCLE, pair_ids, pair_slacks, pair_tolerance),
         (CheckKind.CIRCLE_IN_CONTAINER, lambda: [(i, "container") for i in index.circle_ids],
-         index.container_signed_distance(index.centers) - index.radii, tolerance),
+         index.container_signed_distance(index.centers[:, 0], index.centers[:, 1]) - index.radii,
+         tolerance),
         (CheckKind.HAT_IN_PARENT, in_parent_ids, in_parent_slacks, tolerance),
         (CheckKind.HAT_HAT_DISJOINT, sibling_ids, sibling_slacks, tolerance),
     ]

@@ -90,6 +90,25 @@ class TestDocuments:
         with pytest.raises(sp.DocumentError):
             PackingDocument.from_dict(data)
 
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
+    @pytest.mark.parametrize("field", ["x", "y", "radius", "vertex x", "vertex y",
+                                       "rounding_radius"])
+    def test_booleans_and_strings_are_not_coordinates(self, field, value):
+        placement = {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 0}
+        hat = {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1}
+        if field == "vertex x":
+            hat["vertices"][1][0] = value
+        elif field == "vertex y":
+            hat["vertices"][2][1] = value
+        elif field == "rounding_radius":
+            hat[field] = value
+        else:
+            placement[field] = value
+        data = {"container": {"type": "square", "side": 1.0}, "placements": [placement],
+                "subcontainers": [hat]}
+        with pytest.raises(sp.DocumentError):
+            PackingDocument.from_dict(data)
+
     def test_non_finite_numbers_are_written_as_json_writes_them(self):
         data = {
             "container": {"type": "square", "side": 1.0},
@@ -295,6 +314,22 @@ class TestDecide:
         assert answers == {True, False}
 
 
+    @pytest.mark.parametrize("container,circles", [
+        ("square:1e-200", []), ("square:1e-160", [{"area": 1.0}]), ("square:1e200", [{"area": 1.0}]),
+    ], ids=["capacity-underflows", "ratio-overflows", "capacity-overflows"])
+    def test_container_outside_the_float_range_is_unknown(self, capsys, monkeypatch, container,
+                                                          circles):
+        # the float-range rule answers "unknown"; the ratio of an area to a
+        # capacity of 0 or inf has no value, and JSON has no Infinity
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, err = run_cli(["decide", "--container", container, "--circles", "-"], capsys,
+                                 stdin=json.dumps(circles), monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert json.loads(out, parse_constant=refuse) == {"packable": "unknown", "ratio": None}
+
+
 class TestMinSize:
     @pytest.mark.parametrize("command", ["decide", "pack"])
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
@@ -483,8 +518,12 @@ _SQUARE_DICT = {"type": "square", "side": 1.0}
     ("pack", {"container": {"type": "square", "side": 10.0}, "circles": [{"area": True}]}),
     ("verify", {"container": _SQUARE_DICT, "placements": [
         {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": True}]}),
+    # judged as a circle at (0.5, 1.0) when strings and booleans were numbers
+    ("verify", {"container": _SQUARE_DICT, "placements": [
+        {"x": "0.5", "y": True, "radius": 0.1, "input_index": 0}]}),
 ], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
-        "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true"])
+        "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true",
+        "coordinates-str-true"])
 def test_malformed_document_exits_2_with_one_error_line(tmp_path, command, doc):
     # exit 1 from verify means FAIL; a malformed document is invalid input
     path = tmp_path / "doc.json"
@@ -553,6 +592,21 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", str(path), "--tolerance", tolerance], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "tolerance" in err
+
+    def test_hat_with_coincident_vertices_prints_no_warning(self, tmp_path):
+        # a hat shrunk to a segment, with a child off it: the side lines of its
+        # zero-length edge divided by zero and numpy printed a RuntimeWarning
+        doc = {"container": _SQUARE_DICT, "placements": [], "subcontainers": [
+            {"vertices": [[0.1, 0.0], [0.5, 0.0], [0.5, 0.0]], "rounding_radius": 0.0, "depth": 1},
+            {"vertices": [[0.2, 0.1], [0.3, 0.1], [0.2, 0.2]], "rounding_radius": 0.0, "depth": 2},
+        ]}
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "splitpack", "verify", str(path)],
+                              capture_output=True, text=True, env=TestModuleEntryPoint.env(),
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.startswith("FAIL") and "hat-in-parent hat:0.0.0 hat:0.0" in proc.stdout
 
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypatch=monkeypatch)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from array import array
 
 import numpy as np
@@ -31,10 +32,10 @@ from splitpack import verifier
 from splitpack.verifier import (
     _Columns,
     _circle_pairs,
-    _erode_tris,
-    _cross_np,
-    _point_tri_set_distance_np,
-    _tri_pair_distance_np,
+    _edge_table,
+    _erode,
+    _point_tri_set_distance,
+    _tri_pair_distance,
 )
 from conftest import (
     child_hats,
@@ -632,13 +633,20 @@ class TestProofInequalities:
             assert key.f1 + key.f2 >= a * (1.0 - 1e-12)
 
 
+def edge_table(tris):
+    """The verifier's edge table of triangles given as (k, 3, 2) corners."""
+    tris = np.asarray(tris, dtype=float)
+    return _edge_table(tris[..., 0].T, tris[..., 1].T)
+
+
 class TestBatchPrimitivesMatchScalar:
     def test_tri_pair_distance(self):
         rng = np.random.default_rng(107)
 
         def ccw_triangle(center, size):
             pts = center + rng.uniform(-size, size, size=(3, 2))
-            if _cross_np(pts[1] - pts[0], pts[2] - pts[0]) < 0:
+            (ax, ay), (bx, by), (cx, cy) = pts
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
                 pts = pts[[0, 2, 1]]
             return pts
 
@@ -658,9 +666,7 @@ class TestBatchPrimitivesMatchScalar:
                     t[:] = t.mean(axis=0)
             pairs.append((ta, tb))
         disjoint = overlapping = 0
-        got = _tri_pair_distance_np(
-            np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
-        )
+        got = _tri_pair_distance(edge_table([a for a, _ in pairs]), edge_table([b for _, b in pairs]))
         for (ta, tb), d in zip(pairs, got):
             reference = convex_polygon_distance(
                 [tuple(p) for p in ta], [tuple(p) for p in tb]
@@ -682,9 +688,7 @@ class TestBatchPrimitivesMatchScalar:
                 moved = ([tuple(p + factor * depth * np.array(u)) for p in tb] for u in directions)
                 found = any(convex_polygon_distance(a, b) > 0.0 for b in moved)
                 assert found == separates
-        got = _tri_pair_distance_np(
-            np.array([a for a, _ in shared]), np.array([b for _, b in shared])
-        )
+        got = _tri_pair_distance(edge_table([a for a, _ in shared]), edge_table([b for _, b in shared]))
         assert np.abs(got).max() <= 1e-12
 
     def test_point_triangle_set_distance(self):
@@ -692,8 +696,8 @@ class TestBatchPrimitivesMatchScalar:
         for _ in range(300):
             t = random_non_acute_triangle(rng)
             p = Point(float(rng.uniform(-2, 4)), float(rng.uniform(-2, 4)))
-            tris = np.array([t.vertices], dtype=float)
-            got = float(_point_tri_set_distance_np(np.array([p]), tris)[0])
+            got = float(_point_tri_set_distance(np.array([[p.x]]), np.array([[p.y]]),
+                                                edge_table([t.vertices]))[0, 0])
             inside = signed_distance(p, t)
             if inside >= 0:
                 assert got == pytest.approx(inside, abs=1e-12)
@@ -711,8 +715,9 @@ class TestBatchPrimitivesMatchScalar:
             r_in = triangle_incircle(t).radius
             s = float(rng.uniform(0.0, 1.0)) * r_in
             hat = Hat(t, s)
-            batch = _erode_tris(np.array([t.vertices], dtype=float), np.array([s]))[0][0]
-            for got, expected in zip(batch, hat.eroded_corners()):
+            corners = np.array(t.vertices, dtype=float)[:, :, None]
+            table, _ = _erode(corners[:, 0], corners[:, 1], np.array([s]))
+            for got, expected in zip(zip(table[0, :, 0], table[1, :, 0]), hat.eroded_corners()):
                 assert tuple(got) == pytest.approx(expected, abs=1e-12)
 
     def test_sibling_distance_matches_convex_polygon_distance(self):
@@ -826,3 +831,31 @@ class TestOutsideDistances:
             assert [(c.kind, c.ids) for c in report.failures] == [
                 (CheckKind.HAT_HAT_DISJOINT, ("hat:0.0", "hat:0.1"))]
 
+
+class TestDegenerateHat:
+    """A hat shrunk to a segment by two coincident vertices, with a child."""
+
+    SEGMENT = ((0.1, 0.0), (0.5, 0.0), (0.5, 0.0))
+
+    @pytest.mark.parametrize("child,passed", [
+        (((0.2, 0.0), (0.3, 0.0), (0.3, 0.0)), True),
+        (((0.6, 0.0), (0.7, 0.0), (0.7, 0.0)), False),
+        (((0.2, 0.1), (0.3, 0.1), (0.2, 0.2)), False),
+    ], ids=["on the segment", "in line beyond its end", "off it"])
+    def test_child_is_judged_by_its_distance_to_the_segment(self, child, passed):
+        # the segment has no inside: every child corner is judged by its
+        # Euclidean distance to it, and no division by its zero-length edge
+        # warns
+        root = parse_packing(SQUARE, subcontainers=[
+            {"vertices": [list(p) for p in self.SEGMENT], "rounding_radius": 0.0, "depth": 1},
+            {"vertices": [list(p) for p in child], "rounding_radius": 0.0, "depth": 2},
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(root)
+        slack = checks_of(report, CheckKind.HAT_IN_PARENT)[("hat:0.0.0", "hat:0.0")]
+        start, end = self.SEGMENT[0], self.SEGMENT[1]
+        expected = -max(point_segment_distance(q, start, end) for q in child)
+        assert slack == pytest.approx(expected, abs=1e-15)
+        assert report.passed == passed
+        assert [c.ids for c in report.failures] == ([] if passed else [("hat:0.0.0", "hat:0.0")])
