@@ -14,7 +14,7 @@ from typing import Union
 
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Point, Square, Triangle, critical_density
-from .packer import Packing, PackRequest, _check_feasible, packable_area
+from .packer import Packing, PackRequest, _check_feasible, _combined_area, packable_area
 from .splitting import CircleSet
 
 
@@ -303,7 +303,7 @@ def decide(instance: InstanceDocument) -> dict:
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
     instance as over capacity, below its minimum size or outside the float
     range. ``ratio`` is the combined area over the packable area, or None
-    where that capacity or the ratio leaves the float range."""
+    where that capacity, the combined area or the ratio leaves the float range."""
     request = instance.to_request()  # refuses a bad min_size, as pack does
     capacity = packable_area(request.container)
     try:
@@ -311,5 +311,5 @@ def decide(instance: InstanceDocument) -> dict:
         packable = "yes"
     except (InvalidParameterError, OverCapacityError):
         packable = "unknown"
-    ratio = math.fsum(instance.areas) / capacity if 0.0 < capacity < math.inf else math.inf
+    ratio = _combined_area(instance.areas) / capacity if 0.0 < capacity < math.inf else math.inf
     return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

@@ -1,9 +1,9 @@
 """Closed-form geometric constructions for circle packing.
 
-Points, circles, squares and triangles; the altitude split and the incenter
-that the packer builds and fills hats (corner-rounded triangles) with;
-twincircles, split keys and critical densities. A hat has no class of its
-own: the packer records it as numbers in a :class:`~splitpack.packer.Packing`.
+Points, circles, squares and triangles; the table of hat (corner-rounded
+triangle) shapes that the packer splits hats and places circles by, at most
+four right shapes below the container; twincircles, split keys and critical
+densities. The packer records hats only as numbers in a ``Packing``.
 
 All lengths and areas are plain double precision; tolerances elsewhere in the
 package are expressed relative to the container scale.
@@ -145,31 +145,23 @@ class Triangle:
         return 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
     @cached_property
-    def _base_index(self) -> int:
-        sides = self.side_lengths
-        return max(range(3), key=lambda i: sides[i])
-
-    @cached_property
     def base_split(self) -> tuple[Point, Point, Point]:
         """(left base vertex, right base vertex, apex); base = longest side.
 
         "Left" and "right" follow the counterclockwise traversal of the base
         edge, so the apex lies to the left of the directed base.
         """
-        i = self._base_index
+        sides = self.side_lengths
+        i = max(range(3), key=lambda k: sides[k])
         v = self.vertices
         return (v[i], v[(i + 1) % 3], v[(i + 2) % 3])
-
-    @staticmethod
-    def _angle(at: Point, p: Point, q: Point) -> float:
-        ux, uy = p.x - at.x, p.y - at.y
-        vx, vy = q.x - at.x, q.y - at.y
-        return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
     @cached_property
     def apex_angle(self) -> float:
         left, right, apex = self.base_split
-        return self._angle(apex, left, right)
+        ux, uy = left.x - apex.x, left.y - apex.y
+        vx, vy = right.x - apex.x, right.y - apex.y
+        return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
     @property
     def is_non_acute(self) -> bool:
@@ -183,44 +175,38 @@ class Triangle:
         )
 
 
-def _inradius(t: Triangle) -> float:
-    # summed left to right: builtin sum() compensates floats from Python 3.12
-    a, b, c = t.side_lengths
-    return 2.0 * t.area / (a + b + c)
+def shape_table(left, right, apex) -> tuple[float, list[tuple]]:
+    """The inradius of the non-acute triangle with base ends ``left``,
+    ``right`` and apex ``apex``, each an (x, y) pair, and the shapes of the
+    hats split from it: entry 0 its own, entries 1 to 4 right triangles.
 
-
-def _altitude_split(left, right, apex) -> tuple[tuple[float, float], float, float]:
-    """Split a non-acute triangle through its apex, orthogonal to the base.
-
-    ``left``, ``right`` are the ends of the base (the longest side) and
-    ``apex`` the opposite vertex, each an (x, y) pair. Returns the foot of
-    the apex altitude as a plain (x, y) tuple and the inradii of the two
-    right altitude halves (left, foot, apex) and (foot, right, apex), whose
-    right angles sit at the foot.
+    An entry holds the altitude foot's fraction of the base from left to
+    right, the halves' inradii over the hat's, the incenter weights of left,
+    right and apex, and the entries of the left and right halves, each based
+    on its hypotenuse. A right shape with legs p (left) and q (right) over
+    its hypotenuse has (p**2, p, q, (q, p, 1) / (1 + p + q)), and both its
+    halves are the right shape (q, p): halving a right triangle keeps it.
     """
     (lx, ly), (rx, ry), (cx, cy) = left, right, apex
     bx, by = rx - lx, ry - ly
-    t = ((cx - lx) * bx + (cy - ly) * by) / (bx * bx + by * by)
-    fx, fy = lx + t * bx, ly + t * by
-    leg_left = math.hypot(fx - lx, fy - ly)
-    leg_right = math.hypot(rx - fx, ry - fy)
+    foot = ((cx - lx) * bx + (cy - ly) * by) / (bx * bx + by * by)
+    fx, fy = lx + foot * bx, ly + foot * by
+    leg1 = math.hypot(fx - lx, fy - ly)
+    leg2 = math.hypot(rx - fx, ry - fy)
     altitude = math.hypot(cx - fx, cy - fy)
-    r1 = leg_left * altitude / (leg_left + altitude + math.hypot(cx - lx, cy - ly))
-    r2 = leg_right * altitude / (leg_right + altitude + math.hypot(cx - rx, cy - ry))
-    return (fx, fy), r1, r2
-
-
-def _incenter(a, b, c) -> tuple[float, float]:
-    """Incenter of the triangle abc as an (x, y) tuple: its vertices weighted by the opposite sides."""
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    wa = math.hypot(cx - bx, cy - by)
-    wb = math.hypot(cx - ax, cy - ay)
-    wc = math.hypot(bx - ax, by - ay)
-    perimeter = wa + wb + wc
-    return (
-        (wa * ax + wb * bx + wc * cx) / perimeter,
-        (wa * ay + wb * by + wc * cy) / perimeter,
-    )
+    a = math.hypot(cx - lx, cy - ly)
+    b = math.hypot(cx - rx, cy - ry)
+    c = math.hypot(bx, by)
+    perimeter = a + b + c
+    r_in = c * altitude / perimeter
+    table = [(foot, leg1 * altitude / (leg1 + altitude + a) / r_in,
+              leg2 * altitude / (leg2 + altitude + b) / r_in,
+              b / perimeter, a / perimeter, c / perimeter, 1, 3)]
+    for p, q, k in ((altitude / a, leg1 / a, 1), (leg2 / b, altitude / b, 3)):
+        total = 1.0 + p + q
+        table.append((p * p, p, q, q / total, p / total, 1.0 / total, k + 1, k + 1))
+        table.append((q * q, q, p, p / total, q / total, 1.0 / total, k, k))
+    return r_in, table
 
 
 # ---------------------------------------------------------------------------
@@ -266,5 +252,6 @@ def critical_density(container: Union[Square, Triangle]) -> float:
 
 def hat_split_key(t: Triangle) -> SplitKey:
     """Incircle areas (f1, f2) of the two altitude halves of the triangle."""
-    _foot, r1, r2 = _altitude_split(*t.base_split)
+    r_in, table = shape_table(*t.base_split)
+    r1, r2 = table[0][1] * r_in, table[0][2] * r_in
     return SplitKey(math.pi * r1 * r1, math.pi * r2 * r2)

@@ -14,7 +14,8 @@ incircle.
 
 `pack` builds the first-level hats (the container triangle itself, or the
 square's two corner hats) and hands them to one iterative loop, which builds
-every further hat and places every circle, directly in world coordinates.
+every further hat and places every circle, directly in world coordinates,
+by constants of the at most four right shapes below the container.
 The result is one flat record, :class:`Packing`: a column per circle and
 hat attribute, and no object per shape.
 """
@@ -34,12 +35,9 @@ from .geometry import (
     PHI_SQUARE,
     Circle,
     Point,
-    SplitKey,
     Square,
     Triangle,
-    _altitude_split,
-    _incenter,
-    _inradius,
+    shape_table,
 )
 from .splitting import CircleSet, min_guarantee, split, weighted_split
 
@@ -142,7 +140,7 @@ def packable_area(container: Union[Square, Triangle]) -> float:
     if isinstance(container, Triangle):
         if not container.is_non_acute:
             raise UnsupportedContainerError("acute triangle containers are not supported")
-        r = _inradius(container)
+        r, _ = shape_table(*container.base_split)
         return math.pi * r * r
     raise UnsupportedContainerError(f"unsupported container type: {type(container).__name__}")
 
@@ -176,7 +174,7 @@ def _scale_factor(a: float, f: float) -> float:
     return math.sqrt(a / f)
 
 
-def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> None:
+def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: PackStats) -> None:
     """Fill each hat (entry as on the stack below) with its non-empty circle set.
 
     The only place that splits a hat into subhats and places a circle in a
@@ -184,7 +182,8 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
     triangle is split through its apex into two right altitude halves, the
     set is split against the halves' incircle areas, and each half is scaled
     about its base vertex to its group's combined area and rounded by the
-    group's minimum-size guarantee, clamped to the group's smallest circle.
+    group's minimum-size guarantee, clamped to the group's smallest circle,
+    by the constants of the hat's entry in ``shapes`` (a ``shape_table``).
     A hat enters the record when it is popped, so the record's hats come out
     in depth-first preorder.
     """
@@ -193,19 +192,21 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
     xs, ys, radii = packing.x, packing.y, packing.radius
     vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
     scale_factors = stats.scale_factors
-    # (vertex coordinates, rounding, scale factor, L, R, C, inradius, subset,
-    #  inherited min size, record depth) with L, R the base (longest side)
-    #  ends and C the apex, each an (x, y) pair; the container triangle has
-    #  depth 0 and is not recorded
+    # (vertex coordinates, rounding, scale factor, L, R, C, inradius, shape
+    #  index, subset, inherited min size, record depth) with L, R the base
+    #  (longest side) ends and C the apex, each an (x, y) pair; the container
+    #  triangle has depth 0 and is not recorded
     stack = list(reversed(hats))
     while stack:
-        coords, rounding, t, left, right, apex, r_in, subset, b_min, depth = stack.pop()
+        coords, rounding, t, left, right, apex, r_in, shape, subset, b_min, depth = stack.pop()
         if depth:
             vertices.extend(coords)
             roundings.append(rounding)
             depths.append(depth)
             scale_factors.append(t)
 
+        foot, rho1, rho2, wl, wr, wc, shape1, shape2 = shapes[shape]
+        (lx, ly), (rx, ry), (cx, cy) = left, right, apex
         size = len(subset.areas)
         if size == 1:
             # lone circle: concentric with the hat's incircle
@@ -215,27 +216,29 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
                     f"circle of area {area!r} exceeds the hat's incircle area {pi * r_in * r_in!r}"
                 )
             k = subset.indices[0]
-            xs[k], ys[k] = _incenter(left, right, apex)
+            xs[k] = wl * lx + wr * rx + wc * cx
+            ys[k] = wl * ly + wr * ry + wc * cy
             radii[k] = sqrt(area / pi)
             continue
 
-        (fx, fy), r1, r2 = _altitude_split(left, right, apex)
+        fx = lx + foot * (rx - lx)
+        fy = ly + foot * (ry - ly)
+        r1 = rho1 * r_in
+        r2 = rho2 * r_in
         f1 = pi * r1 * r1
         f2 = pi * r2 * r2
-        key = (f1, f2)
 
-        part1, part2 = weighted_split(subset, key)
+        part1, part2 = weighted_split(subset, (f1, f2))
         stats.split_calls += 1
         stats.element_moves += size
         a1, a2 = part1.combined, part2.combined
         b1 = min(min_guarantee(a1, a2, f1, f2, b_min), part1.minimum)
         b2 = min(min_guarantee(a2, a1, f2, f1, b_min), part2.minimum)
-        _check_tuples(pi * r_in * r_in, b_min, key, (a1, b1), (a2, b2))
+        _check_tuples(pi * r_in * r_in, b_min, (f1, f2), (a1, b1), (a2, b2))
 
         t1 = _scale_factor(a1, f1)
         t2 = _scale_factor(a2, f2)
 
-        (lx, ly), (rx, ry), (cx, cy) = left, right, apex
         # child 2: right half scaled about the right base vertex
         qfx = rx + t2 * (fx - rx)
         qfy = ry + t2 * (fy - ry)
@@ -243,7 +246,7 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         qcy = ry + t2 * (cy - ry)
         r2c = t2 * r2
         stack.append(((qfx, qfy, rx, ry, qcx, qcy), min(sqrt(b2 / pi), r2c), t2,
-                      right, (qcx, qcy), (qfx, qfy), r2c, part2, b2, depth + 1))
+                      right, (qcx, qcy), (qfx, qfy), r2c, shape2, part2, b2, depth + 1))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
@@ -253,7 +256,7 @@ def _pack_into_hats(packing: Packing, hats: list[tuple], stats: PackStats) -> No
         pcy = ly + t1 * (cy - ly)
         r1c = t1 * r1
         stack.append(((lx, ly, pfx, pfy, pcx, pcy), min(sqrt(b1 / pi), r1c), t1,
-                      (pcx, pcy), left, (pfx, pfy), r1c, part1, b1, depth + 1))
+                      (pcx, pcy), left, (pfx, pfy), r1c, shape1, part1, b1, depth + 1))
 
 
 def _validate_request(request: PackRequest) -> float:
@@ -264,6 +267,14 @@ def _validate_request(request: PackRequest) -> float:
     capacity = packable_area(request.container)
     _check_feasible(circles, request.min_size, capacity)
     return capacity
+
+
+def _combined_area(areas) -> float:
+    """The exactly rounded sum of the areas; inf where it leaves the float range."""
+    try:
+        return math.fsum(areas)
+    except OverflowError:
+        return math.inf
 
 
 def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> None:
@@ -287,7 +298,7 @@ def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> Non
                 f"min-size violation: smallest circle {circles.minimum!r} "
                 f"is below the declared minimum {min_size!r}"
             )
-    total = math.fsum(circles.areas)
+    total = _combined_area(circles.areas)
     if total > capacity * (1.0 + FEASIBILITY_REL_SLACK):
         ratio = total / capacity
         raise OverCapacityError(
@@ -340,29 +351,29 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         a1, a2 = part1.combined, part2.combined
         b1 = min(min_guarantee(a1, a2, f, f, b0), part1.minimum)
         b2 = min(min_guarantee(a2, a1, f, f, b0), part2.minimum)
-        _check_tuples(capacity, 0.0, SplitKey(f, f), (a1, b1), (a2, b2))
-        # Group 1's hat is the right isosceles half-square with its right
-        # angle at (0, 0), group 2's the one with it at (s, s), each scaled
-        # about that corner. A hat's inradius is carried as t times the
-        # half-square's: recomputed from the scaled vertices, it keeps only
-        # the digits of t that survive next to s.
+        _check_tuples(capacity, 0.0, (f, f), (a1, b1), (a2, b2))
+        # Group 1's hat is the half-square with its right angle at (0, 0),
+        # group 2's the one at (s, s), each scaled about that corner. Its
+        # inradius is t times the half-square's: measured from the scaled
+        # vertices, it would keep only the digits of t that survive next to s.
+        r_half, shapes = shape_table((s, 0.0), (0.0, s), (0.0, 0.0))
         hats = []
-        for corner, p, q, part, b in (
-            (Point(0.0, 0.0), Point(s, 0.0), Point(0.0, s), part1, b1),
-            (Point(s, s), Point(0.0, s), Point(s, 0.0), part2, b2),
+        for (cx, cy), (px, py), (qx, qy), part, b in (
+            ((0.0, 0.0), (s, 0.0), (0.0, s), part1, b1),
+            ((s, s), (0.0, s), (s, 0.0), part2, b2),
         ):
             t = _scale_factor(part.combined, f)
-            half = Triangle((corner, p, q))
-            tri = half.scaled_about(corner, t)
-            rounding = min(math.sqrt(b / math.pi), _inradius(tri))
-            hats.append((tuple(c for v in tri.vertices for c in v), rounding, t, *tri.base_split,
-                         t * _inradius(half), part, b, 1))
+            left = (cx + t * (px - cx), cy + t * (py - cy))
+            right = (cx + t * (qx - cx), cy + t * (qy - cy))
+            r_in = t * r_half
+            hats.append(((cx, cy, *left, *right), min(math.sqrt(b / math.pi), r_in), t,
+                         left, right, (cx, cy), r_in, 0, part, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding; the caller's min_size only sharpens the guarantees below.
-        hats = [(None, 0.0, 1.0, *container.base_split,
-                 _inradius(container), circles, b0, 0)]
-    _pack_into_hats(packing, hats, stats)
+        r_in, shapes = shape_table(*container.base_split)
+        hats = [(None, 0.0, 1.0, *container.base_split, r_in, 0, circles, b0, 0)]
+    _pack_into_hats(packing, shapes, hats, stats)
     stats.hat_count += len(packing.hat_rounding)
     depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
     stats.max_depth = max(stats.max_depth, depth)

@@ -150,12 +150,13 @@ def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) ->
 
     Inside, the inward depth to the nearest side line; outside, minus the
     Euclidean distance to the nearest edge, computed only at the points that
-    are outside. A zero-length edge leaves its triangle no inside (its side
-    line is -inf), so every point takes the Euclidean distance there.
+    are outside. A zero-length edge or a zero doubled area leaves a triangle
+    no inside (side lines of -inf), so every point takes the Euclidean distance.
     """
     x, y, ex, ey, length = tris[:, None]
     cross = ex * (py[:, None] - y) - ey * (px[:, None] - x)
-    line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=length > 0.0).min(axis=1)
+    sides = (length > 0.0) & (ex[:, 0] * ey[:, 1] > ey[:, 0] * ex[:, 1])  # positive doubled area
+    line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=sides).min(axis=1)
     outside = np.nonzero(line < 0.0)
     if len(outside[0]):
         sq = _nearest_edge_sq(px[outside][None], py[outside][None], np.take(tris, outside[1], axis=-1))

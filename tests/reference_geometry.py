@@ -6,9 +6,9 @@ circle-circle slacks. Tests compare the verifier's bulk primitives, its
 sibling-hat rule and its circle-pair sweep with these.
 
 The construction's measurements, each with arithmetic of its own: the
-altitude halves of a triangle, the closed-form dimensions of a right
-isosceles hat, and the conjugatedness conditions on a split. Tests compare
-the packer's hats and splits with these.
+altitude halves of a triangle, its incenter and inradius, the closed-form
+dimensions of a right isosceles hat, and the conjugatedness conditions on a
+split. Tests compare the packer's hats, circles and splits with these.
 
 The hat as a validated shape object, :class:`Hat`, with its incircle
 (:func:`triangle_incircle`): the package records hats only as numbers in a
@@ -26,7 +26,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from splitpack import Circle, InvalidParameterError, Point, SplitKey, Triangle
-from splitpack.geometry import _as_point, _incenter, _inradius
 
 SQRT2 = math.sqrt(2.0)
 
@@ -127,8 +126,8 @@ def convex_polygon_distance(pa: Sequence, pb: Sequence) -> float:
     Returns 0 when the convex hulls intersect or touch. Degenerate inputs
     (segments, single points) are accepted.
     """
-    a = [_as_point(p) for p in pa]
-    b = [_as_point(p) for p in pb]
+    a = [Point(float(p[0]), float(p[1])) for p in pa]
+    b = [Point(float(p[0]), float(p[1])) for p in pb]
     if not a or not b:
         raise InvalidParameterError("point lists must be non-empty")
     if _contains_any(a, b) or _contains_any(b, a):
@@ -275,7 +274,7 @@ class Hat:
         s = float(self.rounding_radius)
         if not (math.isfinite(s) and s >= 0.0):
             raise InvalidParameterError(f"rounding radius must be non-negative, got {s!r}")
-        r = _inradius(self.triangle)
+        r = inradius(self.triangle)
         if s > r * (1.0 + 1e-9):
             raise InvalidParameterError("rounding radius exceeds the triangle's inradius")
         object.__setattr__(self, "rounding_radius", min(s, r))
@@ -301,9 +300,24 @@ class Hat:
         )
 
 
+def inradius(t: Triangle) -> float:
+    """Twice the triangle's area over its perimeter, from its vertices."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c = t.vertices
+    doubled = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return doubled / (math.dist(a, b) + math.dist(b, c) + math.dist(c, a))
+
+
+def incenter(a, b, c) -> Point:
+    """Incenter of the triangle abc: its vertices weighted by the opposite sides."""
+    wa, wb, wc = math.dist(b, c), math.dist(c, a), math.dist(a, b)
+    perimeter = wa + wb + wc
+    return Point((wa * a[0] + wb * b[0] + wc * c[0]) / perimeter,
+                 (wa * a[1] + wb * b[1] + wc * c[1]) / perimeter)
+
+
 def triangle_incircle(t: Triangle) -> Circle:
     """Largest inscribed circle: radius area/semiperimeter, center the incenter."""
-    return Circle(_incenter(*t.vertices), _inradius(t))
+    return Circle(incenter(*t.vertices), inradius(t))
 
 
 def hat_shapes(packing) -> list[Hat]:

@@ -329,6 +329,12 @@ class TestDecide:
         assert code == 0, err
         assert json.loads(out, parse_constant=refuse) == {"packable": "unknown", "ratio": None}
 
+    def test_areas_whose_exact_sum_overflows_are_unknown(self, capsys, monkeypatch):
+        code, out, err = run_cli(["decide", "--container", "square:1", "--circles", "-"], capsys,
+                                 stdin='[{"area": 1e308}, {"area": 1e308}]', monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert json.loads(out) == {"packable": "unknown", "ratio": None}
+
 
 class TestMinSize:
     @pytest.mark.parametrize("command", ["decide", "pack"])
@@ -368,6 +374,12 @@ class TestPack:
         code, _, err = run_cli(["pack", "--circles", path], capsys)
         assert code == 2
         assert "over-capacity" in err and "ratio" in err
+
+    def test_areas_whose_exact_sum_overflows_are_over_capacity(self, capsys, monkeypatch):
+        code, out, err = run_cli(["pack", "--container", "square:1", "--circles", "-"], capsys,
+                                 stdin='[{"area": 1e308}, {"area": 1e308}]', monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("error: over-capacity: combined area inf") and err.count("\n") == 1
 
     def test_svg_output(self, tmp_path, capsys):
         inst = InstanceDocument(Square(1.0), [PHI_SQUARE / 2.0, PHI_SQUARE / 2.0])

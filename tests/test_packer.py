@@ -31,6 +31,7 @@ from splitpack import (
     weighted_split,
 )
 from splitpack import packer
+from splitpack.geometry import shape_table
 from conftest import (
     random_areas,
     random_container,
@@ -290,10 +291,11 @@ class TestPlacementOperations:
         with pytest.raises(OverCapacityError):
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
-            entry = (None, 0.0, 1.0, *t.base_split, 1.0,
+            _r_in, shapes = shape_table(*t.base_split)
+            entry = (None, 0.0, 1.0, *t.base_split, 1.0, 0,
                      CircleSet.from_areas([math.pi * 1.01]), 0.0, 0)
             packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
-                                           radius=array("d", [0.0])), [entry], PackStats())
+                                           radius=array("d", [0.0])), shapes, [entry], PackStats())
 
     def test_recursion_matches_public_placement_ops(self):
         # pack's first-level children match the altitude halves scaled about
@@ -388,6 +390,32 @@ class TestTreeInvariants:
         assert len(areas) > 100
         assert len(calls) == stats.split_calls - 1
         assert sum(calls) == stats.element_moves - len(areas)
+
+    @pytest.mark.parametrize("container", [
+        Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0), Triangle.from_sides(2.0, 3.5, 4.5)],
+        ids=["square", "tri345", "tri2-3.5-4.5"])
+    def test_split_keys_keep_their_shapes_ratio(self, monkeypatch, container):
+        # every hat is similar to an entry of the container's shape table, so
+        # its key's ratio is that entry's up to the key's own rounding, down
+        # to the deepest hats of a halving set; the square's is exactly 1
+        keys = []
+        original = packer.weighted_split
+
+        def spy(circles, key):
+            keys.append(key)
+            return original(circles, key)
+
+        monkeypatch.setattr(packer, "weighted_split", spy)
+        capacity = packable_area(container)
+        pack(PackRequest(container, CircleSet.from_areas([capacity * 0.5 ** (k + 1) for k in range(100)])))
+        assert len(keys) > 50
+        if isinstance(container, Square):
+            assert all(f1 == f2 for f1, f2 in keys)
+            return
+        _r_in, table = shape_table(*container.base_split)
+        ratios = [(rho1 / rho2) ** 2 for _foot, rho1, rho2, *_ in table]
+        for f1, f2 in keys:
+            assert min(abs(f1 / f2 - ratio) / math.ulp(ratio) for ratio in ratios) <= 8.0, (f1, f2)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(59)

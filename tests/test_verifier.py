@@ -833,29 +833,31 @@ class TestOutsideDistances:
 
 
 class TestDegenerateHat:
-    """A hat shrunk to a segment by two coincident vertices, with a child."""
+    """A hat shrunk to a segment, by two coincident vertices or by three
+    distinct collinear ones, with a child."""
 
-    SEGMENT = ((0.1, 0.0), (0.5, 0.0), (0.5, 0.0))
-
+    @pytest.mark.parametrize("segment", [
+        ((0.1, 0.0), (0.5, 0.0), (0.5, 0.0)),
+        ((0.1, 0.0), (0.3, 0.0), (0.5, 0.0)),
+    ], ids=["coincident", "collinear"])
     @pytest.mark.parametrize("child,passed", [
         (((0.2, 0.0), (0.3, 0.0), (0.3, 0.0)), True),
         (((0.6, 0.0), (0.7, 0.0), (0.7, 0.0)), False),
         (((0.2, 0.1), (0.3, 0.1), (0.2, 0.2)), False),
     ], ids=["on the segment", "in line beyond its end", "off it"])
-    def test_child_is_judged_by_its_distance_to_the_segment(self, child, passed):
+    def test_child_is_judged_by_its_distance_to_the_segment(self, segment, child, passed):
         # the segment has no inside: every child corner is judged by its
-        # Euclidean distance to it, and no division by its zero-length edge
+        # Euclidean distance to it, and no division by a zero-length edge
         # warns
         root = parse_packing(SQUARE, subcontainers=[
-            {"vertices": [list(p) for p in self.SEGMENT], "rounding_radius": 0.0, "depth": 1},
+            {"vertices": [list(p) for p in segment], "rounding_radius": 0.0, "depth": 1},
             {"vertices": [list(p) for p in child], "rounding_radius": 0.0, "depth": 2},
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = verify(root)
         slack = checks_of(report, CheckKind.HAT_IN_PARENT)[("hat:0.0.0", "hat:0.0")]
-        start, end = self.SEGMENT[0], self.SEGMENT[1]
-        expected = -max(point_segment_distance(q, start, end) for q in child)
+        expected = -max(point_segment_distance(q, segment[0], segment[2]) for q in child)
         assert slack == pytest.approx(expected, abs=1e-15)
         assert report.passed == passed
         assert [c.ids for c in report.failures] == ([] if passed else [("hat:0.0.0", "hat:0.0")])
