@@ -183,9 +183,9 @@ def shape_table(left, right, apex) -> tuple[float, list[tuple]]:
     An entry holds the altitude foot's fraction of the base from left to
     right, the halves' inradii over the hat's, the incenter weights of left,
     right and apex, and the entries of the left and right halves, each based
-    on its hypotenuse. A right shape with legs p (left) and q (right) over
-    its hypotenuse has (p**2, p, q, (q, p, 1) / (1 + p + q)), and both its
-    halves are the right shape (q, p): halving a right triangle keeps it.
+    on its hypotenuse, ends counterclockwise. A right shape whose legs from
+    left and right over its hypotenuse are p and q has (p**2, p, q, (q, p, 1)
+    / (1 + p + q)); both its halves are the right shape (q, p).
     """
     (lx, ly), (rx, ry), (cx, cy) = left, right, apex
     bx, by = rx - lx, ry - ly

@@ -15,7 +15,7 @@ incircle.
 `pack` builds the first-level hats (the container triangle itself, or the
 square's two corner hats) and hands them to one iterative loop, which builds
 every further hat and places every circle, directly in world coordinates,
-by constants of the at most four right shapes below the container.
+from its shape's constants: at most four right shapes below the container.
 The result is one flat record, :class:`Packing`: a column per circle and
 hat attribute, and no object per shape.
 """
@@ -178,12 +178,12 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
     """Fill each hat (entry as on the stack below) with its non-empty circle set.
 
     The only place that splits a hat into subhats and places a circle in a
-    hat: a lone circle goes concentric with its hat's incircle; otherwise the
+    hat, by the constants of the hat's entry in ``shapes`` (a shape_table):
+    a lone circle goes concentric with its hat's incircle; otherwise the
     triangle is split through its apex into two right altitude halves, the
     set is split against the halves' incircle areas, and each half is scaled
     about its base vertex to its group's combined area and rounded by the
-    group's minimum-size guarantee, clamped to the group's smallest circle,
-    by the constants of the hat's entry in ``shapes`` (a ``shape_table``).
+    group's minimum-size guarantee, clamped to the group's smallest circle.
     A hat enters the record when it is popped, so the record's hats come out
     in depth-first preorder.
     """

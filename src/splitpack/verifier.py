@@ -155,8 +155,8 @@ def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) ->
     """
     x, y, ex, ey, length = tris[:, None]
     cross = ex * (py[:, None] - y) - ey * (px[:, None] - x)
-    sides = (length > 0.0) & (ex[:, 0] * ey[:, 1] > ey[:, 0] * ex[:, 1])  # positive doubled area
-    line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=sides).min(axis=1)
+    has_line = (length > 0.0) & (ex[:, 0] * ey[:, 1] > ey[:, 0] * ex[:, 1])  # positive doubled area
+    line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=has_line).min(axis=1)
     outside = np.nonzero(line < 0.0)
     if len(outside[0]):
         sq = _nearest_edge_sq(px[outside][None], py[outside][None], np.take(tris, outside[1], axis=-1))

@@ -836,15 +836,16 @@ class TestDegenerateHat:
     """A hat shrunk to a segment, by two coincident vertices or by three
     distinct collinear ones, with a child."""
 
-    @pytest.mark.parametrize("segment", [
-        ((0.1, 0.0), (0.5, 0.0), (0.5, 0.0)),
-        ((0.1, 0.0), (0.3, 0.0), (0.5, 0.0)),
-    ], ids=["coincident", "collinear"])
-    @pytest.mark.parametrize("child,passed", [
-        (((0.2, 0.0), (0.3, 0.0), (0.3, 0.0)), True),
-        (((0.6, 0.0), (0.7, 0.0), (0.7, 0.0)), False),
-        (((0.2, 0.1), (0.3, 0.1), (0.2, 0.2)), False),
-    ], ids=["on the segment", "in line beyond its end", "off it"])
+    COINCIDENT = ((0.1, 0.0), (0.5, 0.0), (0.5, 0.0))
+    COLLINEAR = ((0.1, 0.0), (0.3, 0.0), (0.5, 0.0))
+    ON, BEYOND, OFF = (((0.2, 0.0), (0.3, 0.0), (0.3, 0.0)), ((0.6, 0.0), (0.7, 0.0), (0.7, 0.0)),
+                       ((0.2, 0.1), (0.3, 0.1), (0.2, 0.2)))
+
+    @pytest.mark.parametrize("segment,child,passed", [
+        (COINCIDENT, ON, True), (COINCIDENT, BEYOND, False), (COINCIDENT, OFF, False),
+        (COLLINEAR, ON, True), (COLLINEAR, BEYOND, False), (COLLINEAR, OFF, False),
+    ], ids=["on the segment", "in line beyond its end", "off it", "on the collinear segment",
+            "in line beyond the collinear segment's end", "off the collinear segment"])
     def test_child_is_judged_by_its_distance_to_the_segment(self, segment, child, passed):
         # the segment has no inside: every child corner is judged by its
         # Euclidean distance to it, and no division by a zero-length edge
