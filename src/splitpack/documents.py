@@ -32,15 +32,15 @@ def container_from_dict(data) -> Union[Square, Triangle]:
     kind = data["type"]
     try:
         if kind == "square":
-            return Square(float(data["side"]))
+            return Square(_number(data["side"]))
         if kind == "triangle":
             if "vertices" in data:
                 verts = data["vertices"]
                 if len(verts) != 3:
                     raise DocumentError("triangle containers need exactly three vertices")
-                return Triangle(tuple(Point(float(v[0]), float(v[1])) for v in verts))
+                return Triangle(tuple(Point(_number(v[0]), _number(v[1])) for v in verts))
             if "sides" in data:
-                x, y, z = (float(s) for s in data["sides"])
+                x, y, z = (_number(s) for s in data["sides"])
                 return Triangle.from_sides(x, y, z)
             raise DocumentError("triangle containers need 'vertices' or 'sides'")
     except DocumentError:

@@ -2,8 +2,9 @@
 
 Points, circles, squares and triangles; the table of hat (corner-rounded
 triangle) shapes that the packer splits hats and places circles by, at most
-four right shapes below the container; twincircles, split keys and critical
-densities. The packer records hats only as numbers in a ``Packing``.
+four right shapes below the container; twincircles, split keys, packable
+areas and critical densities. The packer records hats only as numbers in a
+``Packing``.
 
 All lengths and areas are plain double precision; tolerances elsewhere in the
 package are expressed relative to the container scale.
@@ -229,25 +230,31 @@ def square_twincircles(side: float) -> tuple[Circle, Circle]:
     )
 
 
-def critical_density(container: Union[Square, Triangle]) -> float:
-    """Fraction of the container's area that is guaranteed packable.
-
-    Squares: pi / (3 + 2 sqrt 2). Non-acute triangles with side lengths
-    x, y, z: the incircle-to-triangle area ratio
-
-        pi * sqrt((x+y-z)(z+x-y)(y+z-x) / (x+y+z)^3).
+def packable_area(container: Union[Square, Triangle]) -> float:
+    """Largest combined circle area the container is guaranteed to pack: its
+    twincircle area for a square, its incircle area for a triangle.
 
     Acute triangles are not supported.
     """
     if isinstance(container, Square):
-        return PHI_SQUARE
+        return PHI_SQUARE * container.side * container.side
     if isinstance(container, Triangle):
         if not container.is_non_acute:
             raise UnsupportedContainerError("acute triangle containers are not supported")
-        x, y, z = container.side_lengths
-        numerator = (x + y - z) * (z + x - y) * (y + z - x)
-        return math.pi * math.sqrt(numerator / (x + y + z) ** 3)
+        r, _ = shape_table(*container.base_split)
+        return math.pi * r * r
     raise UnsupportedContainerError(f"unsupported container type: {type(container).__name__}")
+
+
+def critical_density(container: Union[Square, Triangle]) -> float:
+    """Fraction of the container's area that is guaranteed packable.
+
+    Squares: pi / (3 + 2 sqrt 2). Non-acute triangles: the incircle-to-triangle
+    area ratio, the packable area over the area.
+    """
+    if isinstance(container, Square):
+        return PHI_SQUARE
+    return packable_area(container) / container.area
 
 
 def hat_split_key(t: Triangle) -> SplitKey:

@@ -25,18 +25,14 @@ from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    ConjugacyError,
-    InvalidParameterError,
-    OverCapacityError,
-    UnsupportedContainerError,
-)
+from .errors import ConjugacyError, InvalidParameterError, OverCapacityError
 from .geometry import (
     PHI_SQUARE,
     Circle,
     Point,
     Square,
     Triangle,
+    packable_area,
     shape_table,
 )
 from .splitting import CircleSet, min_guarantee, split, weighted_split
@@ -133,45 +129,46 @@ class PackStats:
     max_depth: int = 0
 
 
-def packable_area(container: Union[Square, Triangle]) -> float:
-    """Largest combined circle area the container is guaranteed to pack."""
-    if isinstance(container, Square):
-        return PHI_SQUARE * container.side * container.side
-    if isinstance(container, Triangle):
-        if not container.is_non_acute:
-            raise UnsupportedContainerError("acute triangle containers are not supported")
-        r, _ = shape_table(*container.base_split)
-        return math.pi * r * r
-    raise UnsupportedContainerError(f"unsupported container type: {type(container).__name__}")
-
-
-def _check_tuples(
-    a_total: float,
-    b_floor: float,
-    key: tuple[float, float],
-    first: tuple[float, float],
-    second: tuple[float, float],
-) -> None:
-    (a1, b1), (a2, b2) = first, second
-    f1, f2 = key
-    tol = _PLACEMENT_REL_TOL * max(a_total, 1e-300)
-    if a1 < -tol or a2 < -tol:
-        raise ConjugacyError("conjugatedness violation: negative subset area")
-    if a1 + a2 > a_total + tol:
-        raise ConjugacyError(
-            f"conjugatedness violation: a1 + a2 = {a1 + a2!r} exceeds packable area {a_total!r}"
-        )
-    if b1 < b_floor - tol or b2 < b_floor - tol:
-        raise ConjugacyError("conjugatedness violation: rounding below the inherited minimum size")
-    if b1 < a1 - f1 * a2 / f2 - tol or b2 < a2 - f2 * a1 / f1 - tol:
-        raise ConjugacyError("conjugatedness violation: rounding below the overshoot bound")
-
-
 def _scale_factor(a: float, f: float) -> float:
     """sqrt(a / f), snapped to exactly 1 when a lies within _SNAP_REL_TOL of f."""
     if abs(a - f) <= _SNAP_REL_TOL * f:
         return 1.0
     return math.sqrt(a / f)
+
+
+def _split_step(
+    part1: CircleSet,
+    part2: CircleSet,
+    key: tuple[float, float],
+    b_min: float,
+    capacity: float,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The rounding guarantee and scale factor of each group of a split, as
+    ``((b1, t1), (b2, t2))``: the one step of the construction, for the
+    square's first level and for every hat.
+
+    ``key`` holds the halves' incircle areas (f1, f2), ``b_min`` the inherited
+    minimum size and ``capacity`` the packable area of what is split. Group
+    i's guarantee is :func:`min_guarantee` against the other group, clamped to
+    its smallest circle, and its half is scaled by sqrt(a_i / f_i). Raises
+    :class:`ConjugacyError` when the groups exceed ``capacity`` or a clamp
+    cuts a guarantee, each by more than the placement slack.
+    """
+    f1, f2 = key
+    a1, a2 = part1.combined, part2.combined
+    tol = _PLACEMENT_REL_TOL * max(capacity, 1e-300)
+    if a1 + a2 > capacity + tol:
+        raise ConjugacyError(
+            f"conjugatedness violation: a1 + a2 = {a1 + a2!r} exceeds packable area {capacity!r}"
+        )
+    b1 = min_guarantee(a1, a2, f1, f2, b_min)
+    b2 = min_guarantee(a2, a1, f2, f1, b_min)
+    # every circle is at least b_min (the square's up to the feasibility
+    # slack, far below tol), so only a clamp of the overshoot bound can fire
+    if part1.minimum < b1 - tol or part2.minimum < b2 - tol:
+        raise ConjugacyError("conjugatedness violation: rounding below the overshoot bound")
+    return ((min(b1, part1.minimum), _scale_factor(a1, f1)),
+            (min(b2, part2.minimum), _scale_factor(a2, f2)))
 
 
 def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: PackStats) -> None:
@@ -182,38 +179,39 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
     a lone circle goes concentric with its hat's incircle; otherwise the
     triangle is split through its apex into two right altitude halves, the
     set is split against the halves' incircle areas, and each half is scaled
-    about its base vertex to its group's combined area and rounded by the
-    group's minimum-size guarantee, clamped to the group's smallest circle.
-    A hat enters the record when it is popped, so the record's hats come out
-    in depth-first preorder.
+    about its base vertex and rounded as :func:`_split_step` says. A hat
+    enters the record when it is popped, rounded by the circle of its
+    inherited minimum size but at most by its incircle, so the record's hats
+    come out in depth-first preorder.
     """
     pi = math.pi
     sqrt = math.sqrt
     xs, ys, radii = packing.x, packing.y, packing.radius
     vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
     scale_factors = stats.scale_factors
-    # (vertex coordinates, rounding, scale factor, L, R, C, inradius, shape
-    #  index, subset, inherited min size, record depth) with L, R the base
-    #  (longest side) ends and C the apex, each an (x, y) pair; the container
-    #  triangle has depth 0 and is not recorded
+    # (vertex coordinates, scale factor, L, R, C, inradius, shape index,
+    #  subset, inherited min size, record depth) with L, R the base (longest
+    #  side) ends and C the apex, each an (x, y) pair; the container triangle
+    #  has depth 0 and is not recorded
     stack = list(reversed(hats))
     while stack:
-        coords, rounding, t, left, right, apex, r_in, shape, subset, b_min, depth = stack.pop()
+        coords, t, left, right, apex, r_in, shape, subset, b_min, depth = stack.pop()
         if depth:
             vertices.extend(coords)
-            roundings.append(rounding)
+            roundings.append(min(sqrt(b_min / pi), r_in))
             depths.append(depth)
             scale_factors.append(t)
 
         foot, rho1, rho2, wl, wr, wc, shape1, shape2 = shapes[shape]
         (lx, ly), (rx, ry), (cx, cy) = left, right, apex
+        capacity = pi * r_in * r_in
         size = len(subset.areas)
         if size == 1:
             # lone circle: concentric with the hat's incircle
             area = subset.areas[0]
-            if area > pi * r_in * r_in * (1.0 + _PLACEMENT_REL_TOL):
+            if area > capacity * (1.0 + _PLACEMENT_REL_TOL):
                 raise InvalidParameterError(
-                    f"circle of area {area!r} exceeds the hat's incircle area {pi * r_in * r_in!r}"
+                    f"circle of area {area!r} exceeds the hat's incircle area {capacity!r}"
                 )
             k = subset.indices[0]
             xs[k] = wl * lx + wr * rx + wc * cx
@@ -225,28 +223,20 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
         fy = ly + foot * (ry - ly)
         r1 = rho1 * r_in
         r2 = rho2 * r_in
-        f1 = pi * r1 * r1
-        f2 = pi * r2 * r2
+        key = (pi * r1 * r1, pi * r2 * r2)
 
-        part1, part2 = weighted_split(subset, (f1, f2))
+        part1, part2 = weighted_split(subset, key)
         stats.split_calls += 1
         stats.element_moves += size
-        a1, a2 = part1.combined, part2.combined
-        b1 = min(min_guarantee(a1, a2, f1, f2, b_min), part1.minimum)
-        b2 = min(min_guarantee(a2, a1, f2, f1, b_min), part2.minimum)
-        _check_tuples(pi * r_in * r_in, b_min, (f1, f2), (a1, b1), (a2, b2))
-
-        t1 = _scale_factor(a1, f1)
-        t2 = _scale_factor(a2, f2)
+        (b1, t1), (b2, t2) = _split_step(part1, part2, key, b_min, capacity)
 
         # child 2: right half scaled about the right base vertex
         qfx = rx + t2 * (fx - rx)
         qfy = ry + t2 * (fy - ry)
         qcx = rx + t2 * (cx - rx)
         qcy = ry + t2 * (cy - ry)
-        r2c = t2 * r2
-        stack.append(((qfx, qfy, rx, ry, qcx, qcy), min(sqrt(b2 / pi), r2c), t2,
-                      right, (qcx, qcy), (qfx, qfy), r2c, shape2, part2, b2, depth + 1))
+        stack.append(((qfx, qfy, rx, ry, qcx, qcy), t2, right, (qcx, qcy), (qfx, qfy),
+                      t2 * r2, shape2, part2, b2, depth + 1))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
@@ -254,9 +244,8 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
         pfy = ly + t1 * (fy - ly)
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
-        r1c = t1 * r1
-        stack.append(((lx, ly, pfx, pfy, pcx, pcy), min(sqrt(b1 / pi), r1c), t1,
-                      (pcx, pcy), left, (pfx, pfy), r1c, shape1, part1, b1, depth + 1))
+        stack.append(((lx, ly, pfx, pfy, pcx, pcy), t1, (pcx, pcy), left, (pfx, pfy),
+                      t1 * r1, shape1, part1, b1, depth + 1))
 
 
 def _validate_request(request: PackRequest) -> float:
@@ -348,31 +337,26 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
-        a1, a2 = part1.combined, part2.combined
-        b1 = min(min_guarantee(a1, a2, f, f, b0), part1.minimum)
-        b2 = min(min_guarantee(a2, a1, f, f, b0), part2.minimum)
-        _check_tuples(capacity, 0.0, (f, f), (a1, b1), (a2, b2))
+        (b1, t1), (b2, t2) = _split_step(part1, part2, (f, f), b0, capacity)
         # Group 1's hat is the half-square with its right angle at (0, 0),
         # group 2's the one at (s, s), each scaled about that corner. Its
         # inradius is t times the half-square's: measured from the scaled
         # vertices, it would keep only the digits of t that survive next to s.
         r_half, shapes = shape_table((s, 0.0), (0.0, s), (0.0, 0.0))
         hats = []
-        for (cx, cy), (px, py), (qx, qy), part, b in (
-            ((0.0, 0.0), (s, 0.0), (0.0, s), part1, b1),
-            ((s, s), (0.0, s), (s, 0.0), part2, b2),
+        for (cx, cy), (px, py), (qx, qy), part, b, t in (
+            ((0.0, 0.0), (s, 0.0), (0.0, s), part1, b1, t1),
+            ((s, s), (0.0, s), (s, 0.0), part2, b2, t2),
         ):
-            t = _scale_factor(part.combined, f)
             left = (cx + t * (px - cx), cy + t * (py - cy))
             right = (cx + t * (qx - cx), cy + t * (qy - cy))
-            r_in = t * r_half
-            hats.append(((cx, cy, *left, *right), min(math.sqrt(b / math.pi), r_in), t,
-                         left, right, (cx, cy), r_in, 0, part, b, 1))
+            hats.append(((cx, cy, *left, *right), t, left, right, (cx, cy), t * r_half,
+                         0, part, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding; the caller's min_size only sharpens the guarantees below.
         r_in, shapes = shape_table(*container.base_split)
-        hats = [(None, 0.0, 1.0, *container.base_split, r_in, 0, circles, b0, 0)]
+        hats = [(None, 1.0, *container.base_split, r_in, 0, circles, b0, 0)]
     _pack_into_hats(packing, shapes, hats, stats)
     stats.hat_count += len(packing.hat_rounding)
     depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)

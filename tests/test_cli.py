@@ -467,6 +467,18 @@ class TestApprox:
                                     "ratio", "packing"]
             assert result["container"] == container_to_dict(container)
 
+    def test_svg_format(self, tmp_path, capsys):
+        areas = [0.4, 0.3, 0.2, 0.1, 0.05]
+        for family, outline in ((Square(1.0), "<rect "),
+                                (Triangle.from_sides(3.0, 4.0, 5.0), "<polygon ")):
+            path = write_instance(tmp_path, "inst.json", InstanceDocument(family, areas))
+            code, out, _ = run_cli(["approx", "--circles", path, "--format", "svg"], capsys)
+            assert code == 0
+            assert out.startswith("<?xml ") and out.rstrip().endswith("</svg>")
+            assert out.count("<circle ") == len(areas)
+            assert out.count("<rect ") + out.count("<polygon ") == 1
+            assert out.count(outline) == 1
+
 
 class TestModuleEntryPoint:
     @staticmethod
@@ -513,6 +525,7 @@ class TestModuleEntryPoint:
 
 
 _SQUARE_DICT = {"type": "square", "side": 1.0}
+_CIRCLE = [{"area": 0.01}]
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -533,14 +546,34 @@ _SQUARE_DICT = {"type": "square", "side": 1.0}
     # judged as a circle at (0.5, 1.0) when strings and booleans were numbers
     ("verify", {"container": _SQUARE_DICT, "placements": [
         {"x": "0.5", "y": True, "radius": 0.1, "input_index": 0}]}),
+    # container numbers: each was read as a container that holds the circle
+    ("pack", {"container": {"type": "square", "side": True}, "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "square", "side": "2"}, "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "triangle", "sides": ["3", 4, 5]}, "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "triangle", "vertices": [[0, 0], [True, 0], [0, "1"]]},
+              "circles": _CIRCLE}),
+    ("verify", {"container": {"type": "square", "side": True}, "placements": [
+        {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 0}]}),
+    ("pack", {"container": {"side": 1.0}, "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "circle", "radius": 1.0}, "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0]]},
+              "circles": _CIRCLE}),
+    ("pack", {"container": {"type": "triangle"}, "circles": _CIRCLE}),
+    ("pack --container square:abc", {"circles": _CIRCLE}),
+    ("pack --container circle:1", {"circles": _CIRCLE}),
+    ("pack", "abc"),
+    ("pack", {"circles": _CIRCLE}),
 ], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
         "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true",
-        "coordinates-str-true"])
+        "coordinates-str-true", "side-true", "side-str", "sides-str", "vertices-true-str",
+        "verify-side-true", "no-type", "unknown-type", "two-vertices", "no-vertices-no-sides",
+        "spec-side-str", "spec-unknown-type", "instance-str", "no-container"])
 def test_malformed_document_exits_2_with_one_error_line(tmp_path, command, doc):
     # exit 1 from verify means FAIL; a malformed document is invalid input
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = ["pack", "--circles", str(path)] if command == "pack" else ["verify", str(path)]
+    name, *options = command.split()
+    argv = ["pack", "--circles", str(path), *options] if name == "pack" else ["verify", str(path)]
     proc = subprocess.run([sys.executable, "-m", "splitpack", *argv], capture_output=True,
                           text=True, env=TestModuleEntryPoint.env(), timeout=60)
     assert proc.returncode == cli.EXIT_INVALID, proc.stderr

@@ -212,10 +212,13 @@ class TestPlacementOperations:
     def test_hats_in_square_conjugacy_violation(self):
         a = PHI_SQUARE
         key = SplitKey(a / 2.0, a / 2.0)
-        with pytest.raises(ConjugacyError):
-            packer._check_tuples(a, 0.0, key, (0.7 * a, 0.0), (0.3 * a, 0.0))
-        with pytest.raises(ConjugacyError):
-            packer._check_tuples(a, 0.0, key, (0.8 * a, 0.0), (0.4 * a, 0.2 * a))
+        # group 1 overshoots its half by 0.4a, but its circles are 0.35a
+        with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
+            packer._split_step(CircleSet.from_areas([0.35 * a, 0.35 * a]),
+                               CircleSet.from_areas([0.3 * a]), key, 0.0, a)
+        with pytest.raises(ConjugacyError, match="exceeds packable area"):
+            packer._split_step(CircleSet.from_areas([0.8 * a]),
+                               CircleSet.from_areas([0.4 * a]), key, 0.0, a)
 
     def test_hats_in_square_random_conjugated_pairs(self):
         rng = np.random.default_rng(41)
@@ -266,14 +269,11 @@ class TestPlacementOperations:
         apex_y = max(p.y for p in t.vertices)
         assert max(p.y for p in h1.triangle.vertices) > apex_y  # overshoots
         assert verify(root, expected_areas=areas).passed
-        with pytest.raises(ConjugacyError):
-            packer._check_tuples(
-                container.incircle.area,
-                math.pi * container.rounding_radius**2,
-                key,
-                (0.3 * math.pi, 0.0),
-                (0.7 * math.pi, 0.3 * math.pi),
-            )
+        # the same split with group 2's overshoot in a circle below it
+        with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
+            packer._split_step(CircleSet.from_areas([0.3 * math.pi]),
+                               CircleSet.from_areas([0.4 * math.pi, 0.3 * math.pi]), key,
+                               math.pi * container.rounding_radius**2, container.incircle.area)
 
     def test_place_circle_in_hat(self):
         t = Triangle.from_sides(3.0, 4.0, 5.0)
@@ -292,7 +292,7 @@ class TestPlacementOperations:
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
             _r_in, shapes = shape_table(*t.base_split)
-            entry = (None, 0.0, 1.0, *t.base_split, 1.0, 0,
+            entry = (None, 1.0, *t.base_split, 1.0, 0,
                      CircleSet.from_areas([math.pi * 1.01]), 0.0, 0)
             packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
                                            radius=array("d", [0.0])), shapes, [entry], PackStats())
