@@ -269,7 +269,7 @@ class TestPlacementOperations:
         apex_y = max(p.y for p in t.vertices)
         assert max(p.y for p in h1.triangle.vertices) > apex_y  # overshoots
         assert verify(root, expected_areas=areas).passed
-        # the same split with group 2's overshoot in a circle below it
+        # group 2 overshoots its half by 0.4pi, but holds a circle of 0.3pi
         with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
             packer._split_step(CircleSet.from_areas([0.3 * math.pi]),
                                CircleSet.from_areas([0.4 * math.pi, 0.3 * math.pi]), key,
