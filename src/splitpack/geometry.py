@@ -26,6 +26,11 @@ PHI_SQUARE = math.pi / (3.0 + 2.0 * SQRT2)
 # triangles built from floating-point side lengths (3, 4, 5, ...) qualify.
 RIGHT_ANGLE_SLACK = 1e-9
 
+# Packable areas the area arithmetic keeps in the float range: the rounding
+# guarantee multiplies two areas, which overflows past 1e150 and underflows
+# below 1e-150. The verifier refuses records with numbers past the upper end.
+PACKABLE_AREA_RANGE = (1e-150, 1e150)
+
 
 class Point(NamedTuple):
     x: float

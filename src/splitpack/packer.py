@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import ConjugacyError, InvalidParameterError, OverCapacityError
 from .geometry import (
+    PACKABLE_AREA_RANGE,
     PHI_SQUARE,
     Circle,
     Point,
@@ -39,11 +40,6 @@ from .splitting import CircleSet, min_guarantee, split, weighted_split
 
 # Closed capacity bound: instances sitting exactly on the worst case must pass.
 FEASIBILITY_REL_SLACK = 1e-12
-
-# Packable areas the area arithmetic keeps in the float range: the rounding
-# guarantee multiplies two areas, which overflows past 1e150 and underflows
-# below 1e-150.
-PACKABLE_AREA_RANGE = (1e-150, 1e150)
 
 # Scale factors this close to 1 snap to exactly 1, so self-similar
 # power-of-two instances reproduce the exact subdivision.

@@ -9,6 +9,7 @@ import numpy as np
 
 from .geometry import Square
 from .packer import Packing
+from .verifier import _hat_shape
 
 _SUBCONTAINER_FILL = "#d4d4d4"
 _SUBCONTAINER_STROKE = "#a0a0a0"
@@ -18,14 +19,12 @@ _WIDTH = 640.0
 # Numbers below this share of the figure's extent print as 0, so that
 # rounding noise in the geometry (-1.7e-18 for 0) does not reach the text.
 _ZERO_REL = 1e-12
-_TINY = np.finfo(float).tiny
 
 _CIRCLE = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="{_CIRCLE_FILL}"/>'
 _SHARP = "M %.10g %.10g L %.10g %.10g L %.10g %.10g Z"
 _ARC = "%.10g %.10g A %.10g %.10g 0 0 1 %.10g %.10g"
 _ROUNDED = f"M {_ARC} L {_ARC} L {_ARC} Z"
-# a fully rounded hat is its incircle, drawn as two half arcs
-_FULL = "M %.10g %.10g A %.10g %.10g 0 1 1 %.10g %.10g A %.10g %.10g 0 1 1 %.10g %.10g Z"
+_PREV = [2, 0, 1]
 
 
 def _rows(values: np.ndarray, zero: float):
@@ -35,31 +34,19 @@ def _rows(values: np.ndarray, zero: float):
 
 
 def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]:
-    """SVG path data for triangles (m, 3, 2) with corners rounded to the given radii."""
-    doubled = (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1]) - (
-        tris[:, 1, 1] - tris[:, 0, 1]) * (tris[:, 2, 0] - tris[:, 0, 0])
-    tris = np.where((doubled < 0.0)[:, None, None], tris[:, [0, 2, 1]], tris)  # counterclockwise
-    edges = np.roll(tris, -1, axis=1) - tris  # edge i runs from vertex i to vertex i + 1
-    # a zero-area hat is drawn sharp; the floor only keeps its numbers finite
-    lengths = np.maximum(np.hypot(edges[..., 0], edges[..., 1]), _TINY)
-    perimeter = lengths.sum(axis=1)
-    # the corners of the triangle shrunk inward by s are its homothety about
-    # the incenter with ratio (inradius - s) / inradius
-    incenter = (np.roll(lengths, -1, axis=1)[..., None] * tris).sum(axis=1) / perimeter[:, None]
-    inradius = np.maximum(np.abs(doubled) / perimeter, _TINY)
-    s = np.minimum(rounding, inradius)[:, None, None]
-    k = (inradius[:, None, None] - s) / inradius[:, None, None]
-    corners = incenter[:, None, :] + k * (tris - incenter[:, None, :])
-    normals = np.stack((edges[..., 1], -edges[..., 0]), axis=-1) / lengths[..., None]  # outward
-    radii = np.broadcast_to(s, (len(s), 3, 2))
-    arcs = np.concatenate((corners + s * np.roll(normals, 1, axis=1), radii, corners + s * normals), axis=2)
-    ix, iy, r = incenter[:, 0], incenter[:, 1], s[:, 0, 0]
-    full = np.stack((ix + r, iy, r, r, ix - r, iy, r, r, ix + r, iy), axis=1)
-    kinds = np.where(r <= 0.0, 0, np.where(k[:, 0, 0] * lengths.max(axis=1) < 1e-12 * r, 2, 1))
-    templates = (_SHARP, _ROUNDED, _FULL)
-    rows = [_rows(args[kinds == kind], zero)
-            for kind, args in enumerate((tris.reshape(-1, 6), arcs.reshape(-1, 18), full))]
-    return [templates[kind] % next(rows[kind]) for kind in kinds.tolist()]
+    """SVG path data for hats with corners (m, 3, 2) and the given rounding, as
+    the verifier reads them: a hat of radius 0 is its triangle, any other its
+    shrunk corners joined by arcs of its radius between the edges' normals."""
+    table, corner_x, corner_y, radii = _hat_shape(tris[..., 0].T, tris[..., 1].T, rounding)
+    rounded = radii > 0.0
+    sharp = np.compress(~rounded, table[:2], axis=-1).T.reshape(-1, 6)
+    _, _, ex, ey, length = np.compress(rounded, table, axis=-1)
+    x, y, r = (np.compress(rounded, v, axis=-1) for v in (corner_x, corner_y, radii))
+    nx, ny = ey / length, -ex / length  # outward; edge i runs from corner i to the next
+    arcs = np.stack(np.broadcast_arrays(x + r * nx[_PREV], y + r * ny[_PREV], r, r, x + r * nx, y + r * ny))
+    sharp_rows, arc_rows = _rows(sharp, zero), _rows(arcs.T.reshape(-1, 18), zero)
+    return [_ROUNDED % next(arc_rows) if is_rounded else _SHARP % next(sharp_rows)
+            for is_rounded in rounded.tolist()]
 
 
 def render_packing_svg(packing: Packing) -> str:

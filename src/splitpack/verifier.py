@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, MalformedTreeError
-from .geometry import Square, Triangle
+from .geometry import PACKABLE_AREA_RANGE, Square, Triangle
 
 # Reports keep at most this many individual check entries; failures are
 # always retained.
@@ -198,17 +198,17 @@ def _square_signed_np(px: np.ndarray, py: np.ndarray, side: float) -> np.ndarray
     return np.where((ax <= 0.0) & (ay <= 0.0), inside_depth, -outside)
 
 
-def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(edge table, radii) of triangles (3, m) made counterclockwise and shrunk
-    inward by their rounding clamped to the inradius (a rounding past it, as
-    rounding noise in the vertices of tiny hats leaves, makes the hat its
-    incircle). Shrinking is the homothety about the incenter; a degenerate
-    triangle has inradius 0 and stays as it is."""
+def _hat_shape(x: np.ndarray, y: np.ndarray, rounding: np.ndarray):
+    """How hat records read: (table, sx, sy, radii) of triangles (3, m) with corners
+    (x, y), where ``table`` is the edge table of the triangles made counterclockwise,
+    ``radii`` the rounding clamped to the inradius (0 for a degenerate triangle) and
+    (sx, sy) the corners shrunk inward by it, the homothety about the incenter."""
     doubled = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     clockwise = doubled < 0.0
     x, y = np.where(clockwise, x[[0, 2, 1]], x), np.where(clockwise, y[[0, 2, 1]], y)
     area2 = np.abs(doubled)
-    sides = _edge_table(x, y)[4]
+    table = _edge_table(x, y)
+    sides = table[4]
     perimeter = sides.sum(axis=0)
     inradius = area2 / np.where(area2 > 0.0, perimeter, 1.0)
     radii = np.minimum(rounding, inradius)
@@ -217,7 +217,13 @@ def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarr
     cx, cy = (weights * x).sum(axis=0) / divisor, (weights * y).sum(axis=0) / divisor
     positive = inradius > 0.0
     k = np.where(positive, (inradius - radii) / np.where(positive, inradius, 1.0), 1.0)
-    return _edge_table(cx + k * (x - cx), cy + k * (y - cy)), radii
+    return table, cx + k * (x - cx), cy + k * (y - cy), radii
+
+
+def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(edge table, radii) of the shrunk corners of hats (3, m), as :func:`_hat_shape` reads them."""
+    _, x, y, radii = _hat_shape(x, y, rounding)
+    return _edge_table(x, y), radii
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +236,20 @@ class _Columns:
     One preorder pass over the hat depths derives each hat's parent (the
     latest earlier hat one level up; -1 for the container), its position
     among that parent's children and its sibling pairs (``siblings``, each
-    earlier child of its parent with it). Each hat is eroded once, by its
-    rounding clamped to its inradius, into the edge table ``hats`` that every
-    hat check indexes. Check ids come lazily, from a hat's parent and
-    position or a circle's input index.
+    earlier child of its parent with it). Each hat is eroded once, by
+    :func:`_erode`, into the edge table ``hats`` that every hat check indexes.
+    Check ids come lazily, from a hat's parent and position or a circle's
+    input index.
     """
 
     def __init__(self, packing):
         self.container = packing.container
         if isinstance(self.container, Square):
             self.diameter = self.container.side * math.sqrt(2.0)
+            size = self.container.side
         elif isinstance(self.container, Triangle):
             self.diameter = max(self.container.side_lengths)
+            size = self.container.vertices
         else:
             raise MalformedTreeError("the container must be a square or a triangle")
         n, m = len(packing.radius), len(packing.hat_rounding)
@@ -255,9 +263,8 @@ class _Columns:
         self._labels = np.asarray(packing.input_index)
         if not np.array_equal(np.sort(self._labels), np.arange(n)):
             raise MalformedTreeError("the circles' input indices must be 0..n-1, each once")
-        if not (np.all(np.isfinite(self.centers)) and np.all(self.radii > 0.0)
-                and np.all(np.isfinite(self.radii))):
-            raise MalformedTreeError("circles need finite centers and positive radii")
+        if not np.all(self.radii > 0.0):
+            raise MalformedTreeError("circles need positive radii")
 
         chain = [(-1, [])]  # the next hat's open ancestors, each with its children so far
         parents, self._positions, first, second = [], [], [], []
@@ -277,9 +284,12 @@ class _Columns:
 
         vertices = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2).T
         rounding = np.asarray(packing.hat_rounding, dtype=float)
-        if not (np.all(np.isfinite(vertices)) and np.all(rounding >= 0.0)
-                and np.all(np.isfinite(rounding))):
-            raise MalformedTreeError("hats need finite vertices and non-negative rounding")
+        if not np.all(rounding >= 0.0):
+            raise MalformedTreeError("hats need non-negative rounding")
+        # past this bound (or at NaN) the checks' squared lengths and cross products overflow
+        bound = PACKABLE_AREA_RANGE[1]
+        if not all(np.all(np.abs(v) <= bound) for v in (size, self.centers, self.radii, vertices, rounding)):
+            raise MalformedTreeError(f"the record's numbers must be at most {bound:g} in magnitude")
         self.hats, self.hat_radii = _erode(vertices[0], vertices[1], rounding)
         if isinstance(self.container, Triangle):
             corners = np.array(self.container.vertices, dtype=float)[:, :, None]
@@ -382,7 +392,8 @@ def verify(
     report passes iff no check fails. A record that is not well formed
     (non-positive radii, negative rounding, hat depths that are not a preorder,
     input indices that are not a permutation of 0..n-1, so that a circle is
-    lost or duplicated) raises :class:`MalformedTreeError`.
+    lost or duplicated, or a number beyond 1e150 in magnitude) raises
+    :class:`MalformedTreeError`.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(f"tolerance must be finite and non-negative, got {tolerance!r}")

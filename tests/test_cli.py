@@ -29,7 +29,7 @@ from splitpack import (
 from splitpack import cli
 from splitpack.cli import main
 from splitpack.documents import container_from_dict, container_to_dict
-from reference_geometry import Hat
+from reference_geometry import Hat, triangle_incircle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,12 +196,27 @@ class TestSvg:
         assert "A " in svg  # rounded corners render as arcs
 
     def test_fully_rounded_hat_renders_as_circle_path(self):
+        # a hat rounded by its inradius is its incircle: three arcs of the
+        # inradius whose endpoints lie on the incircle
         from splitpack.svg import _hat_paths
 
         t = Triangle.from_sides(3.0, 4.0, 5.0)
+        circle = triangle_incircle(t)
         (path,) = _hat_paths(np.array([t.vertices]), np.array([1.0]), 0.0)  # rounding = inradius
-        assert path.count("A ") == 2  # two half arcs make the incircle
-        assert "L" not in path
+        arcs = re.findall(r"(\S+) (\S+) A (\S+) (\S+) 0 0 1 (\S+) (\S+)", path)
+        assert len(arcs) == 3
+        for x0, y0, rx, ry, x1, y1 in arcs:
+            assert float(rx) == float(ry) == pytest.approx(circle.radius, rel=1e-9)
+            for point in ((float(x0), float(y0)), (float(x1), float(y1))):
+                assert math.dist(point, circle.center) == pytest.approx(circle.radius, rel=1e-9)
+
+    def test_zero_area_hat_renders_as_its_triangle(self):
+        # a collinear hat has inradius 0, so the verifier reads it unrounded
+        # (a segment), and it draws sharp, not as the point of its rounding
+        from splitpack.svg import _hat_paths
+
+        (path,) = _hat_paths(np.array([((0.1, 0.0), (0.3, 0.0), (0.5, 0.0))]), np.array([0.01]), 0.0)
+        assert path == "M 0.1 0 L 0.3 0 L 0.5 0 Z"
 
     def test_hat_paths_match_the_hat_shape(self):
         # every drawn arc starts and ends on the hat's corner disks, and
@@ -652,6 +667,28 @@ class TestVerifyCommand:
                               timeout=60)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith("FAIL") and "hat-in-parent hat:0.0.0 hat:0.0" in proc.stdout
+
+    @pytest.mark.parametrize("container,placements,subcontainers", [
+        # a hat whose edge lengths overflow, so its slack was NaN and the record passed
+        (_SQUARE_DICT, [{"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 0}],
+         [{"vertices": [[0, 0], [1e200, 0], [0, 1e200]], "rounding_radius": 0, "depth": 1}]),
+        # coincident circles, judged at the tolerance inf of an overflowing diameter
+        ({"type": "square", "side": 1.5e308}, None, []),
+        ({"type": "triangle", "vertices": [[0, 0], [1.5e308, 0], [0, 1.5e308]]}, None, []),
+    ], ids=["hat", "square", "triangle"])
+    def test_records_beyond_the_float_range_are_refused(self, tmp_path, container, placements,
+                                                        subcontainers):
+        coincident = [{"x": 1e307, "y": 1e307, "radius": 1e306, "input_index": k} for k in range(2)]
+        doc = {"container": container, "placements": placements or coincident,
+               "subcontainers": subcontainers}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "splitpack", "verify", str(path)],
+                              capture_output=True, text=True, env=TestModuleEntryPoint.env(),
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "must be at most 1e+150 in magnitude" in proc.stderr
 
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypatch=monkeypatch)

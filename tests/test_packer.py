@@ -487,6 +487,10 @@ class TestRequestValidation:
     def test_non_positive_area_rejected(self):
         with pytest.raises(InvalidParameterError):
             CircleSet.from_areas([0.1, -0.2])
+        # the raw constructor trusts its arguments; pack checks them again
+        for area in (0.0, -0.2, math.nan):
+            with pytest.raises(InvalidParameterError, match="must be positive"):
+                pack(PackRequest(Square(1.0), CircleSet((0.1, area), (0, 1), 0.1 + area, area)))
 
 
 class TestMinContainer:
@@ -521,3 +525,5 @@ class TestMinContainer:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             min_container(CircleSet.from_areas([]), "square")
+        with pytest.raises(InvalidParameterError, match="unknown container family"):
+            min_container(CircleSet.from_areas([0.1]), "circle")

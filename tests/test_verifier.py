@@ -387,6 +387,11 @@ class TestVerify:
             verify(parse_packing(SQUARE, subcontainers=[subcontainer(tri, -0.1, 1)]))
         with pytest.raises(MalformedTreeError):
             verify(Packing(Circle(Point(0.5, 0.5), 0.1)))
+        # a circle without its input index
+        root = parse_packing(SQUARE, [placement(0.5, 0.5, 0.1, 0)])
+        root.input_index.pop()
+        with pytest.raises(MalformedTreeError, match="columns differ in length"):
+            verify(root)
 
     def test_checks_sorted_and_counted(self):
         rng = np.random.default_rng(71)
@@ -404,6 +409,19 @@ class TestVerify:
         assert 0 < meet.sum() < len(iu)
         assert sum(1 for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE) == meet.sum()
         assert np.all(slacks[~meet] > 0.0)
+
+    def test_recorded_checks_are_truncated_but_counts_and_failures_are_not(self, monkeypatch):
+        # two overlapping circles among ten: the report keeps three check
+        # entries, and still counts every check and lists the failure
+        circles = [placement(0.05 + 0.09 * k, 0.5, 0.04, k) for k in range(9)]
+        root = parse_packing(SQUARE, circles + [placement(0.05, 0.5, 0.04, 9)])
+        full = verify(root)
+        assert len(full.checks) == full.check_count == 11  # checks materialize on first use
+        monkeypatch.setattr(verifier, "MAX_RECORDED_CHECKS", 3)
+        report = verify(root)
+        assert (len(report.checks), report.check_count) == (3, 11)
+        assert report.failures == full.failures
+        assert [c.ids for c in report.failures] == [("circle:0", "circle:9")]
 
     def test_coincident_tiny_circles_fail(self):
         # slack -2e-10 is far below the global 1.4e-9 tolerance, but it is the
