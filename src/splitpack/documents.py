@@ -14,7 +14,7 @@ from typing import Union
 
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Point, Square, Triangle, critical_density
-from .packer import Packing, PackRequest, _check_feasible, _combined_area, packable_area
+from .packer import Packing, PackRequest, _check_feasible, _combined_area, _frame_request
 from .splitting import CircleSet
 
 
@@ -301,15 +301,18 @@ def decide(instance: InstanceDocument) -> dict:
     packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
-    instance as over capacity, below its minimum size or outside the float
-    range. ``ratio`` is the combined area over the packable area, or None
-    where that capacity, the combined area or the ratio leaves the float range."""
+    instance. ``ratio`` is the combined area over the packable area, read in
+    the container's frame, or None where pack refuses the instance as more than
+    a double carries or the ratio leaves the float range."""
     request = instance.to_request()  # refuses a bad min_size, as pack does
-    capacity = packable_area(request.container)
     try:
-        _check_feasible(request.circles, request.min_size, capacity)
+        k, framed, capacity = _frame_request(request)
+    except InvalidParameterError:
+        return {"packable": "unknown", "ratio": None}
+    try:
+        _check_feasible(request, k, framed, capacity)
         packable = "yes"
     except (InvalidParameterError, OverCapacityError):
         packable = "unknown"
-    ratio = _combined_area(instance.areas) / capacity if 0.0 < capacity < math.inf else math.inf
+    ratio = _combined_area(framed.circles.areas) / capacity
     return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

@@ -26,11 +26,6 @@ PHI_SQUARE = math.pi / (3.0 + 2.0 * SQRT2)
 # triangles built from floating-point side lengths (3, 4, 5, ...) qualify.
 RIGHT_ANGLE_SLACK = 1e-9
 
-# Packable areas the area arithmetic keeps in the float range: the rounding
-# guarantee multiplies two areas, which overflows past 1e150 and underflows
-# below 1e-150. The verifier refuses records with numbers past the upper end.
-PACKABLE_AREA_RANGE = (1e-150, 1e150)
-
 
 class Point(NamedTuple):
     x: float
@@ -112,6 +107,8 @@ class Triangle:
         if doubled <= 0.0:
             raise InvalidParameterError("degenerate triangle")
         object.__setattr__(self, "vertices", pts)
+        if not all(map(math.isfinite, self.side_lengths)):
+            raise InvalidParameterError("triangle side lengths must be finite")
 
     @classmethod
     def from_sides(cls, x: float, y: float, z: float) -> "Triangle":
@@ -179,6 +176,17 @@ class Triangle:
         return Triangle(
             tuple(Point(ax + factor * (p.x - ax), ay + factor * (p.y - ay)) for p in self.vertices)
         )
+
+
+def frame(container: Union[Square, Triangle]) -> tuple[int, Union[Square, Triangle]]:
+    """(k, the container scaled by 2**k), for the k that puts its size (a square's
+    side, a triangle's longest side) in [1, 2). That scale is exact while the numbers
+    stay normal floats, so pack, decide and verify work in this frame at every scale."""
+    if isinstance(container, Square):
+        k = 1 - math.frexp(container.side)[1]
+        return k, Square(math.ldexp(container.side, k))
+    k = 1 - math.frexp(max(container.side_lengths))[1]
+    return k, Triangle(tuple(Point(math.ldexp(x, k), math.ldexp(y, k)) for x, y in container.vertices))
 
 
 def shape_table(left, right, apex) -> tuple[float, list[tuple]]:

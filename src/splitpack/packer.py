@@ -25,14 +25,16 @@ from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
+import numpy as np
+
 from .errors import ConjugacyError, InvalidParameterError, OverCapacityError
 from .geometry import (
-    PACKABLE_AREA_RANGE,
     PHI_SQUARE,
     Circle,
     Point,
     Square,
     Triangle,
+    frame,
     packable_area,
     shape_table,
 )
@@ -40,6 +42,10 @@ from .splitting import CircleSet, min_guarantee, split, weighted_split
 
 # Closed capacity bound: instances sitting exactly on the worst case must pass.
 FEASIBILITY_REL_SLACK = 1e-12
+
+# The smallest normal float: a container's area and each area in its frame
+# must reach it, since below it a double carries fewer digits.
+_NORMAL = 2.0**-1022
 
 # Scale factors this close to 1 snap to exactly 1, so self-similar
 # power-of-two instances reproduce the exact subdivision.
@@ -244,14 +250,32 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
                       t1 * r1, shape1, part1, b1, depth + 1))
 
 
-def _validate_request(request: PackRequest) -> float:
+def _frame_request(request: PackRequest) -> tuple[int, PackRequest, float]:
+    """(k, the request in its container's frame, its packable area there):
+    lengths scaled by 2**k (:func:`geometry.frame`), areas by 4**k. Refuses
+    what a double cannot carry: a container whose area, or packable area in
+    the frame, is not a positive normal float, and an area not one in the frame.
+    """
+    k, container = frame(request.container)
+    capacity = packable_area(container)
+    area = request.container.area
+    if not (_NORMAL <= area < math.inf and capacity >= _NORMAL):
+        raise InvalidParameterError(
+            f"the container's area {area!r}, or its packable area, is not a positive normal float")
     circles = request.circles
-    for area in circles.areas:
-        if not (math.isfinite(area) and area > 0.0):
-            raise InvalidParameterError(f"circle areas must be positive, got {area!r}")
-    capacity = packable_area(request.container)
-    _check_feasible(circles, request.min_size, capacity)
-    return capacity
+    try:
+        areas = [math.ldexp(a, 2 * k) for a in circles.areas]
+        min_size = math.ldexp(request.min_size, 2 * k)
+        combined = math.ldexp(circles.combined, 2 * k)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"the circle areas or min_size overflow in the container's frame, times 2**{2 * k}") from None
+    for a, scaled in zip(circles.areas, areas):
+        if not _NORMAL <= scaled < math.inf:
+            raise InvalidParameterError(
+                f"circle areas must be positive normal floats in the container's frame, got {a!r}")
+    framed = CircleSet._presorted(areas, circles.indices, combined)
+    return k, PackRequest(container, framed, min_size), capacity
 
 
 def _combined_area(areas) -> float:
@@ -262,33 +286,27 @@ def _combined_area(areas) -> float:
         return math.inf
 
 
-def _check_feasible(circles: CircleSet, min_size: float, capacity: float) -> None:
-    """Refuse a circle set that the area bound does not guarantee to pack, or
-    a container whose packable area lies outside PACKABLE_AREA_RANGE.
+def _check_feasible(request: PackRequest, k: int, framed: PackRequest, capacity: float) -> None:
+    """Refuse a circle set that the area bound does not guarantee to pack.
 
-    The one feasibility rule: :func:`pack` refuses exactly the requests this
-    raises for, and :func:`splitpack.documents.decide` answers "unknown" for
-    them. The total is exactly rounded, so it does not depend on the order of
-    the areas.
+    The one feasibility rule, read in the frame that :func:`_frame_request`
+    gives (k, framed, capacity) and reported in the request's units:
+    :func:`pack` refuses exactly the requests this raises for, and
+    :func:`splitpack.documents.decide` answers "unknown" for them. The total
+    is exactly rounded, so it does not depend on the order of the areas.
     """
-    low, high = PACKABLE_AREA_RANGE
-    if not low <= capacity <= high:
-        raise InvalidParameterError(
-            f"the container's packable area {capacity!r} lies outside [{low!r}, {high!r}], "
-            "where its area arithmetic leaves the float range; rescale the container and circles"
-        )
-    if len(circles) and min_size > 0.0:
-        if circles.minimum < min_size * (1.0 - FEASIBILITY_REL_SLACK):
+    if len(framed.circles) and framed.min_size > 0.0:
+        if framed.circles.minimum < framed.min_size * (1.0 - FEASIBILITY_REL_SLACK):
             raise InvalidParameterError(
-                f"min-size violation: smallest circle {circles.minimum!r} "
-                f"is below the declared minimum {min_size!r}"
+                f"min-size violation: smallest circle {request.circles.minimum!r} "
+                f"is below the declared minimum {request.min_size!r}"
             )
-    total = _combined_area(circles.areas)
+    total = _combined_area(framed.circles.areas)
     if total > capacity * (1.0 + FEASIBILITY_REL_SLACK):
         ratio = total / capacity
         raise OverCapacityError(
-            f"over-capacity: combined area {total!r} exceeds the "
-            f"guaranteed packable area {capacity!r} (ratio {ratio!r})",
+            f"over-capacity: combined area {_combined_area(request.circles.areas)!r} exceeds the "
+            f"guaranteed packable area {math.ldexp(capacity, -2 * k)!r} (ratio {ratio!r})",
             ratio=ratio,
         )
 
@@ -299,17 +317,19 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     Every input area gets a circle of radius sqrt(area / pi), recorded at its
     input index and placed without overlap inside the container (checkable
     with :func:`splitpack.verifier.verify`); the record also holds the
-    subdivision's hats. Counters go into ``stats`` when given.
+    subdivision's hats. Counters go into ``stats`` when given. It packs in
+    the container's frame (:func:`_frame_request`) and scales lengths back.
     """
     if stats is None:
         stats = PackStats()
-    capacity = _validate_request(request)
-    circles = request.circles
-    container = request.container
-    b0 = request.min_size
+    k, framed, capacity = _frame_request(request)
+    _check_feasible(request, k, framed, capacity)
+    circles = framed.circles
+    container = framed.container
+    b0 = framed.min_size
     n = len(circles)
     packing = Packing(
-        container,
+        request.container,
         x=array("d", bytes(8 * n)),
         y=array("d", bytes(8 * n)),
         radius=array("d", bytes(8 * n)),
@@ -318,15 +338,15 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     if n == 0:
         return packing
 
-    if isinstance(container, Square):
+    shapes, hats = None, []
+    if isinstance(container, Square) and n == 1:
+        # Degenerate corner-anchored hat: the circle ends up tangent to
+        # the two sides meeting at the far corner.
+        r = math.sqrt(circles.areas[0] / math.pi)
+        packing.x[0] = packing.y[0] = container.side - r
+        packing.radius[0] = r
+    elif isinstance(container, Square):
         s = container.side
-        if n == 1:
-            # Degenerate corner-anchored hat: the circle ends up tangent to
-            # the two sides meeting at the far corner.
-            r = math.sqrt(circles.areas[0] / math.pi)
-            packing.x[0] = packing.y[0] = s - r
-            packing.radius[0] = r
-            return packing
         part1, part2 = split(circles)
         stats.split_calls += 1
         stats.element_moves += n
@@ -339,7 +359,6 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         # inradius is t times the half-square's: measured from the scaled
         # vertices, it would keep only the digits of t that survive next to s.
         r_half, shapes = shape_table((s, 0.0), (0.0, s), (0.0, 0.0))
-        hats = []
         for (cx, cy), (px, py), (qx, qy), part, b, t in (
             ((0.0, 0.0), (s, 0.0), (0.0, s), part1, b1, t1),
             ((s, s), (0.0, s), (s, 0.0), part2, b2, t2),
@@ -354,6 +373,9 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         r_in, shapes = shape_table(*container.base_split)
         hats = [(None, 1.0, *container.base_split, r_in, 0, circles, b0, 0)]
     _pack_into_hats(packing, shapes, hats, stats)
+    for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
+        view = np.asarray(column)  # the column's own memory
+        np.ldexp(view, -k, out=view)
     stats.hat_count += len(packing.hat_rounding)
     depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
     stats.max_depth = max(stats.max_depth, depth)

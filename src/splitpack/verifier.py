@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, MalformedTreeError
-from .geometry import PACKABLE_AREA_RANGE, Square, Triangle
+from .geometry import Square, Triangle, frame
 
 # Reports keep at most this many individual check entries; failures are
 # always retained.
@@ -50,6 +50,10 @@ DEFAULT_REL_TOLERANCE = 1e-9
 # DEFAULT_REL_TOLERANCE of its smaller radius, but never below this many
 # float64 epsilons of the container diameter (coordinate rounding).
 PAIR_TOLERANCE_FLOOR_EPS = 64
+
+# The record's numbers in the container's frame (geometry.frame) must be at most
+# this in magnitude: past it the checks' squared lengths and products overflow.
+MAX_FRAME_MAGNITUDE = 1e150
 
 # Candidate circle pairs, and hat corners in their parents, are evaluated
 # this many at a time (sibling hat pairs, three corners a side, a third as
@@ -220,10 +224,10 @@ def _hat_shape(x: np.ndarray, y: np.ndarray, rounding: np.ndarray):
     return table, cx + k * (x - cx), cy + k * (y - cy), radii
 
 
-def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(edge table, radii) of the shrunk corners of hats (3, m), as :func:`_hat_shape` reads them."""
-    _, x, y, radii = _hat_shape(x, y, rounding)
-    return _edge_table(x, y), radii
+def _framed(values, k: int) -> np.ndarray:
+    """The values times 2**k as doubles; one that overflows becomes inf."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.asarray(values, dtype=float), k)
 
 
 # ---------------------------------------------------------------------------
@@ -231,35 +235,32 @@ def _erode(x: np.ndarray, y: np.ndarray, rounding: np.ndarray) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 class _Columns:
-    """numpy views of a packing record's columns, checked for well-formedness.
+    """A packing record's columns in its container's frame, scaled by 2**k
+    (geometry.frame), checked for well-formedness.
 
     One preorder pass over the hat depths derives each hat's parent (the
     latest earlier hat one level up; -1 for the container), its position
     among that parent's children and its sibling pairs (``siblings``, each
     earlier child of its parent with it). Each hat is eroded once, by
-    :func:`_erode`, into the edge table ``hats`` that every hat check indexes.
-    Check ids come lazily, from a hat's parent and position or a circle's
-    input index.
+    :func:`_hat_shape`, into the edge table ``hats`` of its shrunk corners,
+    which every hat check indexes. Check ids come lazily, from a hat's parent
+    and position or a circle's input index.
     """
 
     def __init__(self, packing):
-        self.container = packing.container
+        if not isinstance(packing.container, (Square, Triangle)):
+            raise MalformedTreeError("the container must be a square or a triangle")
+        self.k, self.container = frame(packing.container)
         if isinstance(self.container, Square):
             self.diameter = self.container.side * math.sqrt(2.0)
-            size = self.container.side
-        elif isinstance(self.container, Triangle):
-            self.diameter = max(self.container.side_lengths)
-            size = self.container.vertices
         else:
-            raise MalformedTreeError("the container must be a square or a triangle")
+            self.diameter = max(self.container.side_lengths)
         n, m = len(packing.radius), len(packing.hat_rounding)
         if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
                 and len(packing.hat_vertices) == 6 * m and len(packing.hat_depth) == m):
             raise MalformedTreeError("the record's columns differ in length")
-        self.centers = np.column_stack(
-            (np.asarray(packing.x, dtype=float), np.asarray(packing.y, dtype=float))
-        )
-        self.radii = np.asarray(packing.radius, dtype=float)
+        self.centers = _framed(np.column_stack((packing.x, packing.y)), self.k)
+        self.radii = _framed(packing.radius, self.k)
         self._labels = np.asarray(packing.input_index)
         if not np.array_equal(np.sort(self._labels), np.arange(n)):
             raise MalformedTreeError("the circles' input indices must be 0..n-1, each once")
@@ -282,15 +283,16 @@ class _Columns:
         self.hat_parent = np.array(parents, dtype=np.intp)
         self.siblings = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp))
 
-        vertices = np.asarray(packing.hat_vertices, dtype=float).reshape(m, 3, 2).T
-        rounding = np.asarray(packing.hat_rounding, dtype=float)
+        vertices = _framed(packing.hat_vertices, self.k).reshape(m, 3, 2).T
+        rounding = _framed(packing.hat_rounding, self.k)
         if not np.all(rounding >= 0.0):
             raise MalformedTreeError("hats need non-negative rounding")
-        # past this bound (or at NaN) the checks' squared lengths and cross products overflow
-        bound = PACKABLE_AREA_RANGE[1]
-        if not all(np.all(np.abs(v) <= bound) for v in (size, self.centers, self.radii, vertices, rounding)):
-            raise MalformedTreeError(f"the record's numbers must be at most {bound:g} in magnitude")
-        self.hats, self.hat_radii = _erode(vertices[0], vertices[1], rounding)
+        if not all(np.all(np.abs(v) <= MAX_FRAME_MAGNITUDE)  # a NaN fails too
+                   for v in (self.centers, self.radii, vertices, rounding)):
+            raise MalformedTreeError(f"the record's numbers must be at most {MAX_FRAME_MAGNITUDE:g} "
+                                     "in magnitude in the container's frame, where its size is 1 to 2")
+        _, x, y, self.hat_radii = _hat_shape(vertices[0], vertices[1], rounding)
+        self.hats = _edge_table(x, y)
         if isinstance(self.container, Triangle):
             corners = np.array(self.container.vertices, dtype=float)[:, :, None]
             self._container = _edge_table(corners[:, 0], corners[:, 1])
@@ -392,8 +394,9 @@ def verify(
     report passes iff no check fails. A record that is not well formed
     (non-positive radii, negative rounding, hat depths that are not a preorder,
     input indices that are not a permutation of 0..n-1, so that a circle is
-    lost or duplicated, or a number beyond 1e150 in magnitude) raises
-    :class:`MalformedTreeError`.
+    lost or duplicated, or a number beyond MAX_FRAME_MAGNITUDE in the
+    container's frame) raises :class:`MalformedTreeError`. Checks are judged
+    in that frame (:func:`geometry.frame`) and reported in the record's units.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(f"tolerance must be finite and non-negative, got {tolerance!r}")
@@ -403,12 +406,13 @@ def verify(
     pi, pj = _circle_pairs(index.centers, index.radii)
     dists = np.linalg.norm(index.centers[pi] - index.centers[pj], axis=-1)
     pair_slacks = dists - (index.radii[pi] + index.radii[pj])
-    pair_tolerance = tolerance
     if tolerance is None:
         tolerance = DEFAULT_REL_TOLERANCE * index.diameter
         smaller = np.minimum(index.radii[pi], index.radii[pj])
         floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * index.diameter
         pair_tolerance = np.minimum(tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor))
+    else:
+        pair_tolerance = tolerance = float(_framed(tolerance, index.k))
 
     def pair_ids():
         ids = index.circle_ids
@@ -456,16 +460,18 @@ def verify(
         (CheckKind.HAT_HAT_DISJOINT, sibling_ids, sibling_slacks, tolerance),
     ]
     if expected_areas is not None:
-        want = [float(a) for a in expected_areas]
-        matched = all(a > 0.0 for a in want) and sorted(index.radii.tolist()) == sorted(
-            math.sqrt(a / math.pi) for a in want
+        want = _framed([float(a) for a in expected_areas], 2 * index.k)
+        matched = bool(np.all(want > 0.0)) and sorted(index.radii.tolist()) == sorted(
+            np.sqrt(want / math.pi).tolist()
         )
         groups.append((CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")],
                        np.array([0.0 if matched else -math.inf]), tolerance))
 
+    # judged in the frame, reported in the record's units
     failures: list[Check] = []
     for kind, ids_fn, slacks, tol in groups:
         bad = np.nonzero(slacks < -tol)[0]
+        slacks[:] = _framed(slacks, -index.k)
         if len(bad):
             ids = ids_fn()
             failures.extend(Check(kind, tuple(ids[i]), float(slacks[i])) for i in bad)
@@ -474,7 +480,7 @@ def verify(
     return VerificationReport(
         passed=not failures,
         worst_slack=float(min(s.min(initial=math.inf) for _, _, s, _ in groups)),
-        tolerance=tolerance,
+        tolerance=float(_framed(tolerance, -index.k)),
         check_count=sum(len(s) for _, _, s, _ in groups),
         failures=failures,
         _groups=groups,

@@ -668,16 +668,20 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert proc.stdout.startswith("FAIL") and "hat-in-parent hat:0.0.0 hat:0.0" in proc.stdout
 
-    @pytest.mark.parametrize("container,placements,subcontainers", [
+    @pytest.mark.parametrize("container,placements,subcontainers,refusal", [
         # a hat whose edge lengths overflow, so its slack was NaN and the record passed
         (_SQUARE_DICT, [{"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 0}],
-         [{"vertices": [[0, 0], [1e200, 0], [0, 1e200]], "rounding_radius": 0, "depth": 1}]),
-        # coincident circles, judged at the tolerance inf of an overflowing diameter
-        ({"type": "square", "side": 1.5e308}, None, []),
-        ({"type": "triangle", "vertices": [[0, 0], [1.5e308, 0], [0, 1.5e308]]}, None, []),
+         [{"vertices": [[0, 0], [1e200, 0], [0, 1e200]], "rounding_radius": 0, "depth": 1}],
+         "must be at most 1e+150 in magnitude"),
+        # coincident circles, once judged at the tolerance inf of an overflowing
+        # diameter; in the container's frame (side 1.67) they overlap and FAIL
+        ({"type": "square", "side": 1.5e308}, None, [], None),
+        # a hypotenuse that overflows leaves the triangle no size to scale by
+        ({"type": "triangle", "vertices": [[0, 0], [1.5e308, 0], [0, 1.5e308]]}, None, [],
+         "triangle side lengths must be finite"),
     ], ids=["hat", "square", "triangle"])
     def test_records_beyond_the_float_range_are_refused(self, tmp_path, container, placements,
-                                                        subcontainers):
+                                                        subcontainers, refusal):
         coincident = [{"x": 1e307, "y": 1e307, "radius": 1e306, "input_index": k} for k in range(2)]
         doc = {"container": container, "placements": placements or coincident,
                "subcontainers": subcontainers}
@@ -686,9 +690,31 @@ class TestVerifyCommand:
         proc = subprocess.run([sys.executable, "-m", "splitpack", "verify", str(path)],
                               capture_output=True, text=True, env=TestModuleEntryPoint.env(),
                               timeout=60)
+        if refusal is None:
+            assert (proc.returncode, proc.stderr) == (1, "")
+            assert proc.stdout.startswith("FAIL") and "circle-circle circle:0 circle:1" in proc.stdout
+            return
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "must be at most 1e+150 in magnitude" in proc.stderr
+        assert refusal in proc.stderr
+
+    def test_a_tiny_record_is_judged_as_at_unit_scale(self, tmp_path):
+        # side 1e-170: the hat lies wholly outside its parent, but squared
+        # distances underflowed to 0 and the record passed
+        doc = {"container": {"type": "square", "side": 1e-170},
+               "placements": [{"x": 3e-171, "y": 3e-171, "radius": 1e-171, "input_index": 0}],
+               "subcontainers": [
+                   {"vertices": [[0, 0], [2e-171, 0], [0, 2e-171]], "rounding_radius": 0, "depth": 1},
+                   {"vertices": [[5e-171, 5e-171], [9e-171, 5e-171], [5e-171, 9e-171]],
+                    "rounding_radius": 0, "depth": 2}]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "splitpack", "verify", str(path)],
+                              capture_output=True, text=True, env=TestModuleEntryPoint.env(),
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert proc.stdout.startswith("FAIL")
+        assert "hat-in-parent hat:0.0.0 hat:0.0: slack -8.602e-171" in proc.stdout
 
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, err = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypatch=monkeypatch)

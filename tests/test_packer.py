@@ -1,6 +1,7 @@
 """Tests for the recursive packer and the hats it places."""
 
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -18,6 +19,7 @@ from splitpack import (
     Packing,
     Point,
     SplitKey,
+    SplitPackError,
     Square,
     Triangle,
     UnsupportedContainerError,
@@ -31,7 +33,7 @@ from splitpack import (
     weighted_split,
 )
 from splitpack import packer
-from splitpack.geometry import shape_table
+from splitpack.geometry import frame, shape_table
 from conftest import (
     random_areas,
     random_container,
@@ -466,11 +468,11 @@ class TestRequestValidation:
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas), min_size=0.1))
         assert verify(root, expected_areas=areas).passed
 
-    @pytest.mark.parametrize("side,packs", [(1e78, False), (1e-80, False), (1e70, True),
-                                            (1e-70, True)])
+    @pytest.mark.parametrize("side,packs", [(1e78, True), (1e-80, True), (1e70, True),
+                                            (1e-70, True), (1e-155, False)])
     def test_containers_past_the_float_range_are_refused(self, side, packs):
-        # the rounding guarantee multiplies areas; past 1e150 it overflows and
-        # below 1e-150 it underflows, so the request is refused up front
+        # pack and decide work in the container's frame, so any container
+        # whose area is a normal float packs; one of area 1e-310 is refused
         rng = np.random.default_rng(211)
         for container in (Square(side), Triangle.from_sides(3.0, 4.0, 5.0).scaled_about((0, 0), side)):
             areas = random_areas(rng, 40, 0.999 * packable_area(container))
@@ -481,7 +483,7 @@ class TestRequestValidation:
                 assert verify(pack(request), expected_areas=areas).passed
             else:
                 assert answer == "unknown"
-                with pytest.raises(InvalidParameterError, match="rescale"):
+                with pytest.raises(InvalidParameterError, match="not a positive normal float"):
                     pack(request)
 
     def test_non_positive_area_rejected(self):
@@ -491,6 +493,73 @@ class TestRequestValidation:
         for area in (0.0, -0.2, math.nan):
             with pytest.raises(InvalidParameterError, match="must be positive"):
                 pack(PackRequest(Square(1.0), CircleSet((0.1, area), (0, 1), 0.1 + area, area)))
+
+
+FLOAT_COLUMNS = ("x", "y", "radius", "hat_vertices", "hat_rounding")
+
+
+def scaled_container(container, j: int):
+    """The container scaled by 2**j, exactly."""
+    if isinstance(container, Square):
+        return Square(math.ldexp(container.side, j))
+    return Triangle(tuple(Point(math.ldexp(x, j), math.ldexp(y, j)) for x, y in container.vertices))
+
+
+def packing_bits(packing, j: int = 0) -> tuple:
+    """The record's columns, the float ones scaled by 2**j, as comparable bytes."""
+    floats = [np.ldexp(np.asarray(getattr(packing, c), dtype=float), j).tobytes() for c in FLOAT_COLUMNS]
+    return (*floats, bytes(packing.input_index), bytes(packing.hat_depth))
+
+
+class TestFrame:
+    def test_frame_puts_the_size_between_one_and_two(self):
+        assert frame(Square(1.0)) == (0, Square(1.0))
+        assert frame(Square(2.7)) == (-1, Square(1.35))
+        assert frame(Square(0.013)) == (7, Square(0.013 * 128))
+        k, t = frame(Triangle.from_sides(3.0, 4.0, 5.0))
+        assert (k, max(t.side_lengths)) == (-2, 1.25)
+        assert t.vertices == tuple(Point(x / 4, y / 4) for x, y in Triangle.from_sides(3.0, 4.0, 5.0).vertices)
+
+    @pytest.mark.parametrize("j", [-250, -60, -1, 1, 60, 250])
+    def test_scaled_requests_pack_and_verify_alike(self, j):
+        # a container scaled by 2**j, with its areas by 4**j, packs to the
+        # same record scaled by 2**j, bit for bit, and verifies alike
+        rng = np.random.default_rng(223)
+        for _ in range(12):
+            container = random_container(rng)
+            areas = random_feasible_instance(rng, container, max_n=60)
+            packing = pack(PackRequest(container, CircleSet.from_areas(areas)))
+            scaled_areas = [math.ldexp(a, 2 * j) for a in areas]
+            scaled = pack(PackRequest(scaled_container(container, j), CircleSet.from_areas(scaled_areas)))
+            assert scaled.container == scaled_container(container, j)
+            assert packing_bits(scaled) == packing_bits(packing, j)
+            report = verify(packing, expected_areas=areas)
+            scaled_report = verify(scaled, expected_areas=scaled_areas)
+            assert scaled_report.passed and report.passed
+            assert scaled_report.check_count == report.check_count
+            assert scaled_report.tolerance == math.ldexp(report.tolerance, j)
+            assert scaled_report.worst_slack == math.ldexp(report.worst_slack, j)
+            slacks = {c.ids: c.slack for c in scaled_report.checks}
+            assert all(slacks[c.ids] == math.ldexp(c.slack, j) for c in report.checks)
+
+    def test_a_tiny_square_fails_where_the_unit_square_does(self):
+        # Square(2**-245) and Square(1) with areas capacity * 0.7 * 0.3**k:
+        # the same error type or both a packing, the same bits once scaled by
+        # 2**245 wherever the tiny square's areas are all normal floats; past
+        # n = 306 its smallest areas are subnormal and carry fewer digits
+        def outcome(container, n):
+            areas = [packable_area(container) * 0.7 * 0.3**k for k in range(n)]
+            try:
+                return pack(PackRequest(container, CircleSet.from_areas(areas))), min(areas)
+            except SplitPackError as exc:
+                return type(exc), None
+
+        for n in range(1, 321):
+            (tiny, smallest), (unit, _) = outcome(Square(2.0**-245), n), outcome(Square(1.0), n)
+            if not (isinstance(tiny, Packing) and isinstance(unit, Packing)):
+                assert tiny == unit, n
+            elif smallest >= sys.float_info.min:
+                assert packing_bits(tiny, 245) == packing_bits(unit), n
 
 
 class TestMinContainer:

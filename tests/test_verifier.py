@@ -33,7 +33,7 @@ from splitpack.verifier import (
     _Columns,
     _circle_pairs,
     _edge_table,
-    _erode,
+    _hat_shape,
     _point_tri_set_distance,
     _tri_pair_distance,
 )
@@ -442,6 +442,8 @@ class TestCirclePairSweep:
 
     @staticmethod
     def assert_matches_oracle(root, tolerance=None):
+        # the oracle reads the columns in the container's frame, as verify
+        # does, and scales its slacks back by 2**-k, which is exact
         report = verify(root, tolerance=tolerance)
         index = _Columns(root)
         iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
@@ -453,10 +455,12 @@ class TestCirclePairSweep:
         }
         assert set(evaluated) == {k for k, m in zip(keys, meet) if m}
         got = np.array([evaluated[k] for k, m in zip(keys, meet) if m], dtype=float)
-        assert np.array_equal(got.view(np.uint64), slacks[meet].view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.ldexp(slacks[meet], -index.k).view(np.uint64))
         assert np.all(slacks[~meet] > 0.0)
         if tolerance is None:
             tolerance = default_pair_tolerance(index.container, index.radii[iu], index.radii[ju])
+        else:
+            tolerance = math.ldexp(tolerance, index.k)
         bad = slacks < -np.broadcast_to(tolerance, slacks.shape)
         failed = {c.ids for c in report.failures if c.kind is CheckKind.CIRCLE_CIRCLE}
         assert failed == {k for k, b in zip(keys, bad) if b}
@@ -734,8 +738,8 @@ class TestBatchPrimitivesMatchScalar:
             s = float(rng.uniform(0.0, 1.0)) * r_in
             hat = Hat(t, s)
             corners = np.array(t.vertices, dtype=float)[:, :, None]
-            table, _ = _erode(corners[:, 0], corners[:, 1], np.array([s]))
-            for got, expected in zip(zip(table[0, :, 0], table[1, :, 0]), hat.eroded_corners()):
+            _, x, y, _ = _hat_shape(corners[:, 0], corners[:, 1], np.array([s]))
+            for got, expected in zip(zip(x[:, 0], y[:, 0]), hat.eroded_corners()):
                 assert tuple(got) == pytest.approx(expected, abs=1e-12)
 
     def test_sibling_distance_matches_convex_polygon_distance(self):
