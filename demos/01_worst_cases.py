@@ -21,7 +21,6 @@ from splitpack import (
     critical_density,
     pack,
     render_packing_svg,
-    square_twincircles,
     verify,
 )
 
@@ -38,13 +37,11 @@ def save(packing, name):
 print(f"critical density of any square: {PHI_SQUARE:.6f} (~53.90%)")
 
 square = Square(1.0)
-twins = square_twincircles(square.side)
-print(f"twincircle radius {twins[0].radius:.6f}, centers {twins[0].center} / {twins[1].center}")
-
 areas = [PHI_SQUARE / 2.0, PHI_SQUARE / 2.0]
 packing = pack(PackRequest(square, CircleSet.from_areas(areas)))
 report = verify(packing, expected_areas=areas)
 print(f"packed the worst case: {report.summary()}")
+print(f"  the twincircles, radius side / (2 + sqrt 2) = {square.side / (2.0 + math.sqrt(2.0)):.6f}:")
 for leaf in packing.circle_leaves():
     print(f"  circle {leaf.input_index}: center {leaf.shape.center}, r = {leaf.shape.radius:.6f}")
 save(packing, "01_square_worst_case.svg")

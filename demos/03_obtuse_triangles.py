@@ -19,12 +19,12 @@ from splitpack import (
     PackRequest,
     Triangle,
     critical_density,
-    hat_split_key,
     pack,
     packable_area,
     render_packing_svg,
     verify,
 )
+from splitpack.geometry import shape_table
 
 OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
@@ -38,8 +38,9 @@ shapes = [
 
 print(f"{'shape':<16} {'density':>9} {'split key ratio':>16}")
 for name, tri in shapes:
-    key = hat_split_key(tri)
-    print(f"{name:<16} {critical_density(tri):>9.4f} {key.f1 / key.f2:>16.4f}")
+    # the key is the halves' incircle areas, so its ratio is their inradii's, squared
+    _r_in, (entry, *_) = shape_table(*tri.base_split)
+    print(f"{name:<16} {critical_density(tri):>9.4f} {(entry[1] / entry[2]) ** 2:>16.4f}")
 
 rng = np.random.default_rng(7)
 print()

@@ -22,12 +22,9 @@ from .geometry import (
     PHI_SQUARE,
     Circle,
     Point,
-    SplitKey,
     Square,
     Triangle,
     critical_density,
-    hat_split_key,
-    square_twincircles,
 )
 from .splitting import (
     CircleSet,
@@ -66,7 +63,6 @@ __all__ = [
     "Packing",
     "PackingDocument",
     "Point",
-    "SplitKey",
     "SplitPackError",
     "Square",
     "Triangle",
@@ -74,14 +70,12 @@ __all__ = [
     "VerificationReport",
     "critical_density",
     "decide",
-    "hat_split_key",
     "min_container",
     "min_guarantee",
     "pack",
     "packable_area",
     "render_packing_svg",
     "split",
-    "square_twincircles",
     "verify",
     "weighted_split",
     "__version__",

@@ -301,9 +301,12 @@ def decide(instance: InstanceDocument) -> dict:
     packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
-    instance. ``ratio`` is the combined area over the packable area, read in
-    the container's frame, or None where pack refuses the instance as more than
-    a double carries or the ratio leaves the float range."""
+    instance up front. Past the precision envelope pack can still raise from
+    inside its recursion on a 'yes' (``Square(1)`` with the 312 areas
+    capacity * 0.7 * 0.3**k; ROADMAP item 1). ``ratio`` is the combined area
+    over the packable area, read in the container's frame, or None where pack
+    refuses the instance as more than a double carries or the ratio leaves the
+    float range."""
     request = instance.to_request()  # refuses a bad min_size, as pack does
     try:
         k, framed, capacity = _frame_request(request)

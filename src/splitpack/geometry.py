@@ -1,10 +1,10 @@
-"""Closed-form geometric constructions for circle packing.
+"""Closed-form geometry for circle packing.
 
-Points, circles, squares and triangles; the table of hat (corner-rounded
-triangle) shapes that the packer splits hats and places circles by, at most
-four right shapes below the container; twincircles, split keys, packable
-areas and critical densities. The packer records hats only as numbers in a
-``Packing``.
+Points, circles, squares and triangles; a container's power-of-two frame;
+the table of hat (corner-rounded triangle) shapes that the packer splits
+hats and places circles by, at most four right shapes below the container;
+packable areas and critical densities. The packer records hats only as
+numbers in a ``Packing``.
 
 All lengths and areas are plain double precision; tolerances elsewhere in the
 package are expressed relative to the container scale.
@@ -30,13 +30,6 @@ RIGHT_ANGLE_SLACK = 1e-9
 class Point(NamedTuple):
     x: float
     y: float
-
-
-class SplitKey(NamedTuple):
-    """Target area pair (f1, f2) for weighted splitting; both positive."""
-
-    f1: float
-    f2: float
 
 
 def _as_point(p) -> Point:
@@ -223,26 +216,6 @@ def shape_table(left, right, apex) -> tuple[float, list[tuple]]:
     return r_in, table
 
 
-# ---------------------------------------------------------------------------
-# Constructions
-# ---------------------------------------------------------------------------
-
-def square_twincircles(side: float) -> tuple[Circle, Circle]:
-    """The two largest equal circles packable into the square.
-
-    They sit on the main diagonal, tangent to each other and to two sides
-    each, with radius side / (2 + sqrt 2); their combined area is
-    PHI_SQUARE * side^2.
-    """
-    if not (math.isfinite(side) and side > 0.0):
-        raise InvalidParameterError(f"square side must be positive, got {side!r}")
-    r = side / (2.0 + SQRT2)
-    return (
-        Circle(Point(r, r), r),
-        Circle(Point(side - r, side - r), r),
-    )
-
-
 def packable_area(container: Union[Square, Triangle]) -> float:
     """Largest combined circle area the container is guaranteed to pack: its
     twincircle area for a square, its incircle area for a triangle.
@@ -269,9 +242,3 @@ def critical_density(container: Union[Square, Triangle]) -> float:
         return PHI_SQUARE
     return packable_area(container) / container.area
 
-
-def hat_split_key(t: Triangle) -> SplitKey:
-    """Incircle areas (f1, f2) of the two altitude halves of the triangle."""
-    r_in, table = shape_table(*t.base_split)
-    r1, r2 = table[0][1] * r_in, table[0][2] * r_in
-    return SplitKey(math.pi * r1 * r1, math.pi * r2 * r2)

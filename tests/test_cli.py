@@ -90,6 +90,19 @@ class TestDocuments:
         with pytest.raises(sp.DocumentError):
             PackingDocument.from_dict(data)
 
+    def test_integral_floats_are_integers(self):
+        placements = [{"x": 0.25, "y": 0.5, "radius": 0.1, "input_index": 0},
+                      {"x": 0.75, "y": 0.5, "radius": 0.1, "input_index": 1}]
+        hat = {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1}
+        data = {"container": {"type": "square", "side": 1.0}, "placements": placements,
+                "subcontainers": [hat]}
+        ints = PackingDocument.from_dict(data).to_json()
+        placements[1]["input_index"] = 1.0
+        hat["depth"] = 1.0
+        floats = PackingDocument.from_dict(data)
+        assert floats.to_json() == ints
+        assert list(floats.packing.input_index) == [0, 1] and list(floats.packing.hat_depth) == [1]
+
     @pytest.mark.parametrize("value", [True, "0.5"], ids=["true", "string"])
     @pytest.mark.parametrize("field", ["x", "y", "radius", "vertex x", "vertex y",
                                        "rounding_radius"])
@@ -395,6 +408,19 @@ class TestPack:
                                  stdin='[{"area": 1e308}, {"area": 1e308}]', monkeypatch=monkeypatch)
         assert code == 2 and out == ""
         assert err.startswith("error: over-capacity: combined area inf") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("areas,min_size", [([1e10], 0.0), ([], 1e10)], ids=["area", "min_size"])
+    def test_request_that_overflows_in_the_frame_is_refused(self, capsys, monkeypatch, areas,
+                                                           min_size):
+        # Square(1e-150)'s frame scales areas by 2**998, where 1e10 overflows
+        inst = InstanceDocument(Square(1e-150), areas, min_size=min_size)
+        with pytest.raises(sp.InvalidParameterError, match="overflow in the container's frame"):
+            pack(inst.to_request())
+        assert decide(inst) == {"packable": "unknown", "ratio": None}
+        code, out, err = run_cli(["pack"], capsys, stdin=inst.to_json(), monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow in the container's frame" in err
 
     def test_svg_output(self, tmp_path, capsys):
         inst = InstanceDocument(Square(1.0), [PHI_SQUARE / 2.0, PHI_SQUARE / 2.0])

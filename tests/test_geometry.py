@@ -15,18 +15,18 @@ from splitpack import (
     Triangle,
     UnsupportedContainerError,
     critical_density,
-    hat_split_key,
-    square_twincircles,
 )
 from conftest import random_non_acute_triangle, triangle_from_angles
 from reference_geometry import (
     Hat,
     altitude_foot,
+    altitude_halves,
     convex_polygon_distance,
     hat_dimensions,
     point_segment_distance,
     segment_segment_distance,
     signed_distance,
+    split_key,
     triangle_incircle,
 )
 
@@ -194,35 +194,6 @@ class TestIncircle:
             assert d == pytest.approx(circle.radius, rel=1e-9, abs=1e-12 * scale)
 
 
-class TestTwincircles:
-    def test_unit_square(self):
-        c1, c2 = square_twincircles(1.0)
-        r = 1.0 / (2.0 + SQRT2)
-        assert c1.radius == pytest.approx(r, rel=1e-12)
-        assert c1.center == pytest.approx((r, r), rel=1e-12)
-        assert c2.center == pytest.approx((1.0 - r, 1.0 - r), rel=1e-12)
-        assert c1.area + c2.area == pytest.approx(0.5390, abs=5e-5)
-        assert c1.area + c2.area == pytest.approx(PHI_SQUARE, rel=1e-12)
-
-    def test_tangency(self):
-        for side in (1.0, 2.5, 0.3):
-            c1, c2 = square_twincircles(side)
-            gap = math.dist(c1.center, c2.center)
-            assert gap == pytest.approx(c1.radius + c2.radius, rel=1e-12)
-            # each circle touches the two nearest sides
-            assert min(c1.center) == pytest.approx(c1.radius, rel=1e-12)
-            assert side - max(c2.center) == pytest.approx(c2.radius, rel=1e-12)
-
-    def test_scale_linearity(self):
-        assert square_twincircles(2.0)[0].radius == pytest.approx(
-            2.0 / (2.0 + SQRT2), rel=1e-12
-        )
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            square_twincircles(0.0)
-
-
 class TestCriticalDensity:
     def test_square(self):
         assert critical_density(Square(1.0)) == pytest.approx(0.539012, abs=1e-6)
@@ -250,34 +221,39 @@ class TestCriticalDensity:
 
 
 class TestSplitKey:
+    """pack's split key, read from the shape table, against the reference
+    construction: the incircle areas of the triangle's altitude halves."""
+
     def test_right_isosceles_halves_evenly(self):
         t = Triangle.from_sides(1.0, 1.0, SQRT2)
-        key = hat_split_key(t)
+        f1, f2 = split_key(t)
         a = triangle_incircle(t).area
-        assert key.f1 == pytest.approx(a / 2.0, rel=1e-12)
-        assert key.f2 == pytest.approx(a / 2.0, rel=1e-12)
+        assert f1 == pytest.approx(a / 2.0, rel=1e-12)
+        assert f2 == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_345(self):
         # altitude 12/5 splits the hypotenuse into 9/5 and 16/5;
         # the halves' inradii are 3/5 and 4/5
-        key = hat_split_key(Triangle.from_sides(3.0, 4.0, 5.0))
-        assert key.f1 == pytest.approx(9.0 * math.pi / 25.0, rel=1e-12)
-        assert key.f2 == pytest.approx(16.0 * math.pi / 25.0, rel=1e-12)
-        assert key.f1 + key.f2 == pytest.approx(math.pi, rel=1e-12)
+        f1, f2 = split_key(Triangle.from_sides(3.0, 4.0, 5.0))
+        assert f1 == pytest.approx(9.0 * math.pi / 25.0, rel=1e-12)
+        assert f2 == pytest.approx(16.0 * math.pi / 25.0, rel=1e-12)
+        assert f1 + f2 == pytest.approx(math.pi, rel=1e-12)
 
     def test_obtuse_exceeds_incircle(self):
         t = Triangle(((0.0, 0.0), (4.0, 0.0), (1.0, 0.8)))
         assert t.is_non_acute
-        key = hat_split_key(t)
-        assert key.f1 + key.f2 > triangle_incircle(t).area
+        f1, f2 = split_key(t)
+        assert f1 + f2 > triangle_incircle(t).area
 
     def test_sum_at_least_incircle(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             t = random_non_acute_triangle(rng, right=bool(rng.random() < 0.5))
-            key = hat_split_key(t)
+            key = split_key(t)
+            halves = [triangle_incircle(h).area for h in altitude_halves(t)]
+            assert key == pytest.approx(halves, rel=1e-12)
             a = triangle_incircle(t).area
-            assert key.f1 + key.f2 >= a * (1.0 - 1e-12)
+            assert sum(key) >= a * (1.0 - 1e-12)
 
 
 class TestSignedDistance:

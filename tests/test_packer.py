@@ -18,13 +18,11 @@ from splitpack import (
     PackStats,
     Packing,
     Point,
-    SplitKey,
     SplitPackError,
     Square,
     Triangle,
     UnsupportedContainerError,
     decide,
-    hat_split_key,
     min_container,
     min_guarantee,
     pack,
@@ -45,6 +43,7 @@ from reference_geometry import (
     altitude_halves,
     first_level_hats,
     signed_distance,
+    split_key,
     triangle_incircle,
 )
 
@@ -63,15 +62,20 @@ def non_root_hat_count(packing: Packing) -> int:
 
 class TestSquarePacking:
     def test_twincircle_worst_case(self):
-        a = PHI_SQUARE
-        root = pack(PackRequest(Square(1.0), CircleSet.from_areas([a / 2.0, a / 2.0])))
-        leaves = sorted(root.circle_leaves(), key=lambda n: n.input_index)
-        r = 1.0 / (2.0 + SQRT2)
-        assert leaves[0].shape.center == pytest.approx((r, r), abs=1e-12)
-        assert leaves[1].shape.center == pytest.approx((1.0 - r, 1.0 - r), abs=1e-12)
-        assert leaves[0].shape.radius == pytest.approx(r, rel=1e-12)
-        report = verify(root, tolerance=1e-9, expected_areas=[a / 2.0, a / 2.0])
-        assert report.passed
+        for side in (1.0, 2.5, 0.3):
+            a = PHI_SQUARE * side * side
+            root = pack(PackRequest(Square(side), CircleSet.from_areas([a / 2.0, a / 2.0])))
+            c1, c2 = (leaf.shape for leaf in sorted(root.circle_leaves(), key=lambda n: n.input_index))
+            r = side / (2.0 + SQRT2)
+            assert c1.center == pytest.approx((r, r), abs=1e-12 * side)
+            assert c2.center == pytest.approx((side - r, side - r), abs=1e-12 * side)
+            assert c1.radius == pytest.approx(r, rel=1e-12)
+            # tangent to each other, and each to the two nearest sides
+            assert math.dist(c1.center, c2.center) == pytest.approx(c1.radius + c2.radius, rel=1e-12)
+            assert min(c1.center) == pytest.approx(c1.radius, rel=1e-12)
+            assert side - max(c2.center) == pytest.approx(c2.radius, rel=1e-12)
+            report = verify(root, tolerance=1e-9 * side, expected_areas=[a / 2.0, a / 2.0])
+            assert report.passed
 
     def test_single_circle_corner_tangent(self):
         # a lone circle sits in the degenerate corner-anchored hat, i.e.
@@ -213,7 +217,7 @@ class TestPlacementOperations:
 
     def test_hats_in_square_conjugacy_violation(self):
         a = PHI_SQUARE
-        key = SplitKey(a / 2.0, a / 2.0)
+        key = (a / 2.0, a / 2.0)
         # group 1 overshoots its half by 0.4a, but its circles are 0.35a
         with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
             packer._split_step(CircleSet.from_areas([0.35 * a, 0.35 * a]),
@@ -238,7 +242,7 @@ class TestPlacementOperations:
         t = Triangle.from_sides(3.0, 4.0, 5.0)
         areas = [9.0 * math.pi / 25.0, 8.0 * math.pi / 25.0, 8.0 * math.pi / 25.0]
         cs = CircleSet.from_areas(areas)
-        c1, c2 = weighted_split(cs, hat_split_key(t))
+        c1, c2 = weighted_split(cs, split_key(t))
         assert (c1.combined, c2.combined) == (9.0 * math.pi / 25.0, 16.0 * math.pi / 25.0)
         root = pack(PackRequest(t, cs))
         left, right = altitude_halves(t)
@@ -261,7 +265,7 @@ class TestPlacementOperations:
         # corner keeps it inside the container
         t = right_isosceles_with_incircle(math.pi)
         container = Hat(t, 0.0)
-        key = hat_split_key(t)
+        key = split_key(t)
         areas = [0.7 * math.pi, 0.3 * math.pi]
         root = pack(PackRequest(t, CircleSet.from_areas(areas)))
         h1, h2 = first_level_hats(root)
@@ -309,7 +313,7 @@ class TestPlacementOperations:
             if len(areas) < 2:
                 continue
             cs = CircleSet.from_areas(areas)
-            key = hat_split_key(t)
+            key = split_key(t)
             c1, c2 = weighted_split(cs, key)
             left, right, _apex = t.base_split
             expected = []

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from splitpack import (
     CircleSet,
     InvalidParameterError,
-    SplitKey,
     min_guarantee,
     split,
     weighted_split,
@@ -25,7 +24,7 @@ area_lists = st.lists(
 keys = st.tuples(
     st.floats(min_value=1e-3, max_value=1e3),
     st.floats(min_value=1e-3, max_value=1e3),
-).map(lambda t: SplitKey(*t))
+)
 
 
 class TestCircleSet:
@@ -98,7 +97,7 @@ class TestSplit:
 
 class TestWeightedSplit:
     def test_worked_example(self):
-        c1, c2 = weighted_split(CircleSet.from_areas([4.0, 2.0, 2.0]), SplitKey(1.0, 3.0))
+        c1, c2 = weighted_split(CircleSet.from_areas([4.0, 2.0, 2.0]), (1.0, 3.0))
         assert c1.areas == (4.0,)
         assert c2.areas == (2.0, 2.0)
         assert min_guarantee(c1.combined, c2.combined, 1.0, 3.0) == pytest.approx(
@@ -106,7 +105,7 @@ class TestWeightedSplit:
         )
 
     def test_single_circle_lands_in_first_bucket(self):
-        for key in (SplitKey(1.0, 1.0), SplitKey(1.0, 3.0), SplitKey(5.0, 0.1)):
+        for key in ((1.0, 1.0), (1.0, 3.0), (5.0, 0.1)):
             c1, c2 = weighted_split(CircleSet.from_areas([2.5]), key)
             assert c1.areas == (2.5,)
             assert c2.areas == ()
@@ -116,7 +115,7 @@ class TestWeightedSplit:
         for _ in range(100):
             areas = list(rng.random(int(rng.integers(1, 40))) + 0.01)
             cs = CircleSet.from_areas(areas)
-            w1, w2 = weighted_split(cs, SplitKey(1.0, 1.0))
+            w1, w2 = weighted_split(cs, (1.0, 1.0))
             s1, s2 = split(cs)
             if w1.combined <= w2.combined:
                 assert (w1.areas, w2.areas) == (s1.areas, s2.areas)
@@ -125,16 +124,16 @@ class TestWeightedSplit:
 
     def test_key_scaling_invariant(self):
         cs = CircleSet.from_areas([5.0, 3.0, 2.0, 2.0, 1.0])
-        a = weighted_split(cs, SplitKey(1.0, 2.0))
-        b = weighted_split(cs, SplitKey(0.5, 1.0))
+        a = weighted_split(cs, (1.0, 2.0))
+        b = weighted_split(cs, (0.5, 1.0))
         assert a[0].areas == b[0].areas and a[1].areas == b[1].areas
 
     def test_rejects_bad_key(self):
         cs = CircleSet.from_areas([1.0])
         with pytest.raises(InvalidParameterError):
-            weighted_split(cs, SplitKey(0.0, 1.0))
+            weighted_split(cs, (0.0, 1.0))
         with pytest.raises(InvalidParameterError):
-            weighted_split(cs, SplitKey(1.0, -2.0))
+            weighted_split(cs, (1.0, -2.0))
 
     @given(area_lists, keys)
     @settings(max_examples=300, deadline=None)
@@ -147,9 +146,10 @@ class TestWeightedSplit:
         if len(cs) >= 2:
             assert len(c1) >= 1 and len(c2) >= 1
         slack = 1e-12 * max(cs.combined, 1.0)
+        f1, f2 = key
         for mine, other, f_mine, f_other in (
-            (c1, c2, key.f1, key.f2),
-            (c2, c1, key.f2, key.f1),
+            (c1, c2, f1, f2),
+            (c2, c1, f2, f1),
         ):
             if len(mine):
                 bound = mine.combined - f_mine * other.combined / f_other
@@ -178,28 +178,28 @@ class TestConjugated:
     def test_balanced_pair(self):
         a = 2.0
         pair = ConjugatedPair((a / 2.0, 0.0), (a / 2.0, 0.0))
-        assert check_conjugated(pair, a, 0.0, SplitKey(1.0, 1.0))
+        assert check_conjugated(pair, a, 0.0, (1.0, 1.0))
 
     def test_unbalanced_pair_without_rounding_fails(self):
         a = 2.0
         pair = ConjugatedPair((0.7 * a, 0.0), (0.3 * a, 0.0))
         # first bucket overshoots by 0.4*a but declares no rounding
-        assert not check_conjugated(pair, a, 0.0, SplitKey(1.0, 1.0))
+        assert not check_conjugated(pair, a, 0.0, (1.0, 1.0))
 
     def test_area_sum_must_match(self):
         pair = ConjugatedPair((1.0, 1.0), (0.5, 0.5))
-        assert not check_conjugated(pair, 2.0, 0.0, SplitKey(1.0, 1.0))
+        assert not check_conjugated(pair, 2.0, 0.0, (1.0, 1.0))
 
     def test_split_outputs_always_conjugated(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
             n = int(rng.integers(1, 30))
             areas = list(rng.random(n) + 1e-3)
-            key = SplitKey(float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
+            f1, f2 = key = (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
             b = 0.0
             cs = CircleSet.from_areas(areas)
             c1, c2 = weighted_split(cs, key)
-            b1 = min_guarantee(c1.combined, c2.combined, key.f1, key.f2, b)
-            b2 = min_guarantee(c2.combined, c1.combined, key.f2, key.f1, b)
+            b1 = min_guarantee(c1.combined, c2.combined, f1, f2, b)
+            b2 = min_guarantee(c2.combined, c1.combined, f2, f1, b)
             pair = ConjugatedPair((c1.combined, b1), (c2.combined, b2))
             assert check_conjugated(pair, cs.combined, b, key)

@@ -633,28 +633,6 @@ class TestProjectionWidths:
                 assert e1 + e2 <= base_len * (1.0 + 1e-9)
 
 
-class TestProofInequalities:
-    def test_rounding_keeps_overshooting_hat_inside(self):
-        # sweep of sqrt(a_i) - (1 - sqrt(f_i/a)) sqrt(b_i) <= sqrt(f_i)
-        # at the guaranteed rounding b_i = a (a_i - f_i) / (a - f_i)
-        rng = np.random.default_rng(97)
-        for _ in range(2000):
-            a = float(rng.uniform(0.1, 10.0))
-            f = float(rng.uniform(0.01, 0.99)) * a
-            a_i = float(rng.uniform(f, a))
-            b_i = a * (a_i - f) / (a - f)
-            lhs = math.sqrt(a_i) - (1.0 - math.sqrt(f / a)) * math.sqrt(b_i)
-            assert lhs <= math.sqrt(f) + 1e-12
-
-    def test_split_key_sum_covers_incircle(self):
-        rng = np.random.default_rng(103)
-        for _ in range(1000):
-            t = random_non_acute_triangle(rng, right=bool(rng.random() < 0.5))
-            key = sp.hat_split_key(t)
-            a = triangle_incircle(t).area
-            assert key.f1 + key.f2 >= a * (1.0 - 1e-12)
-
-
 def edge_table(tris):
     """The verifier's edge table of triangles given as (k, 3, 2) corners."""
     tris = np.asarray(tris, dtype=float)
