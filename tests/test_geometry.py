@@ -194,6 +194,21 @@ class TestIncircle:
             assert d == pytest.approx(circle.radius, rel=1e-9, abs=1e-12 * scale)
 
 
+class TestTwincircles:
+    """The two equal circles pack places at critical density in a square."""
+
+    def test_tangency(self):
+        for side in (1.0, 2.5, 0.3):
+            a = PHI_SQUARE * side * side
+            root = sp.pack(sp.PackRequest(Square(side), sp.CircleSet.from_areas([a / 2.0, a / 2.0])))
+            c1, c2 = (leaf.shape for leaf in sorted(root.circle_leaves(), key=lambda n: n.input_index))
+            gap = math.dist(c1.center, c2.center)
+            assert gap == pytest.approx(c1.radius + c2.radius, rel=1e-12)
+            # each circle touches the two nearest sides
+            assert min(c1.center) == pytest.approx(c1.radius, rel=1e-12)
+            assert side - max(c2.center) == pytest.approx(c2.radius, rel=1e-12)
+
+
 class TestCriticalDensity:
     def test_square(self):
         assert critical_density(Square(1.0)) == pytest.approx(0.539012, abs=1e-6)
