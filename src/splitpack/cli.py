@@ -47,10 +47,20 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
+# Output is written this many characters at a time, so that the whole text is
+# never encoded at once.
+_SLICE = 1 << 20
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start:start + _SLICE])
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         try:
-            sys.stdout.write(text)
+            _write_slices(sys.stdout, text)
             if not text.endswith("\n"):
                 sys.stdout.write("\n")
             # a closed pipe raises here, inside main, not at interpreter exit
@@ -59,7 +69,7 @@ def _write_output(text: str, path: str | None) -> None:
             raise _StdoutClosed from exc
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
 
 
 def _load_json(path: str):

@@ -20,16 +20,26 @@ _WIDTH = 640.0
 # rounding noise in the geometry (-1.7e-18 for 0) does not reach the text.
 _ZERO_REL = 1e-12
 
+# Hats and circles are turned into text _BLOCK at a time, so that no list
+# spans every element or every number.
+_BLOCK = 4096
+
 _CIRCLE = f'<circle cx="%.10g" cy="%.10g" r="%.10g" fill="{_CIRCLE_FILL}"/>'
 _SHARP = "M %.10g %.10g L %.10g %.10g L %.10g %.10g Z"
-_ARC = "%.10g %.10g A %.10g %.10g 0 0 1 %.10g %.10g"
-_ROUNDED = f"M {_ARC} L {_ARC} L {_ARC} Z"
+_ARC = "%.10g %.10g A {r} {r} 0 0 1 %.10g %.10g"
+# a rounded hat's path, in the pieces that its radius's text joins
+_ROUNDED = f"M {_ARC} L {_ARC} L {_ARC} Z".split("{r}")
 _PREV = [2, 0, 1]
 
 
+def _clamped(values: np.ndarray, zero: float) -> list[float]:
+    """``values`` flattened to floats, with entries below ``zero`` in magnitude set to 0."""
+    return np.where(np.abs(values) < zero, 0.0, values).ravel().tolist()
+
+
 def _rows(values: np.ndarray, zero: float):
-    """The rows of ``values`` as tuples, with entries below ``zero`` in magnitude set to 0."""
-    flat = iter(np.where(np.abs(values) < zero, 0.0, values).ravel().tolist())
+    """The rows of ``values`` as tuples, clamped as by :func:`_clamped`."""
+    flat = iter(_clamped(values, zero))
     return zip(*[flat] * values.shape[1])
 
 
@@ -43,9 +53,10 @@ def _hat_paths(tris: np.ndarray, rounding: np.ndarray, zero: float) -> list[str]
     _, _, ex, ey, length = np.compress(rounded, table, axis=-1)
     x, y, r = (np.compress(rounded, v, axis=-1) for v in (corner_x, corner_y, radii))
     nx, ny = ey / length, -ex / length  # outward; edge i runs from corner i to the next
-    arcs = np.stack(np.broadcast_arrays(x + r * nx[_PREV], y + r * ny[_PREV], r, r, x + r * nx, y + r * ny))
-    sharp_rows, arc_rows = _rows(sharp, zero), _rows(arcs.T.reshape(-1, 18), zero)
-    return [_ROUNDED % next(arc_rows) if is_rounded else _SHARP % next(sharp_rows)
+    ends = np.stack(np.broadcast_arrays(x + r * nx[_PREV], y + r * ny[_PREV], x + r * nx, y + r * ny))
+    sharp_rows, end_rows = _rows(sharp, zero), _rows(ends.T.reshape(-1, 12), zero)
+    radius_texts = map("%.10g".__mod__, _clamped(r, zero))  # each radius is printed six times
+    return [next(radius_texts).join(_ROUNDED) % next(end_rows) if is_rounded else _SHARP % next(sharp_rows)
             for is_rounded in rounded.tolist()]
 
 
@@ -91,13 +102,18 @@ def render_packing_svg(packing: Packing) -> str:
         )
     # shallow hats first, so that deeper ones are drawn on top
     order = np.argsort(np.asarray(packing.hat_depth), kind="stable")
-    tris = np.asarray(packing.hat_vertices, dtype=float).reshape(-1, 3, 2)[order]
-    paths = _hat_paths(tris, np.asarray(packing.hat_rounding, dtype=float)[order], zero)
+    vertices = np.asarray(packing.hat_vertices, dtype=float).reshape(-1, 3, 2)
+    rounding = np.asarray(packing.hat_rounding, dtype=float)
     hat_style = (f'fill="{_SUBCONTAINER_FILL}" stroke="{_SUBCONTAINER_STROKE}" '
                  f'stroke-width="{fmt(stroke / 2)}"')
-    lines += [f'<path d="{path}" {hat_style}/>' for path in paths]
+    between_paths = f'" {hat_style}/>\n<path d="'  # closes one hat's element and opens the next
+    for start in range(0, len(order), _BLOCK):
+        block = order[start:start + _BLOCK]
+        paths = _hat_paths(vertices[block], rounding[block], zero)
+        lines.append(f'<path d="{between_paths.join(paths)}" {hat_style}/>')
     circles = np.column_stack([np.asarray(c, dtype=float) for c in (packing.x, packing.y, packing.radius)])
-    lines += [_CIRCLE % row for row in _rows(circles, zero)]
+    for start in range(0, len(circles), _BLOCK):
+        lines.append("\n".join([_CIRCLE % row for row in _rows(circles[start:start + _BLOCK], zero)]))
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines)

@@ -34,6 +34,12 @@ from reference_geometry import Hat, triangle_incircle
 SQRT2 = math.sqrt(2.0)
 
 
+def uniform_packing(container, n: int):
+    """A packing of n circles of uniform random areas at the container's capacity."""
+    w = np.random.default_rng(n).random(n) + 1e-9
+    return pack(PackRequest(container, CircleSet.from_areas(list(w * (sp.packable_area(container) / w.sum())))))
+
+
 def run_cli(argv, capsys, stdin: str | None = None, monkeypatch=None):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -264,6 +270,34 @@ class TestSvg:
             numbers = [float(w) for w in re.findall(r"-?[0-9.]+(?:e[-+][0-9]+)?", svg.split("<g ", 1)[1])]
             assert numbers and all(x == 0.0 or abs(x) >= 1e-12 for x in numbers)
             assert "-0 " not in svg and '"-0"' not in svg
+
+
+    def test_text_does_not_depend_on_the_block_size(self, monkeypatch):
+        from splitpack import svg
+
+        packing = uniform_packing(Triangle.from_sides(2.0, 3.5, 4.5), 200)
+        expected = render_packing_svg(packing)
+        paths = re.findall(r'<path d="([^"]*)"', expected)
+        assert len(paths) == len(packing.hat_rounding) > 7
+        assert any(" A " in path for path in paths) and any(" A " not in path for path in paths)
+        for block in (1, 7, len(paths) + 1):
+            monkeypatch.setattr(svg, "_BLOCK", block)
+            assert render_packing_svg(packing) == expected
+
+    def test_render_holds_about_twice_its_text(self):
+        # hats and circles become text a block at a time, so at its peak the
+        # render holds its pieces and their join (a whole-figure list of
+        # lines and of numbers took about 4x)
+        import tracemalloc
+
+        packing = uniform_packing(Square(1.0), 5000)
+        tracemalloc.start()
+        try:
+            text = render_packing_svg(packing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * len(text)
 
 
 class TestDecide:
@@ -563,6 +597,41 @@ class TestModuleEntryPoint:
         with pytest.raises(BrokenPipeError):
             cli.main(["gen", "-n", "3", "--out", str(tmp_path / "fifo")])
         assert "standard output" not in capsys.readouterr().err
+
+    def test_output_is_written_in_slices(self, monkeypatch, tmp_path):
+        text = render_packing_svg(uniform_packing(Square(1.0), 3000))
+        assert len(text) > 2 * cli._SLICE
+        sizes = []
+
+        class Recorder:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, piece):
+                sizes.append(len(piece))
+                return self.stream.write(piece)
+
+            def __getattr__(self, name):
+                return getattr(self.stream, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.stream.close()
+
+        path = tmp_path / "out.svg"
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+        cli._write_output(text, str(path))
+        assert path.read_text(encoding="utf-8") == text
+        assert len(sizes) > 2 and max(sizes) <= cli._SLICE
+
+        sizes.clear()
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", Recorder(stdout))
+        cli._write_output(text, None)
+        assert stdout.getvalue() == text + "\n"
+        assert len(sizes) > 2 and max(sizes) <= cli._SLICE
 
 
 _SQUARE_DICT = {"type": "square", "side": 1.0}
