@@ -215,7 +215,8 @@ class PackingDocument:
     container and both densities are written from it, and a parsed document
     keeps only what its record holds. :meth:`to_dict` builds this layout as
     dicts and lists; :meth:`to_json` writes the same layout as text straight
-    from the columns.
+    from the columns. A parsed document needs ``placements`` (``[]`` is an
+    empty packing); ``subcontainers`` may be left out.
     """
 
     packing: Packing
@@ -251,9 +252,9 @@ class PackingDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PackingDocument":
-        if not isinstance(data, dict) or "container" not in data:
-            raise DocumentError("packing document must be an object with a container")
-        placements = data.get("placements", [])
+        if not isinstance(data, dict) or "container" not in data or "placements" not in data:
+            raise DocumentError("a packing document is an object with container and placements")
+        placements = data["placements"]
         subcontainers = data.get("subcontainers", [])
         if not (isinstance(placements, list) and isinstance(subcontainers, list)):
             raise DocumentError("'placements' and 'subcontainers' must be lists")

@@ -393,7 +393,7 @@ def min_container(
     """
     if len(circles) == 0:
         raise InvalidParameterError("min_container needs at least one circle")
-    total = circles.combined
+    total = _combined_area(circles.areas)  # the total that pack admits by
     if family == "square" or isinstance(family, Square):
         return Square(math.sqrt(total / PHI_SQUARE))
     if isinstance(family, Triangle):

@@ -15,9 +15,11 @@ on its eroded corners, so
   the rounding radii apart.
 
 The hat checks index one edge table per verify, built once from the eroded
-triangles: corner x and y, edge vectors and edge lengths. Each distance is
-computed only where the result uses it. A point's Euclidean distance to a
-triangle is computed only where the point lies outside the side lines.
+triangles: corner x and y, edge vectors and edge lengths. The container, square
+or triangle, has a table of its own corners, so one kernel judges every
+containment. Each distance is computed only where the result uses it. A
+point's Euclidean distance to a polygon is computed only where the point lies
+outside the side lines.
 Sibling hats follow one rule: where the separating-axis gap of their eroded
 triangles is negative, it is their distance (minus the penetration depth);
 only elsewhere is the smallest vertex-to-edge distance over both computed.
@@ -125,20 +127,17 @@ class VerificationReport:
 # numpy kernels on an edge table
 # ---------------------------------------------------------------------------
 
-_NEXT = [1, 2, 0]
-
-
 def _edge_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (5, 3, m) edge table of triangles with corners (x, y), each (3, m):
-    corner x and y, edge vectors ex and ey (edge i runs from corner i to the
-    next) and edge lengths. The triangle index is last, so numpy's inner
+    """The (5, e, m) edge table of polygons with e corners (x, y), each (e, m):
+    corner x and y, edge vectors ex and ey (edge i runs from corner i to corner
+    (i + 1) mod e) and edge lengths. The polygon index is last, so numpy's inner
     loops run along it; ``np.take(table, rows, axis=-1)`` keeps it so."""
-    ex, ey = x[_NEXT] - x, y[_NEXT] - y
+    ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
     return np.stack((x, y, ex, ey, np.sqrt(ex * ex + ey * ey)))
 
 
 def _nearest_edge_sq(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Smallest squared distance (k,) from points (c, k) to the edges of triangles (5, 3, k)."""
+    """Smallest squared distance (k,) from points (c, k) to the edges of polygons (5, e, k)."""
     ax, ay, ex, ey, _ = tris[:, None]
     px, py = px[:, None], py[:, None]
     denom = ex * ex + ey * ey
@@ -150,12 +149,13 @@ def _nearest_edge_sq(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.nda
 
 
 def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Signed set distance of points (c, k) to CCW triangles (5, 3, k), column by column.
+    """Signed set distance of points (c, k) to convex CCW polygons (5, e, k), column by column.
 
     Inside, the inward depth to the nearest side line; outside, minus the
     Euclidean distance to the nearest edge, computed only at the points that
-    are outside. A zero-length edge or a zero doubled area leaves a triangle
-    no inside (side lines of -inf), so every point takes the Euclidean distance.
+    are outside. A zero-length edge or a zero doubled area of corners 0-2 leaves
+    a polygon no inside (side lines of -inf), so every point takes the
+    Euclidean distance.
     """
     x, y, ex, ey, length = tris[:, None]
     cross = ex * (py[:, None] - y) - ey * (px[:, None] - x)
@@ -193,15 +193,6 @@ def _tri_pair_distance(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _square_signed_np(px: np.ndarray, py: np.ndarray, side: float) -> np.ndarray:
-    """Signed set distance to the square [0, side]^2 (positive inside)."""
-    ax = np.maximum(-px, px - side)
-    ay = np.maximum(-py, py - side)
-    inside_depth = -np.maximum(ax, ay)
-    outside = np.hypot(np.maximum(ax, 0.0), np.maximum(ay, 0.0))
-    return np.where((ax <= 0.0) & (ay <= 0.0), inside_depth, -outside)
-
-
 def _hat_shape(x: np.ndarray, y: np.ndarray, rounding: np.ndarray):
     """How hat records read: (table, sx, sy, radii) of triangles (3, m) with corners
     (x, y), where ``table`` is the edge table of the triangles made counterclockwise,
@@ -216,7 +207,7 @@ def _hat_shape(x: np.ndarray, y: np.ndarray, rounding: np.ndarray):
     perimeter = sides.sum(axis=0)
     inradius = area2 / np.where(area2 > 0.0, perimeter, 1.0)
     radii = np.minimum(rounding, inradius)
-    weights = sides[_NEXT]  # opposite side length per corner
+    weights = np.roll(sides, -1, axis=0)  # opposite side length per corner
     divisor = np.where(perimeter > 0.0, perimeter, 1.0)
     cx, cy = (weights * x).sum(axis=0) / divisor, (weights * y).sum(axis=0) / divisor
     positive = inradius > 0.0
@@ -252,9 +243,14 @@ class _Columns:
             raise MalformedTreeError("the container must be a square or a triangle")
         self.k, self.container = frame(packing.container)
         if isinstance(self.container, Square):
-            self.diameter = self.container.side * math.sqrt(2.0)
+            s = self.container.side
+            corners = ((0.0, 0.0), (s, 0.0), (s, s), (0.0, s))
+            self.diameter = s * math.sqrt(2.0)
         else:
+            corners = self.container.vertices
             self.diameter = max(self.container.side_lengths)
+        corners = np.array(corners, dtype=float)[:, :, None]
+        self._container = _edge_table(corners[:, 0], corners[:, 1])
         n, m = len(packing.radius), len(packing.hat_rounding)
         if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
                 and len(packing.hat_vertices) == 6 * m and len(packing.hat_depth) == m):
@@ -293,9 +289,6 @@ class _Columns:
                                      "in magnitude in the container's frame, where its size is 1 to 2")
         _, x, y, self.hat_radii = _hat_shape(vertices[0], vertices[1], rounding)
         self.hats = _edge_table(x, y)
-        if isinstance(self.container, Triangle):
-            corners = np.array(self.container.vertices, dtype=float)[:, :, None]
-            self._container = _edge_table(corners[:, 0], corners[:, 1])
 
     @cached_property
     def circle_ids(self) -> list[str]:
@@ -310,10 +303,8 @@ class _Columns:
         return ids
 
     def container_signed_distance(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        if isinstance(self.container, Square):
-            return _square_signed_np(px, py, self.container.side)
-        tris = np.broadcast_to(self._container, (5, 3, px.size))
-        depth = _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), tris)
+        table = np.broadcast_to(self._container, self._container.shape[:2] + (px.size,))
+        depth = _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), table)
         return depth.reshape(px.shape)
 
 

@@ -646,9 +646,10 @@ _CIRCLE = [{"area": 0.01}]
     ("verify", {"container": _SQUARE_DICT, "placements": 5}),
     ("verify", {"container": _SQUARE_DICT, "placements": [
         {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 1.7}]}),
-    ("verify", {"container": _SQUARE_DICT, "subcontainers": [
+    ("verify", {"container": _SQUARE_DICT, "placements": [], "subcontainers": [
         {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1.7}]}),
-    ("verify", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0], [0]]}}),
+    ("verify", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0], [0]]},
+                "placements": []}),
     # side 10 holds a circle of area 1, which is what true used to be read as
     ("pack", {"container": {"type": "square", "side": 10.0}, "circles": [{"area": True}]}),
     ("verify", {"container": _SQUARE_DICT, "placements": [
@@ -673,11 +674,16 @@ _CIRCLE = [{"area": 0.01}]
     ("pack --container circle:1", {"circles": _CIRCLE}),
     ("pack", "abc"),
     ("pack", {"circles": _CIRCLE}),
+    # documents that hold no packing: they verified as empty packings
+    ("verify", {"container": _SQUARE_DICT, "circles": _CIRCLE}),
+    ("verify", {"container": _SQUARE_DICT, "container_area": 1.0, "lower_bound_area": 0.01,
+                "ratio": 100.0, "packing": {"container": _SQUARE_DICT, "placements": []}}),
 ], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
         "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true",
         "coordinates-str-true", "side-true", "side-str", "sides-str", "vertices-true-str",
         "verify-side-true", "no-type", "unknown-type", "two-vertices", "no-vertices-no-sides",
-        "spec-side-str", "spec-unknown-type", "instance-str", "no-container"])
+        "spec-side-str", "spec-unknown-type", "instance-str", "no-container",
+        "instance-document", "approx-output"])
 def test_malformed_document_exits_2_with_one_error_line(tmp_path, command, doc):
     # exit 1 from verify means FAIL; a malformed document is invalid input
     path = tmp_path / "doc.json"

@@ -595,6 +595,17 @@ class TestMinContainer:
             root = pack(PackRequest(container, cs))
             assert verify(root, expected_areas=areas).passed
 
+    @pytest.mark.parametrize("family", ["square", Triangle.from_sides(3.0, 4.0, 5.0)],
+                             ids=["square", "tri345"])
+    def test_sized_by_the_total_that_pack_admits(self, family):
+        # the left-to-right sum drops each 2**-53 next to 1.0; pack admits by the
+        # exactly rounded sum, 1.1e-12 larger, and refused the container sized by the other
+        areas = [1.0] + [2.0**-53] * 10_000
+        cs = CircleSet.from_areas(areas)
+        assert cs.combined == 1.0 < math.fsum(areas)
+        root = pack(PackRequest(min_container(cs, family), cs))
+        assert verify(root, expected_areas=areas).passed
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             min_container(CircleSet.from_areas([]), "square")

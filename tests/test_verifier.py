@@ -743,6 +743,59 @@ class TestBatchPrimitivesMatchScalar:
                 assert matches, f"no batch check matches scalar slack {scalar}"
 
 
+def square_closed_form(px, py, s):
+    """Signed set distance to the square [0, s]^2 in closed form: inside, the
+    depth to the nearest side; outside, minus the hypot of the overshoots."""
+    ax, ay = np.maximum(-px, px - s), np.maximum(-py, py - s)
+    outside = np.hypot(np.maximum(ax, 0.0), np.maximum(ay, 0.0))
+    return np.where((ax <= 0.0) & (ay <= 0.0), -np.maximum(ax, ay), -outside)
+
+
+class TestSquareContainer:
+    """The square container is an edge table of its four corners, judged by the
+    polygon kernel; the closed form is the oracle."""
+
+    @staticmethod
+    def points(s, rng):
+        """(x, y) of points inside, on and outside [0, s]^2."""
+        t = rng.uniform(0.0, s, 500)
+        zero, side = np.zeros_like(t), np.full_like(t, s)
+        on_x = np.concatenate((t, side, t, zero, [0.0, s, s, 0.0]))
+        on_y = np.concatenate((zero, t, side, t, [0.0, 0.0, s, s]))
+        inside_x, inside_y = rng.uniform(0.0, s, (2, 5000))
+        # beyond each side by s * 2**-j for j in 1..52, and scattered around the square
+        near = s * np.ldexp(1.0, -rng.integers(1, 53, 500))
+        far_x, far_y = rng.uniform(-0.5 * s, 1.5 * s, (2, 20000))
+        far = ~((far_x >= 0.0) & (far_x <= s) & (far_y >= 0.0) & (far_y <= s))
+        out_x = np.concatenate((t, side + near, t, -near, far_x[far]))
+        out_y = np.concatenate((-near, t, side + near, t, far_y[far]))
+        return (inside_x, inside_y), (on_x, on_y), (out_x, out_y)
+
+    @pytest.mark.parametrize("side", [1.0, 1.35, 1.2, 1.7, 1.9999999999999998])
+    def test_kernel_matches_the_closed_form(self, side):
+        index = _Columns(Packing(Square(side)))
+        assert index.k == 0 and index.container.side == side and index.diameter == side * SQRT2
+        rng = np.random.default_rng(131)
+        inside, on, outside = self.points(side, rng)
+        for (px, py), where in ((inside, "inside"), (on, "on"), (outside, "outside")):
+            got = index.container_signed_distance(px, py)
+            want = square_closed_form(px, py, side)
+            assert np.array_equal(np.sign(got), np.sign(want)), where
+            assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * side, where
+            if side == 1.0 and where != "outside":
+                # equal as numbers (on the top and right sides the closed form's 0
+                # is -0.0); outside, the nearest-edge path and hypot round apart
+                assert np.array_equal(got, want), where
+            if where == "on":
+                assert np.all(got == 0.0)
+
+    @pytest.mark.xfail(strict=True, reason="the nearest-edge path squares the distance, "
+                       "which underflows to 0 for points less than about 1e-154 outside")
+    def test_a_point_far_below_an_ulp_outside_is_outside(self):
+        index = _Columns(Packing(Square(1.0)))
+        assert index.container_signed_distance(np.array([-1e-300]), np.array([0.75]))[0] < 0.0
+
+
 RIGHT = Triangle(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)))
 PARENT = Triangle(((0.0, 0.0), (3.0, 0.0), (0.0, 2.0)))
 
