@@ -24,7 +24,7 @@ from .errors import (
     SplitPackError,
     UnsupportedContainerError,
 )
-from .packer import PackRequest, min_container, pack, packable_area
+from .packer import PackRequest, _combined_area, min_container, pack, packable_area
 from .splitting import CircleSet
 from .svg import render_packing_svg
 from .verifier import verify
@@ -123,11 +123,12 @@ def _cmd_approx(args) -> int:
     if args.format == "svg":
         _write_output(render_packing_svg(packing), args.out)
         return EXIT_OK
+    total = _combined_area(circles.areas)  # the total min_container sizes by
     header = json.dumps({
         "container": container_to_dict(container),
         "container_area": container.area,
-        "lower_bound_area": circles.combined,
-        "ratio": container.area / circles.combined,
+        "lower_bound_area": total,
+        "ratio": container.area / total,
     }, separators=(",", ":"))
     # compact, with the packing document's own JSON text as the last field
     document = PackingDocument.from_tree(packing, container).to_json()

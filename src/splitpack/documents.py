@@ -216,7 +216,10 @@ class PackingDocument:
     keeps only what its record holds. :meth:`to_dict` builds this layout as
     dicts and lists; :meth:`to_json` writes the same layout as text straight
     from the columns. A parsed document needs ``placements`` (``[]`` is an
-    empty packing); ``subcontainers`` may be left out.
+    empty packing); ``subcontainers`` may be left out. :meth:`from_dict`
+    checks only that each field is a JSON number of the right type;
+    :func:`splitpack.verify` judges the record's structure, its hat depths
+    included.
     """
 
     packing: Packing
@@ -263,11 +266,6 @@ class PackingDocument:
             "placement", placements, _placement_columns)
         packing.hat_vertices, packing.hat_rounding, packing.hat_depth = _parse_entries(
             "subcontainer", subcontainers, _subcontainer_columns)
-        previous = 0
-        for depth in packing.hat_depth:
-            if not 1 <= depth <= previous + 1:
-                raise DocumentError(f"subcontainer at depth {depth} has no parent")
-            previous = depth
         return cls(packing)
 
     def to_json(self) -> str:

@@ -26,8 +26,9 @@ class ConjugacyError(InvalidParameterError):
 
 
 class MalformedTreeError(SplitPackError, ValueError):
-    """A packing record is not well formed: e.g. a hat depth below 1 or more than
-    one below the hat before it, or input indices that are not 0..n-1, each once."""
+    """A packing record that verify finds not well formed: e.g. hat depths that do
+    not start at 1, fall below 1 or rise by more than one from the hat before, or
+    input indices that are not 0..n-1, each once."""
 
 
 class DocumentError(SplitPackError, ValueError):

@@ -136,16 +136,15 @@ def _edge_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((x, y, ex, ey, np.sqrt(ex * ex + ey * ey)))
 
 
-def _nearest_edge_sq(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Smallest squared distance (k,) from points (c, k) to the edges of polygons (5, e, k)."""
+def _nearest_edge(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Smallest distance (k,) from points (c, k) to the edges of polygons (5, e, k)."""
     ax, ay, ex, ey, _ = tris[:, None]
     px, py = px[:, None], py[:, None]
     denom = ex * ex + ey * ey
     point = denom == 0.0
     t = ((px - ax) * ex + (py - ay) * ey) / np.where(point, 1.0, denom)
     t = np.where(point, 0.0, np.clip(t, 0.0, 1.0))
-    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
-    return (dx * dx + dy * dy).min(axis=(0, 1))
+    return np.hypot(px - (ax + t * ex), py - (ay + t * ey)).min(axis=(0, 1))
 
 
 def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -163,8 +162,8 @@ def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) ->
     line = np.divide(cross, length, out=np.full(cross.shape, -np.inf), where=has_line).min(axis=1)
     outside = np.nonzero(line < 0.0)
     if len(outside[0]):
-        sq = _nearest_edge_sq(px[outside][None], py[outside][None], np.take(tris, outside[1], axis=-1))
-        line[outside] = -np.sqrt(sq)
+        line[outside] = -_nearest_edge(px[outside][None], py[outside][None],
+                                       np.take(tris, outside[1], axis=-1))
     return line
 
 
@@ -189,7 +188,7 @@ def _tri_pair_distance(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     apart = np.nonzero(dist >= 0.0)[0]
     if len(apart):
         a, b = np.take(ta, apart, axis=-1), np.take(tb, apart, axis=-1)
-        dist[apart] = np.sqrt(np.minimum(_nearest_edge_sq(b[0], b[1], a), _nearest_edge_sq(a[0], a[1], b)))
+        dist[apart] = np.minimum(_nearest_edge(b[0], b[1], a), _nearest_edge(a[0], a[1], b))
     return dist
 
 
@@ -229,13 +228,13 @@ class _Columns:
     """A packing record's columns in its container's frame, scaled by 2**k
     (geometry.frame), checked for well-formedness.
 
-    One preorder pass over the hat depths derives each hat's parent (the
-    latest earlier hat one level up; -1 for the container), its position
-    among that parent's children and its sibling pairs (``siblings``, each
-    earlier child of its parent with it). Each hat is eroded once, by
-    :func:`_hat_shape`, into the edge table ``hats`` of its shrunk corners,
-    which every hat check indexes. Check ids come lazily, from a hat's parent
-    and position or a circle's input index.
+    The hat depths are judged here alone and decoded with numpy into each hat's
+    parent (the latest earlier hat one level up; -1 for the container), its
+    position among that parent's children and its sibling pairs (``siblings``:
+    each hat with each earlier child of its parent, by hat). Each hat is eroded
+    once, by :func:`_hat_shape`, into the edge table ``hats`` of its shrunk
+    corners, which every hat check indexes. Check ids come lazily, from a hat's
+    parent and position or a circle's input index.
     """
 
     def __init__(self, packing):
@@ -263,21 +262,21 @@ class _Columns:
         if not np.all(self.radii > 0.0):
             raise MalformedTreeError("circles need positive radii")
 
-        chain = [(-1, [])]  # the next hat's open ancestors, each with its children so far
-        parents, self._positions, first, second = [], [], [], []
-        for hat, depth in enumerate(packing.hat_depth):
-            if not 0 < depth <= len(chain):
-                raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
-            del chain[depth:]
-            parent, siblings = chain[-1]
-            parents.append(parent)
-            self._positions.append(len(siblings))
-            first += siblings
-            second += [hat] * len(siblings)
-            siblings.append(hat)
-            chain.append((hat, []))
-        self.hat_parent = np.array(parents, dtype=np.intp)
-        self.siblings = (np.array(first, dtype=np.intp), np.array(second, dtype=np.intp))
+        depth, hat = np.asarray(packing.hat_depth, dtype=np.int64), np.arange(m)
+        if not np.all((depth >= 1) & (depth <= np.concatenate(([0], depth[:-1])) + 1)):
+            raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
+        # a parent is the predecessor of (depth - 1, hat) among the sorted (depth, hat) keys
+        keys = np.sort(depth * (m + 1) + hat)
+        above = keys[np.searchsorted(keys, (depth - 1) * (m + 1) + hat) - 1] % (m + 1)
+        self.hat_parent = np.where(depth > 1, above, -1)
+        family = np.argsort(self.hat_parent, kind="stable")  # each family together, in record order
+        start = np.searchsorted(self.hat_parent[family], self.hat_parent)  # its family's first slot
+        self._positions = np.empty(m, dtype=np.intp)
+        self._positions[family] = hat - start[family]
+        later = np.repeat(hat, self._positions)  # each hat once per earlier sibling
+        # the k-th pair is hat later[k] with family[k + start - (pairs before later[k])]
+        offset = start - np.cumsum(self._positions) + self._positions
+        self.siblings = (family[np.arange(len(later)) + np.repeat(offset, self._positions)], later)
 
         vertices = _framed(packing.hat_vertices, self.k).reshape(m, 3, 2).T
         rounding = _framed(packing.hat_rounding, self.k)
@@ -298,7 +297,7 @@ class _Columns:
     def hat_ids(self) -> list[str]:
         """"hat:0" is the container; a hat's id extends its parent's by its position."""
         ids: list[str] = []
-        for parent, position in zip(self.hat_parent.tolist(), self._positions):
+        for parent, position in zip(self.hat_parent.tolist(), self._positions.tolist()):
             ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{position}")
         return ids
 

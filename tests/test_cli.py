@@ -517,6 +517,17 @@ class TestApprox:
         result = json.loads(out)
         assert result["ratio"] == pytest.approx(6.0 / math.pi, rel=1e-12)
 
+    def test_header_uses_the_total_the_container_is_sized_by(self, tmp_path, capsys):
+        # after the unit circle, a left-to-right sum drops every 2**-53; the
+        # exactly rounded total, which min_container sizes by, keeps them
+        areas = [1.0] + [2.0**-53] * 10_000
+        path = write_instance(tmp_path, "inst.json", InstanceDocument(Square(1.0), areas))
+        code, out, _ = run_cli(["approx", "--circles", path], capsys)
+        assert code == 0
+        result = json.loads(out)
+        assert result["lower_bound_area"] == math.fsum(areas) > 1.0
+        assert result["ratio"] == pytest.approx(1.0 / PHI_SQUARE, rel=1e-12)
+
     def test_packing_included_and_valid(self, tmp_path, capsys, monkeypatch):
         inst = InstanceDocument(Square(1.0), [0.4, 0.3, 0.2, 0.1])
         path = write_instance(tmp_path, "inst.json", inst)
@@ -648,6 +659,9 @@ _CIRCLE = [{"area": 0.01}]
         {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 1.7}]}),
     ("verify", {"container": _SQUARE_DICT, "placements": [], "subcontainers": [
         {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 1.7}]}),
+    # a first hat at depth 2 has no parent: verify refuses the tree
+    ("verify", {"container": _SQUARE_DICT, "placements": [], "subcontainers": [
+        {"vertices": [[0, 0], [1, 0], [0, 1]], "rounding_radius": 0.0, "depth": 2}]}),
     ("verify", {"container": {"type": "triangle", "vertices": [[0, 0], [1, 0], [0]]},
                 "placements": []}),
     # side 10 holds a circle of area 1, which is what true used to be read as
@@ -679,7 +693,8 @@ _CIRCLE = [{"area": 0.01}]
     ("verify", {"container": _SQUARE_DICT, "container_area": 1.0, "lower_bound_area": 0.01,
                 "ratio": 100.0, "packing": {"container": _SQUARE_DICT, "placements": []}}),
 ], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
-        "input-index-fraction", "depth-fraction", "vertex-short", "area-true", "input-index-true",
+        "input-index-fraction", "depth-fraction", "depth-without-parent",
+        "vertex-short", "area-true", "input-index-true",
         "coordinates-str-true", "side-true", "side-str", "sides-str", "vertices-true-str",
         "verify-side-true", "no-type", "unknown-type", "two-vertices", "no-vertices-no-sides",
         "spec-side-str", "spec-unknown-type", "instance-str", "no-container",

@@ -28,7 +28,7 @@ from splitpack import (
     pack,
     verify,
 )
-from splitpack import verifier
+from splitpack import cli, verifier
 from splitpack.verifier import (
     _Columns,
     _circle_pairs,
@@ -245,6 +245,23 @@ class TestVerify:
         assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_IN_PARENT] == sorted(in_parent)
         assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_HAT_DISJOINT] == sorted(siblings)
 
+    @pytest.mark.parametrize("container,areas", [
+        # the CLI's `gen -n 3000 --distribution geometric`: hat depth 46
+        (Triangle.from_sides(2.0, 3.5, 4.5), lambda capacity: cli._generate_areas(
+            3000, capacity, "geometric", 0)),
+        # halving areas: hat depth 333
+        (Triangle.from_sides(3.0, 4.0, 5.0), lambda capacity: [
+            capacity * 0.5 ** (k + 1) for k in range(500)]),
+    ], ids=["geometric-3000", "halving-500"])
+    def test_tree_ids_of_deep_packings_match_the_chain_reference(self, container, areas):
+        # far deeper and wider than the hand-built trees above
+        record = pack(PackRequest(container, CircleSet.from_areas(areas(sp.packable_area(container)))))
+        in_parent, siblings = preorder_tree_ids(record.hat_depth)
+        report = verify(record)
+        assert report.passed
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_IN_PARENT] == sorted(in_parent)
+        assert [c.ids for c in report.checks if c.kind is CheckKind.HAT_HAT_DISJOINT] == sorted(siblings)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=20),
            st.integers(min_value=0), st.sampled_from(["zero", "rise by two"]))
@@ -363,9 +380,10 @@ class TestVerify:
 
     def test_malformed_trees(self):
         tri = Triangle(((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)))
-        # a hat without a parent at the depth above it
-        with pytest.raises(DocumentError):
-            parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 2)])
+        # a hat without a parent at the depth above it: the parser reads types
+        # only, and the verifier judges the tree
+        with pytest.raises(MalformedTreeError, match="rise by at most one"):
+            verify(parse_packing(SQUARE, subcontainers=[subcontainer(tri, 0.0, 2)]))
         for entry in ({"x": 0.5, "y": 0.5}, {"x": "a", "y": 0.5, "radius": 0.1}, [0.5, 0.5, 0.1]):
             with pytest.raises(DocumentError):
                 parse_packing(SQUARE, [entry])
@@ -378,6 +396,10 @@ class TestVerify:
             verify(root)
         # a hat depth below 1
         root.hat_depth[1] = 0
+        with pytest.raises(MalformedTreeError):
+            verify(root)
+        # the largest depth a document can hold: one more would wrap around
+        root.hat_depth[1] = 2**63 - 1
         with pytest.raises(MalformedTreeError):
             verify(root)
         for radius in (0.0, -0.1, math.nan):
@@ -789,8 +811,6 @@ class TestSquareContainer:
             if where == "on":
                 assert np.all(got == 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="the nearest-edge path squares the distance, "
-                       "which underflows to 0 for points less than about 1e-154 outside")
     def test_a_point_far_below_an_ulp_outside_is_outside(self):
         index = _Columns(Packing(Square(1.0)))
         assert index.container_signed_distance(np.array([-1e-300]), np.array([0.75]))[0] < 0.0
