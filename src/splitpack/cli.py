@@ -86,18 +86,14 @@ def _load_instance(args) -> InstanceDocument:
     --container is given); --container alone is the empty instance."""
     container = parse_container_spec(args.container) if args.container else None
     source = args.circles or (None if container else "-")
-    if source:
-        data = _load_json(source)
-        if isinstance(data, list):
-            data = {"circles": data}
-            if container is None:
-                raise DocumentError("a bare circle list needs --container")
-        instance = InstanceDocument.from_dict(data, container=container)
-    else:
-        instance = InstanceDocument(container=container, areas=[])
-    if args.min_size is not None:
-        instance.min_size = args.min_size
-    return instance
+    if not source:
+        return InstanceDocument(container=container, areas=[])
+    data = _load_json(source)
+    if isinstance(data, list):
+        data = {"circles": data}
+        if container is None:
+            raise DocumentError("a bare circle list needs --container")
+    return InstanceDocument.from_dict(data, container=container)
 
 
 def _cmd_decide(args) -> int:
@@ -119,7 +115,7 @@ def _cmd_approx(args) -> int:
     instance = _load_instance(args)
     circles = CircleSet.from_areas(instance.areas)
     container = min_container(circles, instance.container)
-    packing = pack(PackRequest(container=container, circles=circles, min_size=instance.min_size))
+    packing = pack(PackRequest(container=container, circles=circles))
     if args.format == "svg":
         _write_output(render_packing_svg(packing), args.out)
         return EXIT_OK
@@ -188,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--container", help="container spec: square:SIDE or triangle:X,Y,Z")
         p.add_argument("--circles", help="instance JSON file, or - for stdin (the default "
                        "without --container)")
-        p.add_argument("--min-size", dest="min_size", type=float, default=None,
-                       help="declared minimum circle area")
         p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("decide", help="sufficient-condition feasibility check")

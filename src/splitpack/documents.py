@@ -14,7 +14,7 @@ from typing import Union
 
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Point, Square, Triangle, critical_density
-from .packer import Packing, PackRequest, _check_feasible, _combined_area, _frame_request
+from .packer import Packing, PackRequest, _check_feasible, _frame_request
 from .splitting import CircleSet
 
 
@@ -68,11 +68,14 @@ def parse_container_spec(spec: str) -> Union[Square, Triangle]:
 
 @dataclass
 class InstanceDocument:
-    """A container plus the circle areas (in input order) to pack into it."""
+    """A container plus the circle areas (in input order) to pack into it.
+
+    :meth:`from_dict` reads ``container`` and ``circles`` and ignores every
+    other key, such as the minimum circle size that older documents carry.
+    """
 
     container: Union[Square, Triangle]
     areas: list[float]
-    min_size: float = 0.0
 
     @classmethod
     def from_dict(cls, data: dict, container=None) -> "InstanceDocument":
@@ -85,29 +88,19 @@ class InstanceDocument:
         circles = data.get("circles", [])
         if not isinstance(circles, list):
             raise DocumentError(f"'circles' must be a list, got {circles!r}")
-        areas = [circle_entry_area(entry) for entry in circles]
-        try:
-            min_size = _number(data.get("min_size", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"'min_size' must be a number, got {data['min_size']!r}") from exc
-        return cls(container=container, areas=areas, min_size=min_size)
+        return cls(container=container, areas=[circle_entry_area(entry) for entry in circles])
 
     def to_dict(self) -> dict:
         return {
             "container": container_to_dict(self.container),
             "circles": [{"area": a} for a in self.areas],
-            "min_size": self.min_size,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_request(self) -> PackRequest:
-        return PackRequest(
-            container=self.container,
-            circles=CircleSet.from_areas(self.areas),
-            min_size=self.min_size,
-        )
+        return PackRequest(container=self.container, circles=CircleSet.from_areas(self.areas))
 
 
 def circle_entry_area(entry) -> float:
@@ -302,19 +295,17 @@ def decide(instance: InstanceDocument) -> dict:
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
     instance up front. Past the precision envelope pack can still raise from
     inside its recursion on a 'yes' (``Square(1)`` with the 312 areas
-    capacity * 0.7 * 0.3**k; ROADMAP item 1). ``ratio`` is the combined area
+    capacity * 0.7 * 0.3**k; ROADMAP item 2). ``ratio`` is the combined area
     over the packable area, read in the container's frame, or None where pack
     refuses the instance as more than a double carries or the ratio leaves the
     float range."""
-    request = instance.to_request()  # refuses a bad min_size, as pack does
+    request = instance.to_request()
     try:
         k, framed, capacity = _frame_request(request)
     except InvalidParameterError:
         return {"packable": "unknown", "ratio": None}
     try:
-        _check_feasible(request, k, framed, capacity)
-        packable = "yes"
-    except (InvalidParameterError, OverCapacityError):
-        packable = "unknown"
-    ratio = _combined_area(framed.circles.areas) / capacity
+        ratio, packable = _check_feasible(request, k, framed, capacity), "yes"
+    except OverCapacityError as exc:
+        ratio, packable = exc.ratio, "unknown"
     return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

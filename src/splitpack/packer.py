@@ -96,22 +96,15 @@ class Packing:
 
 @dataclass(frozen=True)
 class PackRequest:
-    """A container, the circle areas to pack, and an optional minimum size.
+    """A container and the circle areas to pack into it.
 
     The request is feasible when the combined area does not exceed the
     container's guaranteed-packable area (twincircle area for squares,
-    incircle area for triangles) and every circle is at least ``min_size``.
+    incircle area for triangles): the paper's rule reads only that sum.
     """
 
     container: Union[Square, Triangle]
     circles: CircleSet
-    min_size: float = 0.0
-
-    def __post_init__(self):
-        # pack and decide both build a request, so both refuse a bad min_size here
-        if not (math.isfinite(self.min_size) and self.min_size >= 0.0):
-            raise InvalidParameterError(
-                f"min_size must be finite and non-negative, got {self.min_size!r}")
 
 
 @dataclass
@@ -165,8 +158,9 @@ def _split_step(
         )
     b1 = min_guarantee(a1, a2, f1, f2, b_min)
     b2 = min_guarantee(a2, a1, f2, f1, b_min)
-    # every circle is at least b_min (the square's up to the feasibility
-    # slack, far below tol), so only a clamp of the overshoot bound can fire
+    # every circle is at least b_min (0 at the first level, and clamped to
+    # its group's smallest circle below), so only a clamp of the overshoot
+    # bound can fire
     if part1.minimum < b1 - tol or part2.minimum < b2 - tol:
         raise ConjugacyError("conjugatedness violation: rounding below the overshoot bound")
     return ((min(b1, part1.minimum), _scale_factor(a1, f1)),
@@ -265,17 +259,16 @@ def _frame_request(request: PackRequest) -> tuple[int, PackRequest, float]:
     circles = request.circles
     try:
         areas = [math.ldexp(a, 2 * k) for a in circles.areas]
-        min_size = math.ldexp(request.min_size, 2 * k)
         combined = math.ldexp(circles.combined, 2 * k)
     except OverflowError:
         raise InvalidParameterError(
-            f"the circle areas or min_size overflow in the container's frame, times 2**{2 * k}") from None
+            f"the circle areas overflow in the container's frame, times 2**{2 * k}") from None
     for a, scaled in zip(circles.areas, areas):
         if not _NORMAL <= scaled < math.inf:
             raise InvalidParameterError(
                 f"circle areas must be positive normal floats in the container's frame, got {a!r}")
     framed = CircleSet._presorted(areas, circles.indices, combined)
-    return k, PackRequest(container, framed, min_size), capacity
+    return k, PackRequest(container, framed), capacity
 
 
 def _combined_area(areas) -> float:
@@ -286,29 +279,26 @@ def _combined_area(areas) -> float:
         return math.inf
 
 
-def _check_feasible(request: PackRequest, k: int, framed: PackRequest, capacity: float) -> None:
-    """Refuse a circle set that the area bound does not guarantee to pack.
+def _check_feasible(request: PackRequest, k: int, framed: PackRequest, capacity: float) -> float:
+    """The combined area over the packable area; :class:`OverCapacityError`,
+    carrying that ratio, where the area bound does not guarantee a packing.
 
-    The one feasibility rule, read in the frame that :func:`_frame_request`
-    gives (k, framed, capacity) and reported in the request's units:
-    :func:`pack` refuses exactly the requests this raises for, and
+    The one feasibility rule, the paper's: it reads only the sum of the
+    areas, in the frame that :func:`_frame_request` gives (k, framed,
+    capacity), and reports in the request's units. :func:`pack` refuses
+    exactly the requests this raises for, and
     :func:`splitpack.documents.decide` answers "unknown" for them. The total
     is exactly rounded, so it does not depend on the order of the areas.
     """
-    if len(framed.circles) and framed.min_size > 0.0:
-        if framed.circles.minimum < framed.min_size * (1.0 - FEASIBILITY_REL_SLACK):
-            raise InvalidParameterError(
-                f"min-size violation: smallest circle {request.circles.minimum!r} "
-                f"is below the declared minimum {request.min_size!r}"
-            )
     total = _combined_area(framed.circles.areas)
+    ratio = total / capacity
     if total > capacity * (1.0 + FEASIBILITY_REL_SLACK):
-        ratio = total / capacity
         raise OverCapacityError(
             f"over-capacity: combined area {_combined_area(request.circles.areas)!r} exceeds the "
             f"guaranteed packable area {math.ldexp(capacity, -2 * k)!r} (ratio {ratio!r})",
             ratio=ratio,
         )
+    return ratio
 
 
 def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
@@ -326,7 +316,6 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     _check_feasible(request, k, framed, capacity)
     circles = framed.circles
     container = framed.container
-    b0 = framed.min_size
     n = len(circles)
     packing = Packing(
         request.container,
@@ -353,7 +342,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
-        (b1, t1), (b2, t2) = _split_step(part1, part2, (f, f), b0, capacity)
+        (b1, t1), (b2, t2) = _split_step(part1, part2, (f, f), 0.0, capacity)
         # Group 1's hat is the half-square with its right angle at (0, 0),
         # group 2's the one at (s, s), each scaled about that corner. Its
         # inradius is t times the half-square's: measured from the scaled
@@ -369,9 +358,9 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
                          0, part, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
-        # rounding; the caller's min_size only sharpens the guarantees below.
+        # rounding and no inherited minimum size.
         r_in, shapes = shape_table(*container.base_split)
-        hats = [(None, 1.0, *container.base_split, r_in, 0, circles, b0, 0)]
+        hats = [(None, 1.0, *container.base_split, r_in, 0, circles, 0.0, 0)]
     _pack_into_hats(packing, shapes, hats, stats)
     for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
         view = np.asarray(column)  # the column's own memory

@@ -56,9 +56,30 @@ def write_instance(tmp_path, name, doc: InstanceDocument) -> str:
 
 class TestDocuments:
     def test_instance_roundtrip(self):
-        doc = InstanceDocument(Square(1.5), [0.1, 0.2, 0.30000000000000004], min_size=0.05)
+        doc = InstanceDocument(Square(1.5), [0.1, 0.2, 0.30000000000000004])
         again = InstanceDocument.from_dict(json.loads(doc.to_json()))
         assert again == doc  # bit-exact float round trip
+
+    @pytest.mark.parametrize("min_size", [0.0, 0.5, "abc"])
+    def test_a_min_size_key_is_ignored(self, capsys, monkeypatch, min_size):
+        # gen wrote "min_size": 0.0 into every instance while pack took a
+        # minimum circle size; such documents pack as before, and a value
+        # that was refused then (0.5 above the smallest area, or a string)
+        # is ignored like any other key the parser does not read
+        code, text, _ = run_cli(["gen", "-n", "40", "--distribution", "uniform", "--seed", "2"],
+                                capsys)
+        assert code == 0 and "min_size" not in text
+        data = json.loads(text)
+        assert min(entry["area"] for entry in data["circles"]) < 0.5
+        older = json.dumps({**data, "min_size": min_size}, indent=2)
+        outputs = []
+        for doc in (text, older):
+            for command in ("pack", "decide"):
+                code, out, err = run_cli([command], capsys, stdin=doc, monkeypatch=monkeypatch)
+                assert code == 0, err
+                outputs.append(out)
+        assert outputs[:2] == outputs[2:]
+        assert json.loads(outputs[1])["packable"] == "yes"
 
     def test_radius_entries(self):
         data = {
@@ -81,8 +102,6 @@ class TestDocuments:
         base = {"container": {"type": "square", "side": 1.0}}
         with pytest.raises(sp.DocumentError):
             InstanceDocument.from_dict({**base, "circles": [entry]})
-        with pytest.raises(sp.DocumentError):
-            InstanceDocument.from_dict({**base, "circles": [], "min_size": entry.popitem()[1]})
 
     @pytest.mark.parametrize("field,value", [("input_index", True), ("input_index", "0"),
                                              ("depth", True), ("depth", "1")])
@@ -329,13 +348,6 @@ class TestDecide:
         assert code == 3
         assert "unsupported container" in err
 
-    def test_min_size_constraint(self, tmp_path, capsys):
-        inst = InstanceDocument(Square(1.0), [0.2, 0.01], min_size=0.05)
-        path = write_instance(tmp_path, "inst.json", inst)
-        code, out, _ = run_cli(["decide", "--circles", path], capsys)
-        assert code == 0
-        assert json.loads(out)["packable"] == "unknown"
-
     def test_boundary_reproducer_packs(self, tmp_path, capsys, monkeypatch):
         # over capacity by the sorted running sum, within it by the exact sum:
         # decide said "yes" while pack refused it as over capacity
@@ -358,20 +370,14 @@ class TestDecide:
             weights = rng.random(int(rng.integers(2, 9))) + 0.01
             target = capacity * (1.0 + 1e-12) * (1.0 + float(rng.uniform(-4e-16, 4e-16)))
             areas = [float(w) for w in weights * (target / weights.sum())]
-            min_size = 0.0
-            if rng.random() < 0.3:
-                min_size = min(areas) * (1.0 + float(rng.uniform(-2e-12, 0.0)))
-            inst = InstanceDocument(container, areas, min_size=min_size)
+            inst = InstanceDocument(container, areas)
             yes = decide(inst)["packable"] == "yes"
             try:
                 pack(inst.to_request())
                 packed = True
             except sp.OverCapacityError:
                 packed = False
-            except sp.InvalidParameterError as exc:
-                assert "min-size" in str(exc)
-                packed = False
-            assert yes == packed, (container, areas, min_size)
+            assert yes == packed, (container, areas)
             answers.add(yes)
         assert answers == {True, False}
 
@@ -396,23 +402,6 @@ class TestDecide:
                                  stdin='[{"area": 1e308}, {"area": 1e308}]', monkeypatch=monkeypatch)
         assert code == 0, err
         assert json.loads(out) == {"packable": "unknown", "ratio": None}
-
-
-class TestMinSize:
-    @pytest.mark.parametrize("command", ["decide", "pack"])
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_decide_and_pack_refuse_the_same_min_size(self, capsys, command, value):
-        code, out, err = run_cli([command, "--container", "square:1", f"--min-size={value}"],
-                                 capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: min_size must be finite and non-negative")
-
-    def test_library_refuses_it_before_the_feasibility_rule(self):
-        for value in (-1.0, math.nan, math.inf):
-            with pytest.raises(sp.InvalidParameterError, match="min_size"):
-                PackRequest(Square(1.0), CircleSet.from_areas([0.1]), min_size=value)
-            with pytest.raises(sp.InvalidParameterError, match="min_size"):
-                decide(InstanceDocument(Square(1.0), [0.1], min_size=value))
 
 
 class TestPack:
@@ -443,11 +432,10 @@ class TestPack:
         assert code == 2 and out == ""
         assert err.startswith("error: over-capacity: combined area inf") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("areas,min_size", [([1e10], 0.0), ([], 1e10)], ids=["area", "min_size"])
-    def test_request_that_overflows_in_the_frame_is_refused(self, capsys, monkeypatch, areas,
-                                                           min_size):
+    @pytest.mark.parametrize("areas", [[1e10]], ids=["area"])
+    def test_request_that_overflows_in_the_frame_is_refused(self, capsys, monkeypatch, areas):
         # Square(1e-150)'s frame scales areas by 2**998, where 1e10 overflows
-        inst = InstanceDocument(Square(1e-150), areas, min_size=min_size)
+        inst = InstanceDocument(Square(1e-150), areas)
         with pytest.raises(sp.InvalidParameterError, match="overflow in the container's frame"):
             pack(inst.to_request())
         assert decide(inst) == {"packable": "unknown", "ratio": None}
@@ -653,7 +641,6 @@ _CIRCLE = [{"area": 0.01}]
     ("pack", {"container": _SQUARE_DICT, "circles": 5}),
     ("pack", {"container": _SQUARE_DICT, "circles": [{"area": "abc"}]}),
     ("pack", {"container": _SQUARE_DICT, "circles": [{"area": [1]}]}),
-    ("pack", {"container": _SQUARE_DICT, "circles": [], "min_size": "abc"}),
     ("verify", {"container": _SQUARE_DICT, "placements": 5}),
     ("verify", {"container": _SQUARE_DICT, "placements": [
         {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 1.7}]}),
@@ -692,7 +679,7 @@ _CIRCLE = [{"area": 0.01}]
     ("verify", {"container": _SQUARE_DICT, "circles": _CIRCLE}),
     ("verify", {"container": _SQUARE_DICT, "container_area": 1.0, "lower_bound_area": 0.01,
                 "ratio": 100.0, "packing": {"container": _SQUARE_DICT, "placements": []}}),
-], ids=["circles-int", "area-str", "area-list", "min-size-str", "placements-int",
+], ids=["circles-int", "area-str", "area-list", "placements-int",
         "input-index-fraction", "depth-fraction", "depth-without-parent",
         "vertex-short", "area-true", "input-index-true",
         "coordinates-str-true", "side-true", "side-str", "sides-str", "vertices-true-str",
