@@ -12,6 +12,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Point, Square, Triangle, critical_density
 from .packer import Packing, PackRequest, _check_feasible, _frame_request
@@ -88,7 +90,7 @@ class InstanceDocument:
         circles = data.get("circles", [])
         if not isinstance(circles, list):
             raise DocumentError(f"'circles' must be a list, got {circles!r}")
-        return cls(container=container, areas=[circle_entry_area(entry) for entry in circles])
+        return cls(container=container, areas=_circle_areas(circles))
 
     def to_dict(self) -> dict:
         return {
@@ -104,20 +106,40 @@ class InstanceDocument:
 
 
 def circle_entry_area(entry) -> float:
-    """Area of a circle entry: exactly one of {'area': a} or {'radius': r}."""
+    """Area of a circle entry: exactly one of {'area': a} or {'radius': r},
+    with a and r positive."""
     if not isinstance(entry, dict) or ("area" in entry) == ("radius" in entry):
         raise DocumentError(f"circle entries need exactly one of 'area' or 'radius', got {entry!r}")
     try:
         if "area" in entry:
-            value = _number(entry["area"])
+            size = value = _number(entry["area"])
         else:
-            r = _number(entry["radius"])
-            value = math.pi * r * r
+            size = _number(entry["radius"])
+            value = math.pi * size * size
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"circle entries must be numbers, got {entry!r}") from exc
-    if not (math.isfinite(value) and value > 0.0):
+    if not (size > 0.0 and math.isfinite(value) and value > 0.0):
         raise DocumentError(f"circle entries must be positive, got {entry!r}")
     return value
+
+
+def _circle_areas(entries: list) -> list:
+    """The areas of the circle entries, as :func:`circle_entry_area` reads each.
+
+    A list of entries that are all ``{"area": number}`` is read in one pass;
+    any other list, and one that holds an area that is not positive, is read
+    one entry at a time, which names the entry a :class:`DocumentError`
+    refuses."""
+    try:
+        values = [entry["area"] for entry in entries]
+        # each entry holds "area", so a total of one key per entry means no "radius"
+        if sum(map(len, entries)) == len(entries):
+            areas = np.asarray(_floats(values))
+            if ((areas > 0.0) & (areas < math.inf)).all():
+                return areas.tolist()
+    except _MALFORMED:
+        pass
+    return [circle_entry_area(entry) for entry in entries]
 
 
 def _number(value) -> float:
@@ -190,8 +212,22 @@ def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-_PLACEMENT = '{"x":%r,"y":%r,"radius":%r,"input_index":%d}'
-_SUBCONTAINER = '{"vertices":[[%r,%r],[%r,%r],[%r,%r]],"rounding_radius":%r,"depth":%d}'
+def _float_texts(columns) -> list:
+    """Each column of finite doubles as a list of ``float.__repr__`` texts.
+
+    Each distinct double is formatted once: a hat shares a vertex with its
+    parent, and the record's columns repeat many values. Doubles are told
+    apart by their bits, so 0.0 and -0.0 keep their own texts.
+    """
+    values = np.concatenate([np.asarray(column, dtype=np.float64) for column in columns])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    bounds = np.cumsum([len(column) for column in columns])[:-1]
+    return [part.tolist() for part in np.split(texts[inverse], bounds)]
+
+
+_PLACEMENT = '{"x":%s,"y":%s,"radius":%s,"input_index":%d}'
+_SUBCONTAINER = '{"vertices":[[%s,%s],[%s,%s],[%s,%s]],"rounding_radius":%s,"depth":%d}'
 _DOCUMENT = ('{"container":%s,"placements":[%s],"subcontainers":[%s],'
              '"density_used":%s,"critical_density":%s}')
 
@@ -264,21 +300,22 @@ class PackingDocument:
     def to_json(self) -> str:
         """The compact JSON text of :meth:`to_dict`, written from the record's columns.
 
-        One template per placement and per subcontainer, so no dict or list
-        is built per entry; ``%r`` is the ``float.__repr__`` that
-        ``json.dumps`` uses, so the text equals
+        Each distinct double is formatted once, by the ``float.__repr__``
+        that ``json.dumps`` uses, and one template per placement and per
+        subcontainer is filled with those texts, so no dict or list is built
+        per entry and the text equals
         ``json.dumps(self.to_dict(), separators=(",", ":"))`` byte for byte.
         """
         p = self.packing
-        # a sum is finite only if every term is; json spells nan and inf as
-        # NaN and Infinity, which float.__repr__ does not
-        if not all(math.isfinite(sum(column))
-                   for column in (p.x, p.y, p.radius, p.hat_vertices, p.hat_rounding)):
+        columns = (p.x, p.y, p.radius, p.hat_vertices, p.hat_rounding)
+        # json spells nan and inf as NaN and Infinity, which float.__repr__ does not
+        if not all(np.isfinite(np.asarray(column, dtype=np.float64)).all() for column in columns):
             return _dumps(self.to_dict())
-        coords = iter(p.hat_vertices)
-        placements = ",".join(map(_PLACEMENT.__mod__, zip(p.x, p.y, p.radius, p.input_index)))
+        x, y, radius, hat_vertices, hat_rounding = _float_texts(columns)
+        coords = iter(hat_vertices)
+        placements = ",".join(map(_PLACEMENT.__mod__, zip(x, y, radius, p.input_index)))
         subcontainers = ",".join(map(_SUBCONTAINER.__mod__, zip(
-            coords, coords, coords, coords, coords, coords, p.hat_rounding, p.hat_depth)))
+            coords, coords, coords, coords, coords, coords, hat_rounding, p.hat_depth)))
         return _DOCUMENT % (
             _dumps(container_to_dict(p.container)), placements, subcontainers,
             _dumps(self._density_used()), _dumps(critical_density(p.container)))

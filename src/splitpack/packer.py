@@ -38,7 +38,7 @@ from .geometry import (
     packable_area,
     shape_table,
 )
-from .splitting import CircleSet, min_guarantee, split, weighted_split
+from .splitting import CircleSet, split, weighted_split
 
 # Closed capacity bound: instances sitting exactly on the worst case must pass.
 FEASIBILITY_REL_SLACK = 1e-12
@@ -124,92 +124,92 @@ class PackStats:
     max_depth: int = 0
 
 
-def _scale_factor(a: float, f: float) -> float:
-    """sqrt(a / f), snapped to exactly 1 when a lies within _SNAP_REL_TOL of f."""
-    if abs(a - f) <= _SNAP_REL_TOL * f:
-        return 1.0
-    return math.sqrt(a / f)
-
-
-def _split_step(
-    part1: CircleSet,
-    part2: CircleSet,
-    key: tuple[float, float],
-    b_min: float,
-    capacity: float,
-) -> tuple[tuple[float, float], tuple[float, float]]:
+def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float,
+                b_min: float, capacity: float) -> tuple[float, float, float, float]:
     """The rounding guarantee and scale factor of each group of a split, as
-    ``((b1, t1), (b2, t2))``: the one step of the construction, for the
-    square's first level and for every hat.
+    ``(b1, t1, b2, t2)``: the one step of the construction, for the square's
+    first level and for every hat.
 
-    ``key`` holds the halves' incircle areas (f1, f2), ``b_min`` the inherited
-    minimum size and ``capacity`` the packable area of what is split. Group
-    i's guarantee is :func:`min_guarantee` against the other group, clamped to
-    its smallest circle, and its half is scaled by sqrt(a_i / f_i). Raises
-    :class:`ConjugacyError` when the groups exceed ``capacity`` or a clamp
-    cuts a guarantee, each by more than the placement slack.
+    Group i has the area sum ``a_i`` and the smallest circle ``m_i``;
+    ``(f1, f2)`` are the halves' incircle areas (the split key), ``b_min``
+    the inherited minimum size (0 or more) and ``capacity`` the packable area
+    of what is split. Group i's guarantee is the overshoot bound
+    a_i - f_i * a_j / f_j (:func:`~splitpack.splitting.min_guarantee`),
+    raised to ``b_min`` and clamped to ``m_i``; its half is scaled by
+    sqrt(a_i / f_i), snapped to exactly 1 when a_i lies within
+    ``_SNAP_REL_TOL`` of f_i, so self-similar power-of-two instances
+    reproduce the exact subdivision. Raises :class:`ConjugacyError` when the
+    groups exceed ``capacity`` or a clamp cuts a guarantee, each by more than
+    the placement slack.
     """
-    f1, f2 = key
-    a1, a2 = part1.combined, part2.combined
     tol = _PLACEMENT_REL_TOL * max(capacity, 1e-300)
     if a1 + a2 > capacity + tol:
         raise ConjugacyError(
             f"conjugatedness violation: a1 + a2 = {a1 + a2!r} exceeds packable area {capacity!r}"
         )
-    b1 = min_guarantee(a1, a2, f1, f2, b_min)
-    b2 = min_guarantee(a2, a1, f2, f1, b_min)
+    b1 = a1 - f1 * a2 / f2
+    b2 = a2 - f2 * a1 / f1
+    b1 = b1 if b1 > b_min else b_min
+    b2 = b2 if b2 > b_min else b_min
     # every circle is at least b_min (0 at the first level, and clamped to
     # its group's smallest circle below), so only a clamp of the overshoot
     # bound can fire
-    if part1.minimum < b1 - tol or part2.minimum < b2 - tol:
+    if m1 < b1 - tol or m2 < b2 - tol:
         raise ConjugacyError("conjugatedness violation: rounding below the overshoot bound")
-    return ((min(b1, part1.minimum), _scale_factor(a1, f1)),
-            (min(b2, part2.minimum), _scale_factor(a2, f2)))
+    snap1 = _SNAP_REL_TOL * f1
+    snap2 = _SNAP_REL_TOL * f2
+    return (m1 if m1 < b1 else b1, 1.0 if -snap1 <= a1 - f1 <= snap1 else math.sqrt(a1 / f1),
+            m2 if m2 < b2 else b2, 1.0 if -snap2 <= a2 - f2 <= snap2 else math.sqrt(a2 / f2))
 
 
-def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: PackStats) -> None:
-    """Fill each hat (entry as on the stack below) with its non-empty circle set.
+def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: PackStats) -> None:
+    """Fill each hat (entry as on the stack below) with its non-empty circle group.
 
     The only place that splits a hat into subhats and places a circle in a
     hat, by the constants of the hat's entry in ``shapes`` (a shape_table):
     a lone circle goes concentric with its hat's incircle; otherwise the
     triangle is split through its apex into two right altitude halves, the
-    set is split against the halves' incircle areas, and each half is scaled
-    about its base vertex and rounded as :func:`_split_step` says. A hat
-    enters the record when it is popped, rounded by the circle of its
+    group is split against the halves' incircle areas, and each half is
+    scaled about its base vertex and rounded as :func:`_split_step` says. A
+    hat enters the record when it is popped, rounded by the circle of its
     inherited minimum size but at most by its incircle, so the record's hats
-    come out in depth-first preorder.
+    come out in depth-first preorder. ``stack`` holds the first-level hats,
+    the last one to be filled first, and is emptied.
     """
     pi = math.pi
     sqrt = math.sqrt
+    lone_limit = 1.0 + _PLACEMENT_REL_TOL
     xs, ys, radii = packing.x, packing.y, packing.radius
     vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
     scale_factors = stats.scale_factors
-    # (vertex coordinates, scale factor, L, R, C, inradius, shape index,
-    #  subset, inherited min size, record depth) with L, R the base (longest
-    #  side) ends and C the apex, each an (x, y) pair; the container triangle
-    #  has depth 0 and is not recorded
-    stack = list(reversed(hats))
+    split_calls = element_moves = 0
+    pop, push = stack.pop, stack.append
+    # One flat entry per hat: its recorded vertices (x0, y0, x1, y1, x2, y2),
+    # scale factor, base (longest side) ends L and R and apex C, inradius,
+    # shape index, circle group (areas and indices, descending), inherited
+    # min size and record depth; the container triangle has depth 0 and is
+    # not recorded.
     while stack:
-        coords, t, left, right, apex, r_in, shape, subset, b_min, depth = stack.pop()
+        (x0, y0, x1, y1, x2, y2, t, lx, ly, rx, ry, cx, cy,
+         r_in, shape, areas, indices, b_min, depth) = pop()
         if depth:
-            vertices.extend(coords)
-            roundings.append(min(sqrt(b_min / pi), r_in))
+            vertices.extend((x0, y0, x1, y1, x2, y2))
+            rounding = sqrt(b_min / pi)
+            roundings.append(r_in if r_in < rounding else rounding)
             depths.append(depth)
             scale_factors.append(t)
 
         foot, rho1, rho2, wl, wr, wc, shape1, shape2 = shapes[shape]
-        (lx, ly), (rx, ry), (cx, cy) = left, right, apex
         capacity = pi * r_in * r_in
-        size = len(subset.areas)
+        size = len(areas)
         if size == 1:
             # lone circle: concentric with the hat's incircle
-            area = subset.areas[0]
-            if area > capacity * (1.0 + _PLACEMENT_REL_TOL):
+            area = areas[0]
+            if area > capacity * lone_limit:
                 raise InvalidParameterError(
                     f"circle of area {area!r} exceeds the hat's incircle area {capacity!r}"
                 )
-            k = subset.indices[0]
+            k = indices[0]
             xs[k] = wl * lx + wr * rx + wc * cx
             ys[k] = wl * ly + wr * ry + wc * cy
             radii[k] = sqrt(area / pi)
@@ -219,20 +219,22 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
         fy = ly + foot * (ry - ly)
         r1 = rho1 * r_in
         r2 = rho2 * r_in
-        key = (pi * r1 * r1, pi * r2 * r2)
-
-        part1, part2 = weighted_split(subset, key)
-        stats.split_calls += 1
-        stats.element_moves += size
-        (b1, t1), (b2, t2) = _split_step(part1, part2, key, b_min, capacity)
+        f1 = pi * r1 * r1
+        f2 = pi * r2 * r2
+        # one call through the module global per split, which a tracer may wrap
+        areas1, indices1, a1, areas2, indices2, a2 = weighted_split(areas, indices, f1, f2)
+        split_calls += 1
+        element_moves += size
+        b1, t1, b2, t2 = _split_step(a1, areas1[-1], a2, areas2[-1], f1, f2, b_min, capacity)
+        depth += 1
 
         # child 2: right half scaled about the right base vertex
         qfx = rx + t2 * (fx - rx)
         qfy = ry + t2 * (fy - ry)
         qcx = rx + t2 * (cx - rx)
         qcy = ry + t2 * (cy - ry)
-        stack.append(((qfx, qfy, rx, ry, qcx, qcy), t2, right, (qcx, qcy), (qfx, qfy),
-                      t2 * r2, shape2, part2, b2, depth + 1))
+        push((qfx, qfy, rx, ry, qcx, qcy, t2, rx, ry, qcx, qcy, qfx, qfy,
+              t2 * r2, shape2, areas2, indices2, b2, depth))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
@@ -240,8 +242,10 @@ def _pack_into_hats(packing: Packing, shapes: list, hats: list[tuple], stats: Pa
         pfy = ly + t1 * (fy - ly)
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
-        stack.append(((lx, ly, pfx, pfy, pcx, pcy), t1, (pcx, pcy), left, (pfx, pfy),
-                      t1 * r1, shape1, part1, b1, depth + 1))
+        push((lx, ly, pfx, pfy, pcx, pcy, t1, pcx, pcy, lx, ly, pfx, pfy,
+              t1 * r1, shape1, areas1, indices1, b1, depth))
+    stats.split_calls += split_calls
+    stats.element_moves += element_moves
 
 
 def _frame_request(request: PackRequest) -> tuple[int, PackRequest, float]:
@@ -267,7 +271,7 @@ def _frame_request(request: PackRequest) -> tuple[int, PackRequest, float]:
         if not _NORMAL <= scaled < math.inf:
             raise InvalidParameterError(
                 f"circle areas must be positive normal floats in the container's frame, got {a!r}")
-    framed = CircleSet._presorted(areas, circles.indices, combined)
+    framed = CircleSet(tuple(areas), circles.indices, combined, areas[-1] if areas else math.inf)
     return k, PackRequest(container, framed), capacity
 
 
@@ -336,31 +340,34 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         packing.radius[0] = r
     elif isinstance(container, Square):
         s = container.side
-        part1, part2 = split(circles)
+        areas1, indices1, a1, areas2, indices2, a2 = split(circles.areas, circles.indices)
         stats.split_calls += 1
         stats.element_moves += n
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
-        (b1, t1), (b2, t2) = _split_step(part1, part2, (f, f), 0.0, capacity)
+        b1, t1, b2, t2 = _split_step(a1, areas1[-1], a2, areas2[-1], f, f, 0.0, capacity)
         # Group 1's hat is the half-square with its right angle at (0, 0),
         # group 2's the one at (s, s), each scaled about that corner. Its
         # inradius is t times the half-square's: measured from the scaled
         # vertices, it would keep only the digits of t that survive next to s.
         r_half, shapes = shape_table((s, 0.0), (0.0, s), (0.0, 0.0))
-        for (cx, cy), (px, py), (qx, qy), part, b, t in (
-            ((0.0, 0.0), (s, 0.0), (0.0, s), part1, b1, t1),
-            ((s, s), (0.0, s), (s, 0.0), part2, b2, t2),
+        # listed as the loop's stack holds them: group 1's hat, filled first, last
+        for (cx, cy), (px, py), (qx, qy), areas, indices, b, t in (
+            ((s, s), (0.0, s), (s, 0.0), areas2, indices2, b2, t2),
+            ((0.0, 0.0), (s, 0.0), (0.0, s), areas1, indices1, b1, t1),
         ):
-            left = (cx + t * (px - cx), cy + t * (py - cy))
-            right = (cx + t * (qx - cx), cy + t * (qy - cy))
-            hats.append(((cx, cy, *left, *right), t, left, right, (cx, cy), t * r_half,
-                         0, part, b, 1))
+            lx, ly = cx + t * (px - cx), cy + t * (py - cy)
+            rx, ry = cx + t * (qx - cx), cy + t * (qy - cy)
+            hats.append((cx, cy, lx, ly, rx, ry, t, lx, ly, rx, ry, cx, cy, t * r_half,
+                         0, areas, indices, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding and no inherited minimum size.
         r_in, shapes = shape_table(*container.base_split)
-        hats = [(None, 1.0, *container.base_split, r_in, 0, circles, 0.0, 0)]
+        (lx, ly), (rx, ry), (cx, cy) = container.base_split
+        hats = [(cx, cy, lx, ly, rx, ry, 1.0, lx, ly, rx, ry, cx, cy, r_in, 0,
+                 circles.areas, circles.indices, 0.0, 0)]
     _pack_into_hats(packing, shapes, hats, stats)
     for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
         view = np.asarray(column)  # the column's own memory

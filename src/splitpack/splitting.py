@@ -2,14 +2,16 @@
 
 A circle set is a multiset of positive areas kept sorted in descending order.
 `split` targets a 1:1 area ratio; `weighted_split` targets the ratio given by
-a split key (f1, f2). Whenever a bucket overshoots its target share, every
-circle in it is at least as large as the overshoot, which is what
-`min_guarantee` quantifies.
+a split key (f1, f2). Both take a group as two plain sequences, its areas and
+their input positions, and return each bucket's lists and sum, so a split
+builds no objects beyond those lists. Whenever a bucket overshoots its target
+share, every circle in it is at least as large as the overshoot, which is
+what `min_guarantee` quantifies.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError
 
@@ -49,66 +51,55 @@ class CircleSet:
             minimum=ordered[-1] if ordered else math.inf,
         )
 
-    @classmethod
-    def _presorted(cls, areas: list, indices: list, combined: float) -> "CircleSet":
-        # filled through the instance dict: the frozen constructor's four
-        # object.__setattr__ calls would run twice per split
-        new = object.__new__(cls)
-        fields = new.__dict__
-        fields["areas"] = tuple(areas)
-        fields["indices"] = tuple(indices)
-        fields["combined"] = combined
-        fields["minimum"] = areas[-1] if areas else math.inf
-        return new
-
     def __len__(self) -> int:
         return len(self.areas)
 
 
-def split(circles: CircleSet) -> tuple[CircleSet, CircleSet]:
-    """Greedy halving of a descending-sorted circle set.
+def split(areas: Sequence[float], indices: Sequence[int]) -> tuple:
+    """Greedy halving of a descending-sorted group, lighter group first.
 
     This is :func:`weighted_split` with the unit key: each circle joins the
     bucket with the smaller running sum (ties go to the first bucket).
     Afterwards the buckets are swapped if needed so the lighter one comes
-    first. The returned pair satisfies
-    min(C2) >= combined(C2) - combined(C1).
+    first. The second group of the returned
+    ``(areas1, indices1, sum1, areas2, indices2, sum2)`` satisfies
+    min(areas2) >= sum2 - sum1.
     """
-    first, second = weighted_split(circles, (1.0, 1.0))
-    if first.combined > second.combined:
-        return second, first
-    return first, second
+    areas1, indices1, sum1, areas2, indices2, sum2 = weighted_split(areas, indices, 1.0, 1.0)
+    if sum1 > sum2:
+        return areas2, indices2, sum2, areas1, indices1, sum1
+    return areas1, indices1, sum1, areas2, indices2, sum2
 
 
-def weighted_split(circles: CircleSet, key: tuple[float, float]) -> tuple[CircleSet, CircleSet]:
-    """Greedy split targeting the area ratio f1:f2.
+def weighted_split(areas: Sequence[float], indices: Sequence[int], f1: float, f2: float) -> tuple:
+    """Greedy split of a descending-sorted group targeting the area ratio f1:f2.
 
-    Each circle joins the bucket with the smaller relative filling level
-    sum_i / f_i, ties to the first bucket; no final swap. Both outputs satisfy
-    min(C_i) >= combined(C_i) - f_i * combined(C_j) / f_j. ``key`` is the
-    (f1, f2) pair.
+    ``areas`` and ``indices`` are the group's areas and their input
+    positions. Each circle joins the bucket with the smaller relative filling
+    level sum_i / f_i, ties to the first bucket; no final swap. Returns
+    ``(areas1, indices1, sum1, areas2, indices2, sum2)``: each bucket's areas
+    and indices as lists in the group's order, and its left-to-right sum.
+    Both buckets satisfy min(areas_i) >= sum_i - f_i * sum_j / f_j.
     """
-    f1, f2 = float(key[0]), float(key[1])
     if not (f1 > 0.0 and f2 > 0.0):
-        raise InvalidParameterError(f"split key components must be positive, got {key!r}")
-    sum1 = sum2 = 0.0
+        raise InvalidParameterError(f"split key components must be positive, got {(f1, f2)!r}")
+    sum1 = sum2 = level1 = level2 = 0.0
     areas1: list[float] = []
-    idx1: list[int] = []
+    indices1: list[int] = []
     areas2: list[float] = []
-    idx2: list[int] = []
-    for area, idx in zip(circles.areas, circles.indices):
-        if sum1 / f1 <= sum2 / f2:
+    indices2: list[int] = []
+    for area, index in zip(areas, indices):
+        if level1 <= level2:
             areas1.append(area)
-            idx1.append(idx)
+            indices1.append(index)
             sum1 += area
+            level1 = sum1 / f1
         else:
             areas2.append(area)
-            idx2.append(idx)
+            indices2.append(index)
             sum2 += area
-    return (
-        CircleSet._presorted(areas1, idx1, sum1),
-        CircleSet._presorted(areas2, idx2, sum2),
-    )
+            level2 = sum2 / f2
+    return areas1, indices1, sum1, areas2, indices2, sum2
 
 
 def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float = 0.0) -> float:

@@ -7,8 +7,8 @@ sibling-hat rule and its circle-pair sweep with these.
 
 The construction's measurements, each with arithmetic of its own: the
 altitude halves of a triangle, its incenter and inradius, the closed-form
-dimensions of a right isosceles hat, and the conjugatedness conditions on a
-split. Tests compare the packer's hats, circles and splits with these, and
+dimensions of a right isosceles hat, the greedy split as a plain loop, and
+the conjugatedness conditions on a split. Tests compare the packer's hats, circles and splits with these, and
 replay its splits with its own key (:func:`split_key`).
 
 The hat as a validated shape object, :class:`Hat`, with its incircle
@@ -244,6 +244,23 @@ def split_key(t: Triangle) -> tuple[float, float]:
     r_in, table = shape_table(*t.base_split)
     r1, r2 = table[0][1] * r_in, table[0][2] * r_in
     return math.pi * r1 * r1, math.pi * r2 * r2
+
+
+def greedy_split(areas, indices, f1: float, f2: float) -> tuple:
+    """The paper's greedy split as a plain loop, the reference for
+    ``weighted_split``: each circle in turn joins the bucket whose filling
+    level sum_i / f_i is lower, ties to the first, and each sum adds its
+    areas left to right. Returns (areas1, indices1, sum1, areas2, indices2,
+    sum2)."""
+    buckets = ([], []), ([], [])
+    sums = [0.0, 0.0]
+    for area, index in zip(areas, indices):
+        i = 0 if sums[0] / f1 <= sums[1] / f2 else 1
+        buckets[i][0].append(area)
+        buckets[i][1].append(index)
+        sums[i] = sums[i] + area
+    (areas1, indices1), (areas2, indices2) = buckets
+    return areas1, indices1, sums[0], areas2, indices2, sums[1]
 
 
 def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: tuple[float, float]) -> bool:

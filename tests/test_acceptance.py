@@ -134,18 +134,18 @@ def test_criterion_4_splitting_guarantees():
             areas = list(rng.random(n) * float(rng.uniform(0.1, 10.0)) + 1e-6)
             f1, f2 = key = (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.05, 20.0)))
             cs = CircleSet.from_areas(areas)
-            c1, c2 = weighted_split(cs, key)
+            areas1, _, sum1, areas2, _, sum2 = weighted_split(cs.areas, cs.indices, f1, f2)
             slack = 1e-12 * cs.combined
-            for mine, other, f_mine, f_other in (
-                (c1, c2, f1, f2),
-                (c2, c1, f2, f1),
+            for mine, mine_sum, other_sum, f_mine, f_other in (
+                (areas1, sum1, sum2, f1, f2),
+                (areas2, sum2, sum1, f2, f1),
             ):
-                if len(mine):
-                    bound = mine.combined - f_mine * other.combined / f_other
-                    assert mine.minimum >= bound - slack
-            g1 = min_guarantee(c1.combined, c2.combined, f1, f2)
-            g2 = min_guarantee(c2.combined, c1.combined, f2, f1)
-            pair = ConjugatedPair((c1.combined, g1), (c2.combined, g2))
+                if mine:
+                    bound = mine_sum - f_mine * other_sum / f_other
+                    assert mine[-1] >= bound - slack
+            g1 = min_guarantee(sum1, sum2, f1, f2)
+            g2 = min_guarantee(sum2, sum1, f2, f1)
+            pair = ConjugatedPair((sum1, g1), (sum2, g2))
             assert check_conjugated(pair, cs.combined, 0.0, key)
 
 

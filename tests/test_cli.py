@@ -92,8 +92,9 @@ class TestDocuments:
 
     def test_bad_circle_entries(self):
         base = {"container": {"type": "square", "side": 1.0}}
-        for circles in ([{"area": 1.0, "radius": 1.0}], [{}], [{"area": -1.0}]):
-            with pytest.raises(sp.DocumentError):
+        for circles in ([{"area": 1.0, "radius": 1.0}], [{}], [{"area": -1.0}],
+                        [{"radius": -1.0}], [{"radius": 0.0}], [{"area": 0.1}, {"radius": -0.1}]):
+            with pytest.raises(sp.DocumentError, match="^circle entries"):
                 InstanceDocument.from_dict({**base, "circles": circles})
 
     @pytest.mark.parametrize("entry", [{"area": True}, {"area": "0.01"}, {"radius": False},
@@ -641,6 +642,8 @@ _CIRCLE = [{"area": 0.01}]
     ("pack", {"container": _SQUARE_DICT, "circles": 5}),
     ("pack", {"container": _SQUARE_DICT, "circles": [{"area": "abc"}]}),
     ("pack", {"container": _SQUARE_DICT, "circles": [{"area": [1]}]}),
+    # read as a circle of radius 1 when the radius was squared unchecked
+    ("pack", {"container": {"type": "square", "side": 10.0}, "circles": [{"radius": -1.0}]}),
     ("verify", {"container": _SQUARE_DICT, "placements": 5}),
     ("verify", {"container": _SQUARE_DICT, "placements": [
         {"x": 0.5, "y": 0.5, "radius": 0.1, "input_index": 1.7}]}),
@@ -679,7 +682,7 @@ _CIRCLE = [{"area": 0.01}]
     ("verify", {"container": _SQUARE_DICT, "circles": _CIRCLE}),
     ("verify", {"container": _SQUARE_DICT, "container_area": 1.0, "lower_bound_area": 0.01,
                 "ratio": 100.0, "packing": {"container": _SQUARE_DICT, "placements": []}}),
-], ids=["circles-int", "area-str", "area-list", "placements-int",
+], ids=["circles-int", "area-str", "area-list", "radius-negative", "placements-int",
         "input-index-fraction", "depth-fraction", "depth-without-parent",
         "vertex-short", "area-true", "input-index-true",
         "coordinates-str-true", "side-true", "side-str", "sides-str", "vertices-true-str",

@@ -220,11 +220,9 @@ class TestPlacementOperations:
         key = (a / 2.0, a / 2.0)
         # group 1 overshoots its half by 0.4a, but its circles are 0.35a
         with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
-            packer._split_step(CircleSet.from_areas([0.35 * a, 0.35 * a]),
-                               CircleSet.from_areas([0.3 * a]), key, 0.0, a)
+            packer._split_step(0.7 * a, 0.35 * a, 0.3 * a, 0.3 * a, *key, 0.0, a)
         with pytest.raises(ConjugacyError, match="exceeds packable area"):
-            packer._split_step(CircleSet.from_areas([0.8 * a]),
-                               CircleSet.from_areas([0.4 * a]), key, 0.0, a)
+            packer._split_step(0.8 * a, 0.8 * a, 0.4 * a, 0.4 * a, *key, 0.0, a)
 
     def test_hats_in_square_random_conjugated_pairs(self):
         rng = np.random.default_rng(41)
@@ -242,8 +240,8 @@ class TestPlacementOperations:
         t = Triangle.from_sides(3.0, 4.0, 5.0)
         areas = [9.0 * math.pi / 25.0, 8.0 * math.pi / 25.0, 8.0 * math.pi / 25.0]
         cs = CircleSet.from_areas(areas)
-        c1, c2 = weighted_split(cs, split_key(t))
-        assert (c1.combined, c2.combined) == (9.0 * math.pi / 25.0, 16.0 * math.pi / 25.0)
+        _, _, sum1, _, _, sum2 = weighted_split(cs.areas, cs.indices, *split_key(t))
+        assert (sum1, sum2) == (9.0 * math.pi / 25.0, 16.0 * math.pi / 25.0)
         root = pack(PackRequest(t, cs))
         left, right = altitude_halves(t)
         for got, expected in zip(first_level_hats(root), (left, right)):
@@ -277,8 +275,7 @@ class TestPlacementOperations:
         assert verify(root, expected_areas=areas).passed
         # group 2 overshoots its half by 0.4pi, but holds a circle of 0.3pi
         with pytest.raises(ConjugacyError, match="rounding below the overshoot bound"):
-            packer._split_step(CircleSet.from_areas([0.3 * math.pi]),
-                               CircleSet.from_areas([0.4 * math.pi, 0.3 * math.pi]), key,
+            packer._split_step(0.3 * math.pi, 0.3 * math.pi, 0.7 * math.pi, 0.3 * math.pi, *key,
                                math.pi * container.rounding_radius**2, container.incircle.area)
 
     def test_place_circle_in_hat(self):
@@ -298,8 +295,9 @@ class TestPlacementOperations:
             pack(PackRequest(t, CircleSet.from_areas([math.pi * 1.01])))
         with pytest.raises(InvalidParameterError):
             _r_in, shapes = shape_table(*t.base_split)
-            entry = (None, 1.0, *t.base_split, 1.0, 0,
-                     CircleSet.from_areas([math.pi * 1.01]), 0.0, 0)
+            (lx, ly), (rx, ry), (cx, cy) = t.base_split
+            entry = (cx, cy, lx, ly, rx, ry, 1.0, lx, ly, rx, ry, cx, cy, 1.0, 0,
+                     [math.pi * 1.01], [0], 0.0, 0)
             packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
                                            radius=array("d", [0.0])), shapes, [entry], PackStats())
 
@@ -314,14 +312,15 @@ class TestPlacementOperations:
                 continue
             cs = CircleSet.from_areas(areas)
             key = split_key(t)
-            c1, c2 = weighted_split(cs, key)
+            areas1, _, sum1, areas2, _, sum2 = weighted_split(cs.areas, cs.indices, *key)
             left, right, _apex = t.base_split
             expected = []
-            for half, anchor, part, other, f_i, f_j in zip(
-                altitude_halves(t), (left, right), (c1, c2), (c2, c1), key, key[::-1]
+            for half, anchor, part, part_sum, other_sum, f_i, f_j in zip(
+                altitude_halves(t), (left, right), (areas1, areas2), (sum1, sum2), (sum2, sum1),
+                key, key[::-1]
             ):
-                tri = half.scaled_about(anchor, math.sqrt(part.combined / f_i))
-                b = min(min_guarantee(part.combined, other.combined, f_i, f_j), part.minimum)
+                tri = half.scaled_about(anchor, math.sqrt(part_sum / f_i))
+                b = min(min_guarantee(part_sum, other_sum, f_i, f_j), part[-1])
                 rounding = min(math.sqrt(b / math.pi), triangle_incircle(tri).radius)
                 expected.append((tri, rounding))
             root = pack(PackRequest(t, cs))
@@ -407,9 +406,9 @@ class TestTreeInvariants:
         keys = []
         original = packer.weighted_split
 
-        def spy(circles, key):
-            keys.append(key)
-            return original(circles, key)
+        def spy(areas, indices, f1, f2):
+            keys.append((f1, f2))
+            return original(areas, indices, f1, f2)
 
         monkeypatch.setattr(packer, "weighted_split", spy)
         capacity = packable_area(container)

@@ -1,6 +1,7 @@
 """Tests for greedy splitting and its guarantees."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from splitpack import (
     split,
     weighted_split,
 )
-from reference_geometry import ConjugatedPair, check_conjugated
+from reference_geometry import ConjugatedPair, check_conjugated, greedy_split
 
 area_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -55,105 +56,149 @@ class TestCircleSet:
             CircleSet.from_areas([math.inf])
 
 
+def halves(circles: CircleSet, key=None) -> tuple:
+    """The two buckets of a split of ``circles`` (by :func:`split` without a
+    key), each as (areas, indices, sum) with tuples."""
+    if key is None:
+        a1, i1, s1, a2, i2, s2 = split(circles.areas, circles.indices)
+    else:
+        a1, i1, s1, a2, i2, s2 = weighted_split(circles.areas, circles.indices, *key)
+    return (tuple(a1), tuple(i1), s1), (tuple(a2), tuple(i2), s2)
+
+
 class TestSplit:
     def test_worked_example(self):
-        c1, c2 = split(CircleSet.from_areas([0.3, 0.25, 0.2, 0.15, 0.1]))
-        assert c1.areas == (0.25, 0.2)
-        assert c2.areas == (0.3, 0.15, 0.1)
-        assert c1.combined <= c2.combined
+        (a1, _, s1), (a2, _, s2) = halves(CircleSet.from_areas([0.3, 0.25, 0.2, 0.15, 0.1]))
+        assert a1 == (0.25, 0.2)
+        assert a2 == (0.3, 0.15, 0.1)
+        assert s1 <= s2
         # the guarantee is tight here: min(C2) equals the sum difference
-        assert c2.minimum == pytest.approx(c2.combined - c1.combined, rel=1e-12)
+        assert a2[-1] == pytest.approx(s2 - s1, rel=1e-12)
 
     def test_single_element_goes_to_second(self):
-        c1, c2 = split(CircleSet.from_areas([5.0]))
-        assert c1.areas == ()
-        assert c2.areas == (5.0,)
+        (a1, _, _), (a2, _, _) = halves(CircleSet.from_areas([5.0]))
+        assert a1 == ()
+        assert a2 == (5.0,)
 
     def test_two_equal_elements(self):
-        c1, c2 = split(CircleSet.from_areas([3.0, 3.0]))
-        assert c1.areas == (3.0,)
-        assert c2.areas == (3.0,)
-        assert c1.indices == (0,)
-        assert c2.indices == (1,)
+        (a1, i1, _), (a2, i2, _) = halves(CircleSet.from_areas([3.0, 3.0]))
+        assert a1 == (3.0,)
+        assert a2 == (3.0,)
+        assert i1 == (0,)
+        assert i2 == (1,)
 
     def test_empty(self):
-        c1, c2 = split(CircleSet.from_areas([]))
-        assert len(c1) == len(c2) == 0
+        (a1, _, s1), (a2, _, s2) = halves(CircleSet.from_areas([]))
+        assert len(a1) == len(a2) == 0
+        assert s1 == s2 == 0.0
 
     @given(area_lists)
     @settings(max_examples=200, deadline=None)
     def test_partition_and_order(self, areas):
         cs = CircleSet.from_areas(areas)
-        c1, c2 = split(cs)
-        assert sorted(c1.areas + c2.areas, reverse=True) == list(cs.areas)
-        assert sorted(c1.indices + c2.indices) == sorted(cs.indices)
-        assert c1.combined <= c2.combined
+        (a1, i1, s1), (a2, i2, s2) = halves(cs)
+        assert sorted(a1 + a2, reverse=True) == list(cs.areas)
+        assert sorted(i1 + i2) == sorted(cs.indices)
+        assert s1 <= s2
         if len(cs) >= 2:
-            assert len(c1) >= 1 and len(c2) >= 1
-        if len(c2):
-            bound = c2.combined - c1.combined
-            assert c2.minimum >= bound - 1e-12 * max(cs.combined, 1.0)
+            assert len(a1) >= 1 and len(a2) >= 1
+        if len(a2):
+            bound = s2 - s1
+            assert a2[-1] >= bound - 1e-12 * max(cs.combined, 1.0)
 
 
 class TestWeightedSplit:
     def test_worked_example(self):
-        c1, c2 = weighted_split(CircleSet.from_areas([4.0, 2.0, 2.0]), (1.0, 3.0))
-        assert c1.areas == (4.0,)
-        assert c2.areas == (2.0, 2.0)
-        assert min_guarantee(c1.combined, c2.combined, 1.0, 3.0) == pytest.approx(
-            4.0 - 4.0 / 3.0, rel=1e-12
-        )
+        (a1, _, s1), (a2, _, s2) = halves(CircleSet.from_areas([4.0, 2.0, 2.0]), (1.0, 3.0))
+        assert a1 == (4.0,)
+        assert a2 == (2.0, 2.0)
+        assert min_guarantee(s1, s2, 1.0, 3.0) == pytest.approx(4.0 - 4.0 / 3.0, rel=1e-12)
 
     def test_single_circle_lands_in_first_bucket(self):
         for key in ((1.0, 1.0), (1.0, 3.0), (5.0, 0.1)):
-            c1, c2 = weighted_split(CircleSet.from_areas([2.5]), key)
-            assert c1.areas == (2.5,)
-            assert c2.areas == ()
+            (a1, _, _), (a2, _, _) = halves(CircleSet.from_areas([2.5]), key)
+            assert a1 == (2.5,)
+            assert a2 == ()
+
+    def test_takes_and_returns_plain_lists(self):
+        areas1, indices1, sum1, areas2, indices2, sum2 = weighted_split(
+            [4.0, 2.0, 2.0], [2, 0, 1], 1.0, 3.0)
+        assert (areas1, indices1, sum1) == ([4.0], [2], 4.0)
+        assert (areas2, indices2, sum2) == ([2.0, 2.0], [0, 1], 4.0)
+        assert all(type(group) is list for group in (areas1, indices1, areas2, indices2))
 
     def test_unit_key_matches_split_up_to_swap(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             areas = list(rng.random(int(rng.integers(1, 40))) + 0.01)
             cs = CircleSet.from_areas(areas)
-            w1, w2 = weighted_split(cs, (1.0, 1.0))
-            s1, s2 = split(cs)
-            if w1.combined <= w2.combined:
-                assert (w1.areas, w2.areas) == (s1.areas, s2.areas)
+            w1, w2 = halves(cs, (1.0, 1.0))
+            s1, s2 = halves(cs)
+            if w1[2] <= w2[2]:
+                assert (w1, w2) == (s1, s2)
             else:
-                assert (w2.areas, w1.areas) == (s1.areas, s2.areas)
+                assert (w2, w1) == (s1, s2)
 
     def test_key_scaling_invariant(self):
         cs = CircleSet.from_areas([5.0, 3.0, 2.0, 2.0, 1.0])
-        a = weighted_split(cs, (1.0, 2.0))
-        b = weighted_split(cs, (0.5, 1.0))
-        assert a[0].areas == b[0].areas and a[1].areas == b[1].areas
+        a = halves(cs, (1.0, 2.0))
+        b = halves(cs, (0.5, 1.0))
+        assert a[0][0] == b[0][0] and a[1][0] == b[1][0]
 
     def test_rejects_bad_key(self):
-        cs = CircleSet.from_areas([1.0])
         with pytest.raises(InvalidParameterError):
-            weighted_split(cs, (0.0, 1.0))
+            weighted_split([1.0], [0], 0.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            weighted_split(cs, (1.0, -2.0))
+            weighted_split([1.0], [0], 1.0, -2.0)
 
     @given(area_lists, keys)
     @settings(max_examples=300, deadline=None)
     def test_partition_guarantee_and_determinism(self, areas, key):
         cs = CircleSet.from_areas(areas)
-        c1, c2 = weighted_split(cs, key)
-        again = weighted_split(cs, key)
-        assert (c1.areas, c2.areas) == (again[0].areas, again[1].areas)
-        assert sorted(c1.areas + c2.areas, reverse=True) == list(cs.areas)
+        c1, c2 = halves(cs, key)
+        assert (c1, c2) == halves(cs, key)
+        assert sorted(c1[0] + c2[0], reverse=True) == list(cs.areas)
         if len(cs) >= 2:
-            assert len(c1) >= 1 and len(c2) >= 1
+            assert len(c1[0]) >= 1 and len(c2[0]) >= 1
         slack = 1e-12 * max(cs.combined, 1.0)
         f1, f2 = key
-        for mine, other, f_mine, f_other in (
+        for (mine, _, mine_sum), (_, _, other_sum), f_mine, f_other in (
             (c1, c2, f1, f2),
             (c2, c1, f2, f1),
         ):
             if len(mine):
-                bound = mine.combined - f_mine * other.combined / f_other
-                assert mine.minimum >= bound - slack
+                bound = mine_sum - f_mine * other_sum / f_other
+                assert mine[-1] >= bound - slack
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_plain_greedy_loop_bit_for_bit(self, data):
+        # uniform, geometric (ratio q in (0, 1)) and equal-area groups, with
+        # random keys: the same buckets, indices and sums as the reference
+        family = data.draw(st.sampled_from(["uniform", "geometric", "equal"]))
+        n = data.draw(st.integers(min_value=0, max_value=80))
+        if family == "uniform":
+            areas = data.draw(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=n,
+                                       max_size=n))
+        elif family == "geometric":
+            q = data.draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+            first = data.draw(st.floats(min_value=1e-3, max_value=1e3))
+            areas = [first * q**k for k in range(n)]
+            areas = [a for a in areas if a > 0.0]
+        else:
+            areas = [data.draw(st.floats(min_value=1e-6, max_value=1e3))] * n
+        f1, f2 = data.draw(keys)
+        cs = CircleSet.from_areas(areas)
+        got = weighted_split(list(cs.areas), list(cs.indices), f1, f2)
+        want = greedy_split(cs.areas, cs.indices, f1, f2)
+        assert [_bits(part) for part in got] == [_bits(part) for part in want]
+
+
+def _bits(part):
+    """A split output (a list, or a sum) with each double as its bit pattern."""
+    if isinstance(part, float):
+        return struct.pack("<d", part)
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in part]
 
 
 class TestMinGuarantee:
@@ -198,8 +243,8 @@ class TestConjugated:
             f1, f2 = key = (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0)))
             b = 0.0
             cs = CircleSet.from_areas(areas)
-            c1, c2 = weighted_split(cs, key)
-            b1 = min_guarantee(c1.combined, c2.combined, f1, f2, b)
-            b2 = min_guarantee(c2.combined, c1.combined, f2, f1, b)
-            pair = ConjugatedPair((c1.combined, b1), (c2.combined, b2))
+            (_, _, s1), (_, _, s2) = halves(cs, key)
+            b1 = min_guarantee(s1, s2, f1, f2, b)
+            b2 = min_guarantee(s2, s1, f2, f1, b)
+            pair = ConjugatedPair((s1, b1), (s2, b2))
             assert check_conjugated(pair, cs.combined, b, key)
