@@ -47,7 +47,7 @@ for name, family in (("square", "square"), ("(3,4,5)-similar", Triangle.from_sid
     container = min_container(circles, family)
     packing = pack(PackRequest(container, circles))
     report = verify(packing, expected_areas=areas)
-    ratio = container.area / circles.combined
+    ratio = container.area / math.fsum(areas)  # the exactly rounded total the container is sized by
     print(f"  {name:<16} area {container.area:8.3f}  area/sum {ratio:.4f}  -> {report.summary()}")
     path = OUT / f"04_min_{name.split('-')[0].strip('()').replace(',', '')}.svg"
     path.write_text(render_packing_svg(packing))

@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .splitting import (
     CircleSet,
-    min_guarantee,
     split,
     weighted_split,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "critical_density",
     "decide",
     "min_container",
-    "min_guarantee",
     "pack",
     "packable_area",
     "render_packing_svg",

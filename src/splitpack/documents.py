@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DocumentError, InvalidParameterError, OverCapacityError
 from .geometry import Point, Square, Triangle, critical_density
-from .packer import Packing, PackRequest, _check_feasible, _frame_request
+from .packer import Packing, PackRequest, _admit
 from .splitting import CircleSet
 
 
@@ -330,19 +330,17 @@ def decide(instance: InstanceDocument) -> dict:
     packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
 
     The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
-    instance up front. Past the precision envelope pack can still raise from
-    inside its recursion on a 'yes' (``Square(1)`` with the 312 areas
-    capacity * 0.7 * 0.3**k; ROADMAP item 2). ``ratio`` is the combined area
-    over the packable area, read in the container's frame, or None where pack
-    refuses the instance as more than a double carries or the ratio leaves the
-    float range."""
+    instance up front: both admit it through ``packer._admit``. Past the
+    precision envelope pack can still raise from inside its recursion on a
+    'yes' (``Square(1)`` with the 312 areas capacity * 0.7 * 0.3**k; ROADMAP
+    item 2). ``ratio`` is the combined area over the packable area, read in
+    the container's frame, or None where pack refuses the instance as more
+    than a double carries or the ratio leaves the float range."""
     request = instance.to_request()
     try:
-        k, framed, capacity = _frame_request(request)
+        ratio, packable = _admit(request)[-1], "yes"
     except InvalidParameterError:
         return {"packable": "unknown", "ratio": None}
-    try:
-        ratio, packable = _check_feasible(request, k, framed, capacity), "yes"
     except OverCapacityError as exc:
         ratio, packable = exc.ratio, "unknown"
     return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

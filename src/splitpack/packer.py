@@ -134,9 +134,9 @@ def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float
     ``(f1, f2)`` are the halves' incircle areas (the split key), ``b_min``
     the inherited minimum size (0 or more) and ``capacity`` the packable area
     of what is split. Group i's guarantee is the overshoot bound
-    a_i - f_i * a_j / f_j (:func:`~splitpack.splitting.min_guarantee`),
-    raised to ``b_min`` and clamped to ``m_i``; its half is scaled by
-    sqrt(a_i / f_i), snapped to exactly 1 when a_i lies within
+    a_i - f_i * a_j / f_j, which the greedy split guarantees of group i's
+    smallest circle, raised to ``b_min`` and clamped to ``m_i``; its half is
+    scaled by sqrt(a_i / f_i), snapped to exactly 1 when a_i lies within
     ``_SNAP_REL_TOL`` of f_i, so self-similar power-of-two instances
     reproduce the exact subdivision. Raises :class:`ConjugacyError` when the
     groups exceed ``capacity`` or a clamp cuts a guarantee, each by more than
@@ -184,16 +184,18 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
     scale_factors = stats.scale_factors
     split_calls = element_moves = 0
     pop, push = stack.pop, stack.append
-    # One flat entry per hat: its recorded vertices (x0, y0, x1, y1, x2, y2),
-    # scale factor, base (longest side) ends L and R and apex C, inradius,
-    # shape index, circle group (areas and indices, descending), inherited
-    # min size and record depth; the container triangle has depth 0 and is
-    # not recorded.
+    # One flat entry per hat: its scale factor, base (longest side) ends L and
+    # R and apex C, whether it is a left half, inradius, shape index, circle
+    # group (areas and indices, descending), inherited min size and record
+    # depth; the container triangle has depth 0 and is not recorded. A left
+    # half records its vertices as (R, C, L), every other hat as (C, L, R).
     while stack:
-        (x0, y0, x1, y1, x2, y2, t, lx, ly, rx, ry, cx, cy,
-         r_in, shape, areas, indices, b_min, depth) = pop()
+        t, lx, ly, rx, ry, cx, cy, left, r_in, shape, areas, indices, b_min, depth = pop()
         if depth:
-            vertices.extend((x0, y0, x1, y1, x2, y2))
+            if left:
+                vertices.extend((rx, ry, cx, cy, lx, ly))
+            else:
+                vertices.extend((cx, cy, lx, ly, rx, ry))
             rounding = sqrt(b_min / pi)
             roundings.append(r_in if r_in < rounding else rounding)
             depths.append(depth)
@@ -233,8 +235,7 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
         qfy = ry + t2 * (fy - ry)
         qcx = rx + t2 * (cx - rx)
         qcy = ry + t2 * (cy - ry)
-        push((qfx, qfy, rx, ry, qcx, qcy, t2, rx, ry, qcx, qcy, qfx, qfy,
-              t2 * r2, shape2, areas2, indices2, b2, depth))
+        push((t2, rx, ry, qcx, qcy, qfx, qfy, False, t2 * r2, shape2, areas2, indices2, b2, depth))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
@@ -242,37 +243,9 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
         pfy = ly + t1 * (fy - ly)
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
-        push((lx, ly, pfx, pfy, pcx, pcy, t1, pcx, pcy, lx, ly, pfx, pfy,
-              t1 * r1, shape1, areas1, indices1, b1, depth))
+        push((t1, pcx, pcy, lx, ly, pfx, pfy, True, t1 * r1, shape1, areas1, indices1, b1, depth))
     stats.split_calls += split_calls
     stats.element_moves += element_moves
-
-
-def _frame_request(request: PackRequest) -> tuple[int, PackRequest, float]:
-    """(k, the request in its container's frame, its packable area there):
-    lengths scaled by 2**k (:func:`geometry.frame`), areas by 4**k. Refuses
-    what a double cannot carry: a container whose area, or packable area in
-    the frame, is not a positive normal float, and an area not one in the frame.
-    """
-    k, container = frame(request.container)
-    capacity = packable_area(container)
-    area = request.container.area
-    if not (_NORMAL <= area < math.inf and capacity >= _NORMAL):
-        raise InvalidParameterError(
-            f"the container's area {area!r}, or its packable area, is not a positive normal float")
-    circles = request.circles
-    try:
-        areas = [math.ldexp(a, 2 * k) for a in circles.areas]
-        combined = math.ldexp(circles.combined, 2 * k)
-    except OverflowError:
-        raise InvalidParameterError(
-            f"the circle areas overflow in the container's frame, times 2**{2 * k}") from None
-    for a, scaled in zip(circles.areas, areas):
-        if not _NORMAL <= scaled < math.inf:
-            raise InvalidParameterError(
-                f"circle areas must be positive normal floats in the container's frame, got {a!r}")
-    framed = CircleSet(tuple(areas), circles.indices, combined, areas[-1] if areas else math.inf)
-    return k, PackRequest(container, framed), capacity
 
 
 def _combined_area(areas) -> float:
@@ -283,26 +256,46 @@ def _combined_area(areas) -> float:
         return math.inf
 
 
-def _check_feasible(request: PackRequest, k: int, framed: PackRequest, capacity: float) -> float:
-    """The combined area over the packable area; :class:`OverCapacityError`,
-    carrying that ratio, where the area bound does not guarantee a packing.
+def _admit(request: PackRequest) -> tuple[int, Union[Square, Triangle], list[float], float, float]:
+    """Admit a request by the paper's rule: (k, its container scaled by 2**k
+    (:func:`geometry.frame`), its areas scaled by 4**k, its packable area in
+    that frame, and the combined area over the packable area).
 
-    The one feasibility rule, the paper's: it reads only the sum of the
-    areas, in the frame that :func:`_frame_request` gives (k, framed,
-    capacity), and reports in the request's units. :func:`pack` refuses
-    exactly the requests this raises for, and
-    :func:`splitpack.documents.decide` answers "unknown" for them. The total
-    is exactly rounded, so it does not depend on the order of the areas.
+    Refuses what a double cannot carry with :class:`InvalidParameterError`: a
+    container whose area, or packable area in the frame, is not a positive
+    normal float, and an area not one in the frame. Then refuses, with
+    :class:`OverCapacityError` carrying the ratio, where the area bound does
+    not guarantee a packing: the rule reads only the sum of the areas, exactly
+    rounded, so it does not depend on their order, and a sum past the float
+    range is over capacity. :func:`pack` refuses exactly the requests this
+    raises for, and :func:`splitpack.documents.decide` answers "unknown" for
+    them.
     """
-    total = _combined_area(framed.circles.areas)
+    k, container = frame(request.container)
+    capacity = packable_area(container)
+    area = request.container.area
+    if not (_NORMAL <= area < math.inf and capacity >= _NORMAL):
+        raise InvalidParameterError(
+            f"the container's area {area!r}, or its packable area, is not a positive normal float")
+    given = request.circles.areas
+    try:
+        areas = [math.ldexp(a, 2 * k) for a in given]
+    except OverflowError:
+        raise InvalidParameterError(
+            f"the circle areas overflow in the container's frame, times 2**{2 * k}") from None
+    for a, scaled in zip(given, areas):
+        if not _NORMAL <= scaled < math.inf:
+            raise InvalidParameterError(
+                f"circle areas must be positive normal floats in the container's frame, got {a!r}")
+    total = _combined_area(areas)
     ratio = total / capacity
     if total > capacity * (1.0 + FEASIBILITY_REL_SLACK):
         raise OverCapacityError(
-            f"over-capacity: combined area {_combined_area(request.circles.areas)!r} exceeds the "
+            f"over-capacity: combined area {_combined_area(given)!r} exceeds the "
             f"guaranteed packable area {math.ldexp(capacity, -2 * k)!r} (ratio {ratio!r})",
             ratio=ratio,
         )
-    return ratio
+    return k, container, areas, capacity, ratio
 
 
 def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
@@ -312,15 +305,12 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     input index and placed without overlap inside the container (checkable
     with :func:`splitpack.verifier.verify`); the record also holds the
     subdivision's hats. Counters go into ``stats`` when given. It packs in
-    the container's frame (:func:`_frame_request`) and scales lengths back.
+    the container's frame (:func:`_admit`) and scales lengths back.
     """
     if stats is None:
         stats = PackStats()
-    k, framed, capacity = _frame_request(request)
-    _check_feasible(request, k, framed, capacity)
-    circles = framed.circles
-    container = framed.container
-    n = len(circles)
+    k, container, areas, capacity, _ratio = _admit(request)
+    n = len(areas)
     packing = Packing(
         request.container,
         x=array("d", bytes(8 * n)),
@@ -335,12 +325,12 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     if isinstance(container, Square) and n == 1:
         # Degenerate corner-anchored hat: the circle ends up tangent to
         # the two sides meeting at the far corner.
-        r = math.sqrt(circles.areas[0] / math.pi)
+        r = math.sqrt(areas[0] / math.pi)
         packing.x[0] = packing.y[0] = container.side - r
         packing.radius[0] = r
     elif isinstance(container, Square):
         s = container.side
-        areas1, indices1, a1, areas2, indices2, a2 = split(circles.areas, circles.indices)
+        areas1, indices1, a1, areas2, indices2, a2 = split(areas, request.circles.indices)
         stats.split_calls += 1
         stats.element_moves += n
         # The half-square's incircle area is half the twincircle area, so the
@@ -353,21 +343,20 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         # vertices, it would keep only the digits of t that survive next to s.
         r_half, shapes = shape_table((s, 0.0), (0.0, s), (0.0, 0.0))
         # listed as the loop's stack holds them: group 1's hat, filled first, last
-        for (cx, cy), (px, py), (qx, qy), areas, indices, b, t in (
+        for (cx, cy), (px, py), (qx, qy), group, indices, b, t in (
             ((s, s), (0.0, s), (s, 0.0), areas2, indices2, b2, t2),
             ((0.0, 0.0), (s, 0.0), (0.0, s), areas1, indices1, b1, t1),
         ):
             lx, ly = cx + t * (px - cx), cy + t * (py - cy)
             rx, ry = cx + t * (qx - cx), cy + t * (qy - cy)
-            hats.append((cx, cy, lx, ly, rx, ry, t, lx, ly, rx, ry, cx, cy, t * r_half,
-                         0, areas, indices, b, 1))
+            hats.append((t, lx, ly, rx, ry, cx, cy, False, t * r_half, 0, group, indices, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding and no inherited minimum size.
         r_in, shapes = shape_table(*container.base_split)
         (lx, ly), (rx, ry), (cx, cy) = container.base_split
-        hats = [(cx, cy, lx, ly, rx, ry, 1.0, lx, ly, rx, ry, cx, cy, r_in, 0,
-                 circles.areas, circles.indices, 0.0, 0)]
+        hats = [(1.0, lx, ly, rx, ry, cx, cy, False, r_in, 0,
+                 areas, request.circles.indices, 0.0, 0)]
     _pack_into_hats(packing, shapes, hats, stats)
     for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
         view = np.asarray(column)  # the column's own memory

@@ -6,7 +6,7 @@ a split key (f1, f2). Both take a group as two plain sequences, its areas and
 their input positions, and return each bucket's lists and sum, so a split
 builds no objects beyond those lists. Whenever a bucket overshoots its target
 share, every circle in it is at least as large as the overshoot, which is
-what `min_guarantee` quantifies.
+what the packer rounds its hats by.
 """
 
 import math
@@ -21,16 +21,12 @@ class CircleSet:
     """Multiset of positive circle areas, sorted descending.
 
     ``indices`` tracks each area's position in the original input so equal
-    areas stay distinguishable (stable order). ``combined`` is the running sum
-    over the sorted order and ``minimum`` the smallest element (+inf when
-    empty). Build instances through :meth:`from_areas`; the raw constructor
-    trusts its arguments.
+    areas stay distinguishable (stable order). Build instances through
+    :meth:`from_areas`; the raw constructor trusts its arguments.
     """
 
     areas: tuple[float, ...]
     indices: tuple[int, ...]
-    combined: float
-    minimum: float
 
     @classmethod
     def from_areas(cls, areas: Iterable[float]) -> "CircleSet":
@@ -40,16 +36,7 @@ class CircleSet:
                 raise InvalidParameterError(f"circle areas must be positive, got {a!r}")
         # descending and stable: reverse=True keeps equal areas in input order
         order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        ordered = [values[i] for i in order]
-        combined = 0.0
-        for a in ordered:  # left to right: builtin sum() compensates floats from Python 3.12
-            combined += a
-        return cls(
-            areas=tuple(ordered),
-            indices=tuple(order),
-            combined=combined,
-            minimum=ordered[-1] if ordered else math.inf,
-        )
+        return cls(tuple([values[i] for i in order]), tuple(order))
 
     def __len__(self) -> int:
         return len(self.areas)
@@ -100,17 +87,3 @@ def weighted_split(areas: Sequence[float], indices: Sequence[int], f1: float, f2
             sum2 += area
             level2 = sum2 / f2
     return areas1, indices1, sum1, areas2, indices2, sum2
-
-
-def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float = 0.0) -> float:
-    """Guaranteed minimum circle size in bucket i, usable as its rounding.
-
-    Returns max(b, sum_i - f_i * sum_j / f_j, 0): the weighted-split bound for
-    bucket i against bucket j, clamped to the inherited minimum size b and to
-    zero (the bound may be negative when bucket i undershot its target).
-    """
-    if not (f_i > 0.0 and f_j > 0.0):
-        raise InvalidParameterError("split key components must be positive")
-    if sum_i < 0.0 or sum_j < 0.0:
-        raise InvalidParameterError("combined areas must be non-negative")
-    return max(b, sum_i - f_i * sum_j / f_j, 0.0)

@@ -7,9 +7,11 @@ sibling-hat rule and its circle-pair sweep with these.
 
 The construction's measurements, each with arithmetic of its own: the
 altitude halves of a triangle, its incenter and inradius, the closed-form
-dimensions of a right isosceles hat, the greedy split as a plain loop, and
-the conjugatedness conditions on a split. Tests compare the packer's hats, circles and splits with these, and
-replay its splits with its own key (:func:`split_key`).
+dimensions of a right isosceles hat, the greedy split as a plain loop, the
+conjugatedness conditions on a split, and the overshoot bound that
+guarantees a bucket's smallest circle (:func:`min_guarantee`). Tests compare
+the packer's hats, circles and splits with these, and replay its splits with
+its own key (:func:`split_key`).
 
 The hat as a validated shape object, :class:`Hat`, with its incircle
 (:func:`triangle_incircle`): the package records hats only as numbers in a
@@ -261,6 +263,29 @@ def greedy_split(areas, indices, f1: float, f2: float) -> tuple:
         sums[i] = sums[i] + area
     (areas1, indices1), (areas2, indices2) = buckets
     return areas1, indices1, sums[0], areas2, indices2, sums[1]
+
+
+def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float = 0.0) -> float:
+    """Guaranteed minimum circle size in bucket i, usable as its rounding.
+
+    Returns max(b, sum_i - f_i * sum_j / f_j, 0): the weighted-split bound for
+    bucket i against bucket j, clamped to the inherited minimum size b and to
+    zero (the bound may be negative when bucket i undershot its target).
+    """
+    if not (f_i > 0.0 and f_j > 0.0):
+        raise InvalidParameterError("split key components must be positive")
+    if sum_i < 0.0 or sum_j < 0.0:
+        raise InvalidParameterError("combined areas must be non-negative")
+    return max(b, sum_i - f_i * sum_j / f_j, 0.0)
+
+
+def left_to_right_sum(areas) -> float:
+    """The areas added left to right in plain float arithmetic (builtin
+    sum() compensates from Python 3.12): a scale for tests' tolerances."""
+    total = 0.0
+    for a in areas:
+        total += a
+    return total
 
 
 def check_conjugated(pair: ConjugatedPair, a: float, b: float, key: tuple[float, float]) -> bool:

@@ -428,10 +428,20 @@ class TestPack:
         assert "over-capacity" in err and "ratio" in err
 
     def test_areas_whose_exact_sum_overflows_are_over_capacity(self, capsys, monkeypatch):
-        code, out, err = run_cli(["pack", "--container", "square:1", "--circles", "-"], capsys,
-                                 stdin='[{"area": 1e308}, {"area": 1e308}]', monkeypatch=monkeypatch)
-        assert code == 2 and out == ""
-        assert err.startswith("error: over-capacity: combined area inf") and err.count("\n") == 1
+        # in every frame: Square(0.5)'s scales each 1e307 to a finite 4e307,
+        # and the ten of them past the float range
+        for side, areas, total in ((1.0, [1e308] * 2, "inf"), (0.5, [1e307] * 10, "1e+308")):
+            inst = InstanceDocument(Square(side), areas)
+            with pytest.raises(sp.OverCapacityError) as refused:
+                pack(inst.to_request())
+            assert refused.value.ratio == math.inf
+            assert decide(inst) == {"packable": "unknown", "ratio": None}
+            code, out, err = run_cli(["pack", "--container", f"square:{side}", "--circles", "-"],
+                                     capsys, stdin=json.dumps([{"area": a} for a in areas]),
+                                     monkeypatch=monkeypatch)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: over-capacity: combined area {total} ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("areas", [[1e10]], ids=["area"])
     def test_request_that_overflows_in_the_frame_is_refused(self, capsys, monkeypatch, areas):

@@ -24,7 +24,6 @@ from splitpack import (
     UnsupportedContainerError,
     decide,
     min_container,
-    min_guarantee,
     pack,
     packable_area,
     verify,
@@ -42,6 +41,8 @@ from reference_geometry import (
     Hat,
     altitude_halves,
     first_level_hats,
+    left_to_right_sum,
+    min_guarantee,
     signed_distance,
     split_key,
     triangle_incircle,
@@ -296,8 +297,7 @@ class TestPlacementOperations:
         with pytest.raises(InvalidParameterError):
             _r_in, shapes = shape_table(*t.base_split)
             (lx, ly), (rx, ry), (cx, cy) = t.base_split
-            entry = (cx, cy, lx, ly, rx, ry, 1.0, lx, ly, rx, ry, cx, cy, 1.0, 0,
-                     [math.pi * 1.01], [0], 0.0, 0)
+            entry = (1.0, lx, ly, rx, ry, cx, cy, False, 1.0, 0, [math.pi * 1.01], [0], 0.0, 0)
             packer._pack_into_hats(Packing(t, x=array("d", [0.0]), y=array("d", [0.0]),
                                            radius=array("d", [0.0])), shapes, [entry], PackStats())
 
@@ -465,7 +465,7 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("n", [311, pytest.param(312, marks=pytest.mark.xfail(
         raises=ConjugacyError, strict=True,
-        reason="min_guarantee's overshoot bound underflows near hat areas of 1e-162"))])
+        reason="_split_step's overshoot bound underflows near hat areas of 1e-162"))])
     def test_yes_means_pack_succeeds_on_a_geometric_family(self, n):
         # areas capacity * 0.7 * 0.3**k: decide says "yes" to every n, but at
         # n = 312 pack raises from inside its recursion (ROADMAP item 2)
@@ -498,7 +498,7 @@ class TestRequestValidation:
         # the raw constructor trusts its arguments; pack checks them again
         for area in (0.0, -0.2, math.nan):
             with pytest.raises(InvalidParameterError, match="must be positive"):
-                pack(PackRequest(Square(1.0), CircleSet((0.1, area), (0, 1), 0.1 + area, area)))
+                pack(PackRequest(Square(1.0), CircleSet((0.1, area), (0, 1))))
 
 
 FLOAT_COLUMNS = ("x", "y", "radius", "hat_vertices", "hat_rounding")
@@ -593,7 +593,7 @@ class TestMinContainer:
             areas = list(rng.random(25) * 0.3 + 0.01)
             cs = CircleSet.from_areas(areas)
             container = min_container(cs, family)
-            assert packable_area(container) == pytest.approx(cs.combined, rel=1e-9)
+            assert packable_area(container) == pytest.approx(left_to_right_sum(cs.areas), rel=1e-9)
             root = pack(PackRequest(container, cs))
             assert verify(root, expected_areas=areas).passed
 
@@ -604,7 +604,7 @@ class TestMinContainer:
         # exactly rounded sum, 1.1e-12 larger, and refused the container sized by the other
         areas = [1.0] + [2.0**-53] * 10_000
         cs = CircleSet.from_areas(areas)
-        assert cs.combined == 1.0 < math.fsum(areas)
+        assert left_to_right_sum(cs.areas) == 1.0 < math.fsum(areas)
         root = pack(PackRequest(min_container(cs, family), cs))
         assert verify(root, expected_areas=areas).passed
 
