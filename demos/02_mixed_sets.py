@@ -2,9 +2,9 @@
 
 Pack a mixed 24-circle set at full capacity into a square and look at the
 subdivision tree. Then pack 16 equal circles whose total is exactly the
-critical area: every subcontainer is an exact half of its parent (all scale
-factors are 1), reproducing the self-similar subdivision that motivates the
-split-in-half strategy.
+critical area: every subcontainer is a half of its parent, unscaled, so a hat
+at depth d has area 2**-d, reproducing the self-similar subdivision that
+motivates the split-in-half strategy.
 
 Run:  python demos/02_mixed_sets.py
 """
@@ -49,10 +49,11 @@ print(f"  figure written to {OUT / '02_mixed_set.svg'}")
 print()
 print("16 equal circles summing exactly to the packable area")
 areas = [PHI_SQUARE / 16.0] * 16
-stats = PackStats()
-packing = pack(PackRequest(square, CircleSet.from_areas(areas)), stats)
+packing = pack(PackRequest(square, CircleSet.from_areas(areas)))
 print(f"  {verify(packing, expected_areas=areas).summary()}")
-unique_scales = sorted(set(stats.scale_factors))
-print(f"  scale factors used: {unique_scales}  (self-similar halving)")
+v = np.asarray(packing.hat_vertices).reshape(-1, 6)
+hat_areas = ((v[:, 2] - v[:, 0]) * (v[:, 5] - v[:, 1]) - (v[:, 4] - v[:, 0]) * (v[:, 3] - v[:, 1])) / 2
+scaled = sorted(set(np.round(hat_areas * 2.0 ** np.asarray(packing.hat_depth), 12).tolist()))
+print(f"  hat area times 2**depth: {scaled}  (self-similar halving)")
 (OUT / "02_power_of_two.svg").write_text(render_packing_svg(packing))
 print(f"  figure written to {OUT / '02_power_of_two.svg'}")

@@ -213,15 +213,20 @@ def _dumps(value) -> str:
 
 
 def _float_texts(columns) -> list:
-    """Each column of finite doubles as a list of ``float.__repr__`` texts.
+    """Each column of doubles as a list of their JSON texts, as ``json`` writes them.
 
     Each distinct double is formatted once: a hat shares a vertex with its
     parent, and the record's columns repeat many values. Doubles are told
-    apart by their bits, so 0.0 and -0.0 keep their own texts.
+    apart by their bits, so 0.0 and -0.0 keep their own texts. A finite one
+    is written by ``float.__repr__``; the few distinct non-finite ones are
+    patched to json's ``NaN``, ``Infinity`` and ``-Infinity``.
     """
     values = np.concatenate([np.asarray(column, dtype=np.float64) for column in columns])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    distinct = bits.view(np.float64)
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(distinct)):
+        texts[i] = _dumps(distinct[i].item())
     bounds = np.cumsum([len(column) for column in columns])[:-1]
     return [part.tolist() for part in np.split(texts[inverse], bounds)]
 
@@ -300,18 +305,15 @@ class PackingDocument:
     def to_json(self) -> str:
         """The compact JSON text of :meth:`to_dict`, written from the record's columns.
 
-        Each distinct double is formatted once, by the ``float.__repr__``
-        that ``json.dumps`` uses, and one template per placement and per
+        Each distinct double is formatted once, as ``json.dumps`` writes it
+        (:func:`_float_texts`), and one template per placement and per
         subcontainer is filled with those texts, so no dict or list is built
         per entry and the text equals
         ``json.dumps(self.to_dict(), separators=(",", ":"))`` byte for byte.
         """
         p = self.packing
-        columns = (p.x, p.y, p.radius, p.hat_vertices, p.hat_rounding)
-        # json spells nan and inf as NaN and Infinity, which float.__repr__ does not
-        if not all(np.isfinite(np.asarray(column, dtype=np.float64)).all() for column in columns):
-            return _dumps(self.to_dict())
-        x, y, radius, hat_vertices, hat_rounding = _float_texts(columns)
+        x, y, radius, hat_vertices, hat_rounding = _float_texts(
+            (p.x, p.y, p.radius, p.hat_vertices, p.hat_rounding))
         coords = iter(hat_vertices)
         placements = ",".join(map(_PLACEMENT.__mod__, zip(x, y, radius, p.input_index)))
         subcontainers = ",".join(map(_SUBCONTAINER.__mod__, zip(

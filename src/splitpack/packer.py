@@ -112,15 +112,13 @@ class PackStats:
     """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
 
     ``split_calls`` and ``element_moves`` count set splits and the circles
-    they moved; ``hat_count`` counts the record's hats, ``scale_factors`` holds
-    their scale factors in record order. ``max_depth`` is the deepest
+    they moved, ``hat_count`` the record's hats. ``max_depth`` is the deepest
     ``hat_depth``, plus 1 for a triangle container, which counts as a level.
     """
 
     split_calls: int = 0
     element_moves: int = 0
     hat_count: int = 0
-    scale_factors: list[float] = field(default_factory=list)
     max_depth: int = 0
 
 
@@ -162,8 +160,9 @@ def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float
             m2 if m2 < b2 else b2, 1.0 if -snap2 <= a2 - f2 <= snap2 else math.sqrt(a2 / f2))
 
 
-def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: PackStats) -> None:
-    """Fill each hat (entry as on the stack below) with its non-empty circle group.
+def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> tuple[int, int]:
+    """Fill each hat (entry as on the stack below) with its non-empty circle
+    group, and return the number of set splits and of the circles they moved.
 
     The only place that splits a hat into subhats and places a circle in a
     hat, by the constants of the hat's entry in ``shapes`` (a shape_table):
@@ -181,16 +180,15 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
     lone_limit = 1.0 + _PLACEMENT_REL_TOL
     xs, ys, radii = packing.x, packing.y, packing.radius
     vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
-    scale_factors = stats.scale_factors
     split_calls = element_moves = 0
     pop, push = stack.pop, stack.append
-    # One flat entry per hat: its scale factor, base (longest side) ends L and
-    # R and apex C, whether it is a left half, inradius, shape index, circle
-    # group (areas and indices, descending), inherited min size and record
-    # depth; the container triangle has depth 0 and is not recorded. A left
-    # half records its vertices as (R, C, L), every other hat as (C, L, R).
+    # One flat entry per hat: its base (longest side) ends L and R and apex
+    # C, whether it is a left half, inradius, shape index, circle group
+    # (areas and indices, descending), inherited min size and record depth;
+    # the container triangle has depth 0 and is not recorded. A left half
+    # records its vertices as (R, C, L), every other hat as (C, L, R).
     while stack:
-        t, lx, ly, rx, ry, cx, cy, left, r_in, shape, areas, indices, b_min, depth = pop()
+        lx, ly, rx, ry, cx, cy, left, r_in, shape, areas, indices, b_min, depth = pop()
         if depth:
             if left:
                 vertices.extend((rx, ry, cx, cy, lx, ly))
@@ -199,7 +197,6 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
             rounding = sqrt(b_min / pi)
             roundings.append(r_in if r_in < rounding else rounding)
             depths.append(depth)
-            scale_factors.append(t)
 
         foot, rho1, rho2, wl, wr, wc, shape1, shape2 = shapes[shape]
         capacity = pi * r_in * r_in
@@ -235,7 +232,7 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
         qfy = ry + t2 * (fy - ry)
         qcx = rx + t2 * (cx - rx)
         qcy = ry + t2 * (cy - ry)
-        push((t2, rx, ry, qcx, qcy, qfx, qfy, False, t2 * r2, shape2, areas2, indices2, b2, depth))
+        push((rx, ry, qcx, qcy, qfx, qfy, False, t2 * r2, shape2, areas2, indices2, b2, depth))
         # child 1, popped first: left half scaled about the left base vertex;
         # its hypotenuse (the next base) runs from the scaled apex back to
         # that vertex
@@ -243,9 +240,8 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple], stats: P
         pfy = ly + t1 * (fy - ly)
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
-        push((t1, pcx, pcy, lx, ly, pfx, pfy, True, t1 * r1, shape1, areas1, indices1, b1, depth))
-    stats.split_calls += split_calls
-    stats.element_moves += element_moves
+        push((pcx, pcy, lx, ly, pfx, pfy, True, t1 * r1, shape1, areas1, indices1, b1, depth))
+    return split_calls, element_moves
 
 
 def _combined_area(areas) -> float:
@@ -304,11 +300,9 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     Every input area gets a circle of radius sqrt(area / pi), recorded at its
     input index and placed without overlap inside the container (checkable
     with :func:`splitpack.verifier.verify`); the record also holds the
-    subdivision's hats. Counters go into ``stats`` when given. It packs in
-    the container's frame (:func:`_admit`) and scales lengths back.
+    subdivision's hats. Counters are added to ``stats`` when given. It packs
+    in the container's frame (:func:`_admit`) and scales lengths back.
     """
-    if stats is None:
-        stats = PackStats()
     k, container, areas, capacity, _ratio = _admit(request)
     n = len(areas)
     packing = Packing(
@@ -322,6 +316,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         return packing
 
     shapes, hats = None, []
+    split_calls = element_moves = 0
     if isinstance(container, Square) and n == 1:
         # Degenerate corner-anchored hat: the circle ends up tangent to
         # the two sides meeting at the far corner.
@@ -331,8 +326,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     elif isinstance(container, Square):
         s = container.side
         areas1, indices1, a1, areas2, indices2, a2 = split(areas, request.circles.indices)
-        stats.split_calls += 1
-        stats.element_moves += n
+        split_calls, element_moves = 1, n
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
@@ -349,21 +343,23 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         ):
             lx, ly = cx + t * (px - cx), cy + t * (py - cy)
             rx, ry = cx + t * (qx - cx), cy + t * (qy - cy)
-            hats.append((t, lx, ly, rx, ry, cx, cy, False, t * r_half, 0, group, indices, b, 1))
+            hats.append((lx, ly, rx, ry, cx, cy, False, t * r_half, 0, group, indices, b, 1))
     else:
         # Triangle container: the loop splits it like a hat with zero
         # rounding and no inherited minimum size.
         r_in, shapes = shape_table(*container.base_split)
         (lx, ly), (rx, ry), (cx, cy) = container.base_split
-        hats = [(1.0, lx, ly, rx, ry, cx, cy, False, r_in, 0,
-                 areas, request.circles.indices, 0.0, 0)]
-    _pack_into_hats(packing, shapes, hats, stats)
+        hats = [(lx, ly, rx, ry, cx, cy, False, r_in, 0, areas, request.circles.indices, 0.0, 0)]
+    calls, moves = _pack_into_hats(packing, shapes, hats)
     for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
         view = np.asarray(column)  # the column's own memory
         np.ldexp(view, -k, out=view)
-    stats.hat_count += len(packing.hat_rounding)
-    depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
-    stats.max_depth = max(stats.max_depth, depth)
+    if stats is not None:
+        stats.split_calls += split_calls + calls
+        stats.element_moves += element_moves + moves
+        stats.hat_count += len(packing.hat_rounding)
+        depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
+        stats.max_depth = max(stats.max_depth, depth)
     return packing
 
 

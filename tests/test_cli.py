@@ -156,9 +156,11 @@ class TestDocuments:
             "subcontainers": [{"vertices": [[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]],
                                "rounding_radius": math.inf, "depth": 1}],
         }
-        text = PackingDocument.from_dict(data).to_json()
+        document = PackingDocument.from_dict(data)
+        text = document.to_json()
         assert "NaN" in text and "-Infinity" in text
         assert text == json.dumps(json.loads(text), separators=(",", ":"))
+        assert text == json.dumps(document.to_dict(), separators=(",", ":"))
 
     def test_container_variants(self):
         sq = container_from_dict({"type": "square", "side": 2.0})

@@ -234,6 +234,12 @@ class TestCriticalDensity:
         with pytest.raises(UnsupportedContainerError):
             critical_density(Triangle.from_sides(1.0, 1.0, 1.0))
 
+    @pytest.mark.xfail(raises=UnsupportedContainerError, strict=True,
+                       reason="the rounded hypotenuse ties with the long leg in base_split "
+                              "(ROADMAP item 3)")
+    def test_needle_right_triangle_is_not_refused_as_acute(self):
+        assert sp.packable_area(Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-8)))) > 0.0
+
 
 class TestSplitKey:
     """pack's split key, read from the shape table, against the reference
