@@ -132,8 +132,9 @@ def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float
     ``(f1, f2)`` are the halves' incircle areas (the split key), ``b_min``
     the inherited minimum size (0 or more) and ``capacity`` the packable area
     of what is split. Group i's guarantee is the overshoot bound
-    a_i - f_i * a_j / f_j, which the greedy split guarantees of group i's
-    smallest circle, raised to ``b_min`` and clamped to ``m_i``; its half is
+    a_i - a_j * (f_i / f_j), which the greedy split guarantees of group i's
+    smallest circle (the key's ratio, a shape constant, keeps tiny products
+    from underflowing), raised to ``b_min`` and clamped to ``m_i``; its half is
     scaled by sqrt(a_i / f_i), snapped to exactly 1 when a_i lies within
     ``_SNAP_REL_TOL`` of f_i, so self-similar power-of-two instances
     reproduce the exact subdivision. Raises :class:`ConjugacyError` when the
@@ -145,8 +146,8 @@ def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float
         raise ConjugacyError(
             f"conjugatedness violation: a1 + a2 = {a1 + a2!r} exceeds packable area {capacity!r}"
         )
-    b1 = a1 - f1 * a2 / f2
-    b2 = a2 - f2 * a1 / f1
+    b1 = a1 - a2 * (f1 / f2)
+    b2 = a2 - a1 * (f2 / f1)
     b1 = b1 if b1 > b_min else b_min
     b2 = b2 if b2 > b_min else b_min
     # every circle is at least b_min (0 at the first level, and clamped to

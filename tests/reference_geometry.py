@@ -268,7 +268,7 @@ def greedy_split(areas, indices, f1: float, f2: float) -> tuple:
 def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float = 0.0) -> float:
     """Guaranteed minimum circle size in bucket i, usable as its rounding.
 
-    Returns max(b, sum_i - f_i * sum_j / f_j, 0): the weighted-split bound for
+    Returns max(b, sum_i - sum_j * (f_i / f_j), 0): the weighted-split bound for
     bucket i against bucket j, clamped to the inherited minimum size b and to
     zero (the bound may be negative when bucket i undershot its target).
     """
@@ -276,7 +276,7 @@ def min_guarantee(sum_i: float, sum_j: float, f_i: float, f_j: float, b: float =
         raise InvalidParameterError("split key components must be positive")
     if sum_i < 0.0 or sum_j < 0.0:
         raise InvalidParameterError("combined areas must be non-negative")
-    return max(b, sum_i - f_i * sum_j / f_j, 0.0)
+    return max(b, sum_i - sum_j * (f_i / f_j), 0.0)
 
 
 def left_to_right_sum(areas) -> float:

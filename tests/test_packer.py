@@ -499,16 +499,16 @@ class TestRequestValidation:
         root = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
         assert verify(root, expected_areas=areas).passed
 
-    @pytest.mark.parametrize("n", [311, pytest.param(312, marks=pytest.mark.xfail(
-        raises=ConjugacyError, strict=True,
-        reason="_split_step's overshoot bound underflows near hat areas of 1e-162"))])
+    @pytest.mark.parametrize("n", [311, 312])
     def test_yes_means_pack_succeeds_on_a_geometric_family(self, n):
-        # areas capacity * 0.7 * 0.3**k: decide says "yes" to every n, but at
-        # n = 312 pack raises from inside its recursion (ROADMAP item 2)
+        # areas capacity * 0.7 * 0.3**k: decide says "yes" to every n; from
+        # n = 312 on, hat areas near 1e-162 would underflow an overshoot bound
+        # written f_i * a_j / f_j
         capacity = packable_area(Square(1.0))
         areas = [capacity * 0.7 * 0.3**k for k in range(n)]
         assert decide(InstanceDocument(Square(1.0), areas))["packable"] == "yes"
-        pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
+        packing = pack(PackRequest(Square(1.0), CircleSet.from_areas(areas)))
+        assert verify(packing, expected_areas=areas).passed
 
     @pytest.mark.parametrize("side,packs", [(1e78, True), (1e-80, True), (1e70, True),
                                             (1e-70, True), (1e-155, False)])
