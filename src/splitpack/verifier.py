@@ -1,11 +1,24 @@
 """Independent numeric validation of packing records.
 
+:func:`verify` reads a record in its container's frame and checks that it is
+well formed (:func:`_read`). Then it runs the circle certificate
+(:func:`_certify`): the paper's claim, that the circles are pairwise disjoint
+and lie inside the container, and, given the expected areas, that they are
+the requested circles (judged exactly, whatever the tolerance). It reads no
+hat column. Last come the hat diagnostics (:func:`_hat_diagnostics`), which
+judge the construction's scaffolding, each hat in its parent and sibling hats
+apart; only they decode the hat depths and erode the hats.
+
 Containment and disjointness are established from primitive geometry only:
 point/segment distances, separating axes and inward erosions of triangles.
 None of the packer's placement formulas or hat measurements are reused, so a
 passing report is an independent certificate. Checks are evaluated in bulk
 with numpy; the scalar reference semantics they are tested against live in
 the test suite's ``tests/reference_geometry.py``.
+
+Circle pairs are found by a sort-and-sweep over bounding boxes: only pairs
+whose boxes overlap or touch are evaluated, O(n) of them on a packing, not
+all n(n-1)/2, and every pair left out is disjoint.
 
 A hat equals the convex hull of three disks of its rounding radius centered
 on its eroded corners, so
@@ -23,19 +36,13 @@ outside the side lines.
 Sibling hats follow one rule: where the separating-axis gap of their eroded
 triangles is negative, it is their distance (minus the penetration depth);
 only elsewhere is the smallest vertex-to-edge distance over both computed.
-
-Circle pairs are found by a sort-and-sweep over bounding boxes, and only
-pairs whose boxes overlap or touch are evaluated: O(n) of them on a packing,
-not all n(n-1)/2. A pair left out has a positive gap between its circles'
-boxes along x or y, so its circles are disjoint and every pair that could
-fail is evaluated.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from functools import cache, cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,9 +91,8 @@ class VerificationReport:
     """Outcome of :func:`verify`.
 
     ``passed`` holds iff ``failures`` is empty: every evaluated check has
-    slack >= -tolerance, except that circle pairs judged under the default
-    tolerance use their own, tighter one (see :func:`verify`). Slack is
-    signed, so exactly tangent configurations report ~0. ``checks``
+    slack >= minus its tolerance (see :func:`verify`). Slack is signed, so
+    exactly tangent configurations report ~0. ``checks``
     materializes lazily (sorted by kind and ids) and is truncated to
     MAX_RECORDED_CHECKS entries for very large packings; ``failures`` always
     lists every violated check.
@@ -122,10 +128,6 @@ class VerificationReport:
             lines.append(f"  {check.kind.value} {' '.join(check.ids)}: slack {check.slack:.3e}")
         return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# numpy kernels on an edge table
-# ---------------------------------------------------------------------------
 
 def _edge_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (5, e, m) edge table of polygons with e corners (x, y), each (e, m):
@@ -220,91 +222,49 @@ def _framed(values, k: int) -> np.ndarray:
         return np.ldexp(np.asarray(values, dtype=float), k)
 
 
-# ---------------------------------------------------------------------------
-# Record columns
-# ---------------------------------------------------------------------------
+def _container_signed_distance(container: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Signed set distance of points (x, y) to the container's edge table (5, e, 1)."""
+    table = np.broadcast_to(container, container.shape[:2] + (px.size,))
+    return _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), table).reshape(px.shape)
 
-class _Columns:
-    """A packing record's columns in its container's frame, scaled by 2**k
-    (geometry.frame), checked for well-formedness.
 
-    The hat depths are judged here alone and decoded with numpy into each hat's
-    parent (the latest earlier hat one level up; -1 for the container), its
-    position among that parent's children and its sibling pairs (``siblings``:
-    each hat with each earlier child of its parent, by hat). Each hat is eroded
-    once, by :func:`_hat_shape`, into the edge table ``hats`` of its shrunk
-    corners, which every hat check indexes. Check ids come lazily, from a hat's
-    parent and position or a circle's input index.
-    """
-
-    def __init__(self, packing):
-        if not isinstance(packing.container, (Square, Triangle)):
-            raise MalformedTreeError("the container must be a square or a triangle")
-        self.k, self.container = frame(packing.container)
-        if isinstance(self.container, Square):
-            s = self.container.side
-            corners = ((0.0, 0.0), (s, 0.0), (s, s), (0.0, s))
-            self.diameter = s * math.sqrt(2.0)
-        else:
-            corners = self.container.vertices
-            self.diameter = max(self.container.side_lengths)
-        corners = np.array(corners, dtype=float)[:, :, None]
-        self._container = _edge_table(corners[:, 0], corners[:, 1])
-        n, m = len(packing.radius), len(packing.hat_rounding)
-        if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
-                and len(packing.hat_vertices) == 6 * m and len(packing.hat_depth) == m):
-            raise MalformedTreeError("the record's columns differ in length")
-        self.centers = _framed(np.column_stack((packing.x, packing.y)), self.k)
-        self.radii = _framed(packing.radius, self.k)
-        self._labels = np.asarray(packing.input_index)
-        if not np.array_equal(np.sort(self._labels), np.arange(n)):
-            raise MalformedTreeError("the circles' input indices must be 0..n-1, each once")
-        if not np.all(self.radii > 0.0):
-            raise MalformedTreeError("circles need positive radii")
-
-        depth, hat = np.asarray(packing.hat_depth, dtype=np.int64), np.arange(m)
-        if not np.all((depth >= 1) & (depth <= np.concatenate(([0], depth[:-1])) + 1)):
-            raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
-        # a parent is the predecessor of (depth - 1, hat) among the sorted (depth, hat) keys
-        keys = np.sort(depth * (m + 1) + hat)
-        above = keys[np.searchsorted(keys, (depth - 1) * (m + 1) + hat) - 1] % (m + 1)
-        self.hat_parent = np.where(depth > 1, above, -1)
-        family = np.argsort(self.hat_parent, kind="stable")  # each family together, in record order
-        start = np.searchsorted(self.hat_parent[family], self.hat_parent)  # its family's first slot
-        self._positions = np.empty(m, dtype=np.intp)
-        self._positions[family] = hat - start[family]
-        later = np.repeat(hat, self._positions)  # each hat once per earlier sibling
-        # the k-th pair is hat later[k] with family[k + start - (pairs before later[k])]
-        offset = start - np.cumsum(self._positions) + self._positions
-        self.siblings = (family[np.arange(len(later)) + np.repeat(offset, self._positions)], later)
-
-        vertices = _framed(packing.hat_vertices, self.k).reshape(m, 3, 2).T
-        rounding = _framed(packing.hat_rounding, self.k)
-        if not np.all(rounding >= 0.0):
-            raise MalformedTreeError("hats need non-negative rounding")
-        if not all(np.all(np.abs(v) <= MAX_FRAME_MAGNITUDE)  # a NaN fails too
-                   for v in (self.centers, self.radii, vertices, rounding)):
-            raise MalformedTreeError(f"the record's numbers must be at most {MAX_FRAME_MAGNITUDE:g} "
-                                     "in magnitude in the container's frame, where its size is 1 to 2")
-        _, x, y, self.hat_radii = _hat_shape(vertices[0], vertices[1], rounding)
-        self.hats = _edge_table(x, y)
-
-    @cached_property
-    def circle_ids(self) -> list[str]:
-        return [f"circle:{label}" for label in self._labels.tolist()]
-
-    @cached_property
-    def hat_ids(self) -> list[str]:
-        """"hat:0" is the container; a hat's id extends its parent's by its position."""
-        ids: list[str] = []
-        for parent, position in zip(self.hat_parent.tolist(), self._positions.tolist()):
-            ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{position}")
-        return ids
-
-    def container_signed_distance(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        table = np.broadcast_to(self._container, self._container.shape[:2] + (px.size,))
-        depth = _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), table)
-        return depth.reshape(px.shape)
+def _read(packing):
+    """(k, diameter, container edge table, (centers, radii, input indices),
+    (hat depths, vertices (2, 3, m), rounding)) of a record in its container's
+    frame, every length scaled by 2**k (geometry.frame); MalformedTreeError
+    if the record is not well formed."""
+    if not isinstance(packing.container, (Square, Triangle)):
+        raise MalformedTreeError("the container must be a square or a triangle")
+    k, container = frame(packing.container)
+    if isinstance(container, Square):
+        s = container.side
+        corners, diameter = ((0.0, 0.0), (s, 0.0), (s, s), (0.0, s)), s * math.sqrt(2.0)
+    else:
+        corners, diameter = container.vertices, max(container.side_lengths)
+    n, m = len(packing.radius), len(packing.hat_rounding)
+    if not (len(packing.x) == len(packing.y) == len(packing.input_index) == n
+            and len(packing.hat_vertices) == 6 * m and len(packing.hat_depth) == m):
+        raise MalformedTreeError("the record's columns differ in length")
+    centers = _framed(np.column_stack((packing.x, packing.y)), k)
+    radii = _framed(packing.radius, k)
+    labels = np.asarray(packing.input_index)
+    if not np.array_equal(np.sort(labels), np.arange(n)):
+        raise MalformedTreeError("the circles' input indices must be 0..n-1, each once")
+    if not np.all(radii > 0.0):
+        raise MalformedTreeError("circles need positive radii")
+    depth = np.asarray(packing.hat_depth, dtype=np.int64)
+    if not np.all((depth >= 1) & (depth <= np.concatenate(([0], depth[:-1])) + 1)):
+        raise MalformedTreeError("hat depths must be >= 1 and rise by at most one per hat")
+    vertices = _framed(packing.hat_vertices, k).reshape(m, 3, 2).T
+    rounding = _framed(packing.hat_rounding, k)
+    if not np.all(rounding >= 0.0):
+        raise MalformedTreeError("hats need non-negative rounding")
+    if not all(np.all(np.abs(v) <= MAX_FRAME_MAGNITUDE)  # a NaN fails too
+               for v in (centers, radii, vertices, rounding)):
+        raise MalformedTreeError(f"the record's numbers must be at most {MAX_FRAME_MAGNITUDE:g} "
+                                 "in magnitude in the container's frame, where its size is 1 to 2")
+    table = _edge_table(*np.array(corners, dtype=float).T[:, :, None])
+    return k, diameter, table, (centers, radii, labels), (depth, vertices, rounding)
 
 
 def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,40 +299,135 @@ def _circle_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, n
         # the k-th candidate of the chunk pairs circle a with a + 1 + (k - ends[a] + ends[row])
         b = np.arange(len(a)) + np.repeat(rows + 1 - ends[row:stop] + ends[row], counts)
         keep = (ylo[b] <= np.repeat(yhi[row:stop], counts)) & (
-            np.repeat(ylo[row:stop], counts) <= yhi[b]
-        )
+            np.repeat(ylo[row:stop], counts) <= yhi[b])
         first.append(order[a[keep]])
         second.append(order[b[keep]])
         row = stop
     return np.concatenate(first), np.concatenate(second)
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _certify(container, diameter, k, circles, tolerance, expected_areas):
+    """The circle-circle, circle-in-container and leaf-multiset groups, and the
+    tolerance in the frame."""
+    centers, radii, labels = circles
+    pi, pj = _circle_pairs(centers, radii)
+    pair_slacks = np.linalg.norm(centers[pi] - centers[pj], axis=-1) - (radii[pi] + radii[pj])
+    if tolerance is None:
+        tolerance = DEFAULT_REL_TOLERANCE * diameter
+        smaller = np.minimum(radii[pi], radii[pj])
+        floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * diameter
+        pair_tolerance = np.minimum(tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor))
+    else:
+        pair_tolerance = tolerance = float(_framed(tolerance, k))
 
-def verify(
-    packing,
-    tolerance: Optional[float] = None,
-    expected_areas: Optional[Sequence[float]] = None,
-) -> VerificationReport:
+    @cache
+    def circle_ids():
+        return [f"circle:{label}" for label in labels.tolist()]
+
+    def pair_ids():
+        ids = circle_ids()
+        return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(pi, pj)]
+
+    groups = [
+        (CheckKind.CIRCLE_CIRCLE, pair_ids, pair_slacks, pair_tolerance),
+        (CheckKind.CIRCLE_IN_CONTAINER, lambda: [(i, "container") for i in circle_ids()],
+         _container_signed_distance(container, centers[:, 0], centers[:, 1]) - radii, tolerance),
+    ]
+    if expected_areas is not None:
+        want = _framed([float(a) for a in expected_areas], 2 * k)
+        matched = bool(np.all(want > 0.0)) and sorted(radii.tolist()) == sorted(
+            np.sqrt(want / math.pi).tolist()
+        )
+        # a slack of 0 or -inf, judged at 0 under any tolerance, even one infinite in the frame
+        groups.append((CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")],
+                       np.array([0.0 if matched else -math.inf]), 0.0))
+    return groups, tolerance
+
+
+def _hat_diagnostics(container, hat_columns, tolerance):
+    """The hat-in-parent and hat-hat-disjoint groups. The depths decode into each
+    hat's parent (the latest earlier hat one level up; -1 for the container), its
+    position among its siblings, which extends the parent's id ("hat:0" is the
+    container) to its own, and its sibling pairs: hat pb with each earlier sibling pa."""
+    depth, vertices, rounding = hat_columns
+    m, hat = len(depth), np.arange(len(depth))
+    # a parent is the predecessor of (depth - 1, hat) among the sorted (depth, hat) keys
+    keys = np.sort(depth * (m + 1) + hat)
+    above = keys[np.searchsorted(keys, (depth - 1) * (m + 1) + hat) - 1] % (m + 1)
+    parent_of = np.where(depth > 1, above, -1)
+    family = np.argsort(parent_of, kind="stable")  # each family together, in record order
+    start = np.searchsorted(parent_of[family], parent_of)  # its family's first slot
+    positions = np.empty(m, dtype=np.intp)
+    positions[family] = hat - start[family]
+    pb = np.repeat(hat, positions)  # each hat once per earlier sibling
+    # the k-th pair is hat pb[k] with family[k + start - (pairs before pb[k])]
+    offset = start - np.cumsum(positions) + positions
+    pa = family[np.arange(len(pb)) + np.repeat(offset, positions)]
+    _, x, y, radii = _hat_shape(vertices[0], vertices[1], rounding)
+    hats = _edge_table(x, y)
+
+    @cache
+    def hat_ids():
+        ids: list[str] = []
+        for parent, position in zip(parent_of.tolist(), positions.tolist()):
+            ids.append(f"{ids[parent] if parent >= 0 else 'hat:0'}.{position}")
+        return ids
+
+    # hat-in-parent: the container's children in it, the others in slices
+    # of at most _PAIR_CHUNK corners (sibling pairs below are sliced alike)
+    depths = np.empty(hats.shape[1:])
+    in_root = parent_of < 0
+    root_x, root_y = np.compress(in_root, hats[:2], axis=-1)
+    depths[:, in_root] = _container_signed_distance(container, root_x, root_y)
+    in_hat = np.nonzero(~in_root)[0]
+    step = max(1, _PAIR_CHUNK // 3)
+    for begin in range(0, len(in_hat), step):
+        rows = in_hat[begin : begin + step]
+        parents = parent_of[rows]
+        x, y = np.take(hats[:2], rows, axis=-1)
+        signed = _point_tri_set_distance(x, y, np.take(hats, parents, axis=-1))
+        depths[:, rows] = signed + radii[parents]
+
+    def in_parent_ids():
+        ids = hat_ids()
+        return [(ids[c], ids[p] if p >= 0 else "container") for c, p in enumerate(parent_of.tolist())]
+
+    # hat-hat-disjoint (siblings)
+    sibling_slacks = np.empty(len(pa))
+    for begin in range(0, len(pa), step):
+        a, b = pa[begin : begin + step], pb[begin : begin + step]
+        dists = _tri_pair_distance(np.take(hats, a, axis=-1), np.take(hats, b, axis=-1))
+        sibling_slacks[begin : begin + step] = dists - (radii[a] + radii[b])
+
+    def sibling_ids():
+        ids = hat_ids()
+        return [(ids[i], ids[j]) for i, j in zip(pa, pb)]
+
+    return [(CheckKind.HAT_IN_PARENT, in_parent_ids, (depths - radii).min(axis=0), tolerance),
+            (CheckKind.HAT_HAT_DISJOINT, sibling_ids, sibling_slacks, tolerance)]
+
+
+def verify(packing, tolerance: Optional[float] = None,
+           expected_areas: Optional[Sequence[float]] = None) -> VerificationReport:
     """Check a packing record for containment and pairwise disjointness.
 
     ``packing`` is a :class:`splitpack.packer.Packing` (anything with its
-    columns will do). Evaluates, with signed slack per check:
+    columns will do). Evaluates, with signed slack per check, the circle
+    certificate:
 
     * circle-circle: center distance minus the radius sum, for every pair
-      whose bounding boxes overlap or touch (found by a sort-and-sweep; the
-      other pairs are disjoint, with a positive gap along x or y);
+      whose bounding boxes overlap or touch (the other pairs are disjoint);
     * circle-in-container: containment depth of each circle in the container;
-    * hat-in-parent: for each hat, the worst of its three corner disks
-      against the parent shape (exact, since a hat is the convex hull of its
-      corner disks);
-    * hat-hat-disjoint: distance between sibling hats' eroded triangles
-      minus the sum of their rounding radii;
     * leaf-multiset: when ``expected_areas`` is given, the circles' radii
       against the radii ``sqrt(a / pi)`` of those areas, as multisets
-      (exact equality, the radius rule of :func:`splitpack.pack`).
+      (exact equality, the radius rule of :func:`splitpack.pack`);
+
+    and the hat diagnostics:
+
+    * hat-in-parent: for each hat, the worst of its three corner disks
+      against the parent shape;
+    * hat-hat-disjoint: distance between sibling hats' eroded triangles
+      minus the sum of their rounding radii.
 
     Each kind is one group of checks with its own tolerance, one value or one
     per check; a check fails when its slack is below minus its tolerance. An
@@ -380,88 +435,27 @@ def verify(
     :class:`InvalidParameterError`) applies to every check. By default it is
     1e-9 times the container diameter, and each circle pair is judged at
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
-    tiny circles cannot overlap by more than a share of their own size. The
-    report passes iff no check fails. A record that is not well formed
+    tiny circles cannot overlap by more than a share of their own size.
+    Leaf-multiset is judged exactly, whatever the tolerance. The report
+    passes iff no check fails. A record that is not well formed
     (non-positive radii, negative rounding, hat depths that are not a preorder,
     input indices that are not a permutation of 0..n-1, so that a circle is
     lost or duplicated, or a number beyond MAX_FRAME_MAGNITUDE in the
     container's frame) raises :class:`MalformedTreeError`. Checks are judged
-    in that frame (:func:`geometry.frame`) and reported in the record's units.
+    in that frame (:func:`geometry.frame`) and reported in the record's units;
+    an explicit tolerance is reported as given.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    index = _Columns(packing)
-
-    # circle-circle
-    pi, pj = _circle_pairs(index.centers, index.radii)
-    dists = np.linalg.norm(index.centers[pi] - index.centers[pj], axis=-1)
-    pair_slacks = dists - (index.radii[pi] + index.radii[pj])
-    if tolerance is None:
-        tolerance = DEFAULT_REL_TOLERANCE * index.diameter
-        smaller = np.minimum(index.radii[pi], index.radii[pj])
-        floor = PAIR_TOLERANCE_FLOOR_EPS * np.finfo(float).eps * index.diameter
-        pair_tolerance = np.minimum(tolerance, np.maximum(DEFAULT_REL_TOLERANCE * smaller, floor))
-    else:
-        pair_tolerance = tolerance = float(_framed(tolerance, index.k))
-
-    def pair_ids():
-        ids = index.circle_ids
-        return [tuple(sorted((ids[i], ids[j]))) for i, j in zip(pi, pj)]
-
-    # hat-in-parent: the container's children in it, the others in slices
-    # of at most _PAIR_CHUNK corners (sibling pairs below are sliced alike)
-    parent_of, hats, radii = index.hat_parent, index.hats, index.hat_radii
-    depths = np.empty(hats.shape[1:])
-    in_root = parent_of < 0
-    root_x, root_y = np.compress(in_root, hats[:2], axis=-1)
-    depths[:, in_root] = index.container_signed_distance(root_x, root_y)
-    in_hat = np.nonzero(~in_root)[0]
-    step = max(1, _PAIR_CHUNK // 3)
-    for start in range(0, len(in_hat), step):
-        rows = in_hat[start : start + step]
-        parents = parent_of[rows]
-        x, y = np.take(hats[:2], rows, axis=-1)
-        signed = _point_tri_set_distance(x, y, np.take(hats, parents, axis=-1))
-        depths[:, rows] = signed + radii[parents]
-    in_parent_slacks = (depths - radii).min(axis=0)
-
-    def in_parent_ids():
-        ids = index.hat_ids
-        return [(ids[c], ids[p] if p >= 0 else "container") for c, p in enumerate(parent_of.tolist())]
-
-    # hat-hat-disjoint (siblings)
-    pa, pb = index.siblings
-    sibling_slacks = np.empty(len(pa))
-    for start in range(0, len(pa), step):
-        a, b = pa[start : start + step], pb[start : start + step]
-        dists = _tri_pair_distance(np.take(hats, a, axis=-1), np.take(hats, b, axis=-1))
-        sibling_slacks[start : start + step] = dists - (radii[a] + radii[b])
-
-    def sibling_ids():
-        ids = index.hat_ids
-        return [(ids[i], ids[j]) for i, j in zip(pa, pb)]
-
-    groups: list[tuple[CheckKind, Callable[[], list], np.ndarray, Union[float, np.ndarray]]] = [
-        (CheckKind.CIRCLE_CIRCLE, pair_ids, pair_slacks, pair_tolerance),
-        (CheckKind.CIRCLE_IN_CONTAINER, lambda: [(i, "container") for i in index.circle_ids],
-         index.container_signed_distance(index.centers[:, 0], index.centers[:, 1]) - index.radii,
-         tolerance),
-        (CheckKind.HAT_IN_PARENT, in_parent_ids, in_parent_slacks, tolerance),
-        (CheckKind.HAT_HAT_DISJOINT, sibling_ids, sibling_slacks, tolerance),
-    ]
-    if expected_areas is not None:
-        want = _framed([float(a) for a in expected_areas], 2 * index.k)
-        matched = bool(np.all(want > 0.0)) and sorted(index.radii.tolist()) == sorted(
-            np.sqrt(want / math.pi).tolist()
-        )
-        groups.append((CheckKind.LEAF_MULTISET, lambda: [("leaves", "declared-input")],
-                       np.array([0.0 if matched else -math.inf]), tolerance))
+    k, diameter, container, circles, hat_columns = _read(packing)
+    certificate, framed = _certify(container, diameter, k, circles, tolerance, expected_areas)
+    groups = certificate[:2] + _hat_diagnostics(container, hat_columns, framed) + certificate[2:]
 
     # judged in the frame, reported in the record's units
     failures: list[Check] = []
     for kind, ids_fn, slacks, tol in groups:
         bad = np.nonzero(slacks < -tol)[0]
-        slacks[:] = _framed(slacks, -index.k)
+        slacks[:] = _framed(slacks, -k)
         if len(bad):
             ids = ids_fn()
             failures.extend(Check(kind, tuple(ids[i]), float(slacks[i])) for i in bad)
@@ -470,7 +464,7 @@ def verify(
     return VerificationReport(
         passed=not failures,
         worst_slack=float(min(s.min(initial=math.inf) for _, _, s, _ in groups)),
-        tolerance=float(_framed(tolerance, -index.k)),
+        tolerance=float(_framed(framed, -k) if tolerance is None else tolerance),
         check_count=sum(len(s) for _, _, s, _ in groups),
         failures=failures,
         _groups=groups,

@@ -199,18 +199,40 @@ class TestTrianglePacking:
         report = verify(root, tolerance=1e-12 * 5.0, expected_areas=areas)
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize("angle", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("family", ["isosceles", "right", "from_sides"])
+    def test_thin_triangles_above_the_fault_pass_the_hat_diagnostics(self, family, angle):
+        # the smallest angle is `angle`; below about 1e-5 rad recorded hats
+        # leave their parents (ROADMAP item 1), above it every check passes
+        container = {
+            "isosceles": Triangle(((0.0, 0.0), (2.0, 0.0), (1.0, math.tan(angle)))),
+            "right": Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, math.tan(angle)))),
+            "from_sides": Triangle.from_sides(1.0, 1.0, 2.0 * math.cos(angle)),
+        }[family]
+        rng = np.random.default_rng([int(-math.log10(angle)), len(family)])
+        for _ in range(20):
+            areas = random_areas(rng, int(rng.integers(2, 61)), packable_area(container))
+            packing = pack(PackRequest(container, CircleSet.from_areas(areas)))
+            report = verify(packing, expected_areas=areas)
+            assert report.passed, report.summary()
+
     def test_acute_rejected(self):
         t = Triangle.from_sides(1.0, 1.0, 1.0)
         with pytest.raises(UnsupportedContainerError):
             pack(PackRequest(t, CircleSet.from_areas([0.1])))
 
     @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="thin triangles: recorded hats leave their parents (ROADMAP item 3)")
+                       reason="thin triangles: recorded hats leave their parents, and the "
+                              "1e-9 needle is refused inside pack though decide says yes "
+                              "(ROADMAP items 1 and 3)")
     @pytest.mark.parametrize("container", [
         # worst hat-in-parent slack -4.6e-5 and -6.7e-5
         Triangle.from_sides(1.0, 1.0, 2.0 - 1e-12),
         Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-6))),
-    ], ids=["flat", "needle"])
+        # the hypotenuse rounds to 1.0 and ties with the long leg in base_split,
+        # so the altitude's foot fraction is 0 and weighted_split refuses its key
+        Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-9))),
+    ], ids=["flat", "needle", "needle-1e-9"])
     def test_thin_triangle_is_refused_up_front_or_packs(self, container):
         # ten equal circles at capacity: either pack refuses the request
         # as decide does, or the packing PASSes

@@ -29,12 +29,14 @@ from splitpack import (
     verify,
 )
 from splitpack import cli, verifier
+from splitpack.geometry import frame
 from splitpack.verifier import (
-    _Columns,
     _circle_pairs,
+    _container_signed_distance,
     _edge_table,
     _hat_shape,
     _point_tri_set_distance,
+    _read,
     _tri_pair_distance,
 )
 from conftest import (
@@ -48,6 +50,7 @@ from conftest import (
     report_outcome,
     subcontainer,
 )
+from test_golden import CONTAINERS as GOLDEN_CONTAINERS, corpus_areas
 from reference_geometry import (
     Hat,
     all_pairs_circle_slacks,
@@ -86,6 +89,12 @@ def boxes_meet(centers: np.ndarray, radii: np.ndarray, iu, ju) -> np.ndarray:
     lo = np.nextafter(centers - radii[:, None], -np.inf)
     hi = np.nextafter(centers + radii[:, None], np.inf)
     return np.all((lo[iu] <= hi[ju]) & (lo[ju] <= hi[iu]), axis=1)
+
+
+def framed_circles(root):
+    """(k, centers, radii, circle ids) of a record, as verify reads it in its container's frame."""
+    k, _, _, (centers, radii, labels), _ = _read(root)
+    return k, centers, radii, [f"circle:{label}" for label in labels.tolist()]
 
 
 def default_pair_tolerance(container, ri, rj):
@@ -304,6 +313,15 @@ class TestVerify:
         assert not report.passed
         assert any(c.kind is CheckKind.LEAF_MULTISET for c in report.failures)
 
+    def test_leaf_multiset_is_exact_under_a_tolerance_that_overflows_in_the_frame(self):
+        # Square(1e-80) has the frame 2**265, where 1e300 overflows to inf: the
+        # multiset is still judged exactly, and the tolerance reported as given
+        root = pack(PackRequest(Square(1e-80), CircleSet.from_areas([1e-161, 2e-161])))
+        report = verify(root, tolerance=1e300, expected_areas=[5e-161, 1e-161])
+        assert [c.kind for c in report.failures] == [CheckKind.LEAF_MULTISET]
+        assert not report.passed and report.tolerance == 1e300
+        assert verify(root, tolerance=1e300, expected_areas=[2e-161, 1e-161]).passed
+
     def test_expected_areas_after_json_roundtrip(self):
         # a packing rebuilt from its JSON document keeps the input areas'
         # radii, so it passes the same leaf check as the packed tree
@@ -425,9 +443,9 @@ class TestVerify:
         assert report.check_count == len(report.checks)
         # circle pairs are evaluated exactly where their bounding boxes overlap
         # or touch; every other pair is disjoint
-        index = _Columns(root)
-        iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
-        meet = boxes_meet(index.centers, index.radii, iu, ju)
+        _, centers, radii, _ = framed_circles(root)
+        iu, ju, slacks = all_pairs_circle_slacks(centers, radii)
+        meet = boxes_meet(centers, radii, iu, ju)
         assert 0 < meet.sum() < len(iu)
         assert sum(1 for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE) == meet.sum()
         assert np.all(slacks[~meet] > 0.0)
@@ -459,6 +477,28 @@ class TestVerify:
         assert verify(root_big).tolerance == pytest.approx(100.0 * verify(root_small).tolerance)
 
 
+class TestCircleCertificate:
+    """The circle checks read no hat column: a record without its hats gives
+    the same circle entries, slack for slack, and the same tolerance."""
+
+    CIRCLE_KINDS = (CheckKind.CIRCLE_CIRCLE, CheckKind.CIRCLE_IN_CONTAINER, CheckKind.LEAF_MULTISET)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONTAINERS))
+    @pytest.mark.parametrize("tolerance", [None, 0.0, 1e-3])
+    def test_hat_columns_do_not_change_the_circle_checks(self, name, tolerance):
+        container = GOLDEN_CONTAINERS[name]()
+        areas = corpus_areas("uniform", 300, sp.packable_area(container))
+        root = pack(PackRequest(container, CircleSet.from_areas(areas)))
+        circles_only = Packing(container, root.x, root.y, root.radius, root.input_index)
+        reports = [verify(r, tolerance, expected_areas=areas) for r in (root, circles_only)]
+        entries = [[(c.kind, c.ids, c.slack.hex()) for c in report.checks if c.kind in self.CIRCLE_KINDS]
+                   for report in reports]
+        assert entries[0] == entries[1]
+        assert len(entries[0]) == reports[1].check_count
+        assert reports[0].check_count > reports[1].check_count
+        assert reports[0].tolerance.hex() == reports[1].tolerance.hex()
+
+
 class TestCirclePairSweep:
     """The verifier's sort-and-sweep against the all-pairs oracle."""
 
@@ -467,22 +507,21 @@ class TestCirclePairSweep:
         # the oracle reads the columns in the container's frame, as verify
         # does, and scales its slacks back by 2**-k, which is exact
         report = verify(root, tolerance=tolerance)
-        index = _Columns(root)
-        iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
-        ids = index.circle_ids
+        k, centers, radii, ids = framed_circles(root)
+        iu, ju, slacks = all_pairs_circle_slacks(centers, radii)
         keys = [tuple(sorted((ids[i], ids[j]))) for i, j in zip(iu, ju)]
-        meet = boxes_meet(index.centers, index.radii, iu, ju)
+        meet = boxes_meet(centers, radii, iu, ju)
         evaluated = {
             c.ids: c.slack for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE
         }
         assert set(evaluated) == {k for k, m in zip(keys, meet) if m}
         got = np.array([evaluated[k] for k, m in zip(keys, meet) if m], dtype=float)
-        assert np.array_equal(got.view(np.uint64), np.ldexp(slacks[meet], -index.k).view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), np.ldexp(slacks[meet], -k).view(np.uint64))
         assert np.all(slacks[~meet] > 0.0)
         if tolerance is None:
-            tolerance = default_pair_tolerance(index.container, index.radii[iu], index.radii[ju])
+            tolerance = default_pair_tolerance(frame(root.container)[1], radii[iu], radii[ju])
         else:
-            tolerance = math.ldexp(tolerance, index.k)
+            tolerance = math.ldexp(tolerance, k)
         bad = slacks < -np.broadcast_to(tolerance, slacks.shape)
         failed = {c.ids for c in report.failures if c.kind is CheckKind.CIRCLE_CIRCLE}
         assert failed == {k for k, b in zip(keys, bad) if b}
@@ -537,8 +576,8 @@ class TestCirclePairSweep:
             for trial in range(8):
                 root = self.packed(Square(1.0), areas)
                 leaves = root.circle_leaves()
-                index = _Columns(root)
-                iu, ju, slacks = all_pairs_circle_slacks(index.centers, index.radii)
+                _, centers, radii, ids = framed_circles(root)
+                iu, ju, slacks = all_pairs_circle_slacks(centers, radii)
                 tangent = np.nonzero(np.abs(slacks) <= 1e-15)[0]
                 k = tangent[trial * 7 % len(tangent)]
                 a, b = leaves[iu[k]].shape, leaves[ju[k]].shape
@@ -549,8 +588,8 @@ class TestCirclePairSweep:
                               a.center.y + (b.center.y - a.center.y) / d * shift)
                 move_circle(root, iu[k], moved)
                 report = self.assert_matches_oracle(root)
-                ids = tuple(sorted((index.circle_ids[iu[k]], index.circle_ids[ju[k]])))
-                assert (ids in {c.ids for c in report.failures}) == fails
+                pair = tuple(sorted((ids[iu[k]], ids[ju[k]])))
+                assert (pair in {c.ids for c in report.failures}) == fails
 
     def test_edge_cases(self):
         for n in (0, 1, 2):
@@ -597,8 +636,8 @@ class TestCirclePairSweep:
         n = 20000
         rng = np.random.default_rng(151)
         root = self.packed(Square(1.0), random_areas(rng, n, sp.packable_area(Square(1.0))))
-        index = _Columns(root)
-        first, _ = _circle_pairs(index.centers, index.radii)
+        _, centers, radii, _ = framed_circles(root)
+        first, _ = _circle_pairs(centers, radii)
         assert len(first) <= 2 * n
 
 
@@ -795,12 +834,13 @@ class TestSquareContainer:
 
     @pytest.mark.parametrize("side", [1.0, 1.35, 1.2, 1.7, 1.9999999999999998])
     def test_kernel_matches_the_closed_form(self, side):
-        index = _Columns(Packing(Square(side)))
-        assert index.k == 0 and index.container.side == side and index.diameter == side * SQRT2
+        k, diameter, table, _, _ = _read(Packing(Square(side)))
+        assert k == 0 and diameter == side * SQRT2
+        assert np.array_equal(table[:2, :, 0].T, [[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
         rng = np.random.default_rng(131)
         inside, on, outside = self.points(side, rng)
         for (px, py), where in ((inside, "inside"), (on, "on"), (outside, "outside")):
-            got = index.container_signed_distance(px, py)
+            got = _container_signed_distance(table, px, py)
             want = square_closed_form(px, py, side)
             assert np.array_equal(np.sign(got), np.sign(want)), where
             assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * side, where
@@ -812,8 +852,8 @@ class TestSquareContainer:
                 assert np.all(got == 0.0)
 
     def test_a_point_far_below_an_ulp_outside_is_outside(self):
-        index = _Columns(Packing(Square(1.0)))
-        assert index.container_signed_distance(np.array([-1e-300]), np.array([0.75]))[0] < 0.0
+        table = _read(Packing(Square(1.0)))[2]
+        assert _container_signed_distance(table, np.array([-1e-300]), np.array([0.75]))[0] < 0.0
 
 
 RIGHT = Triangle(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)))
