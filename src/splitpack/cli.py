@@ -10,6 +10,7 @@ import json
 import os
 import random
 import sys
+from pathlib import Path
 
 from .documents import (
     InstanceDocument,
@@ -40,13 +41,6 @@ class _StdoutClosed(Exception):
     """Standard output's reader went away before the output was written."""
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 # Output is written this many characters at a time, so that the whole text is
 # never encoded at once.
 _SLICE = 1 << 20
@@ -74,7 +68,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _load_json(path: str):
     try:
-        return json.loads(_read_source(path))
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON in {path!r}: {exc}") from exc
     except OSError as exc:

@@ -61,8 +61,6 @@ def parse_container_spec(spec: str) -> Union[Square, Triangle]:
         if kind == "triangle":
             x, y, z = (float(v) for v in rest.split(","))
             return Triangle.from_sides(x, y, z)
-    except DocumentError:
-        raise
     except ValueError as exc:
         raise DocumentError(f"malformed container spec {spec!r}: {exc}") from exc
     raise DocumentError(f"unknown container spec {spec!r}")

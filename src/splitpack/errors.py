@@ -6,7 +6,7 @@ class SplitPackError(Exception):
 
 
 class InvalidParameterError(SplitPackError, ValueError):
-    """A value violates an operation's precondition (non-positive area, b > a, ...)."""
+    """A value violates an operation's precondition (non-positive area, negative tolerance, ...)."""
 
 
 class UnsupportedContainerError(SplitPackError, ValueError):
@@ -22,7 +22,7 @@ class OverCapacityError(SplitPackError, ValueError):
 
 
 class ConjugacyError(InvalidParameterError):
-    """A pair of subcontainer parameter tuples fails the conjugatedness conditions."""
+    """A split step's groups exceed the packable area, or a clamp cuts a rounding guarantee."""
 
 
 class MalformedTreeError(SplitPackError, ValueError):

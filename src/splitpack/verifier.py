@@ -49,10 +49,6 @@ import numpy as np
 from .errors import InvalidParameterError, MalformedTreeError
 from .geometry import Square, Triangle, frame
 
-# Reports keep at most this many individual check entries; failures are
-# always retained.
-MAX_RECORDED_CHECKS = 2_000_000
-
 DEFAULT_REL_TOLERANCE = 1e-9
 
 # Under the default tolerance a circle pair is judged at no more than
@@ -92,10 +88,9 @@ class VerificationReport:
 
     ``passed`` holds iff ``failures`` is empty: every evaluated check has
     slack >= minus its tolerance (see :func:`verify`). Slack is signed, so
-    exactly tangent configurations report ~0. ``checks``
-    materializes lazily (sorted by kind and ids) and is truncated to
-    MAX_RECORDED_CHECKS entries for very large packings; ``failures`` always
-    lists every violated check.
+    exactly tangent configurations report ~0. ``checks`` lists every check,
+    ``check_count`` of them, and ``failures`` every violated one, both sorted
+    by kind and ids; ``checks`` is built from the check groups when first read.
     """
 
     passed: bool
@@ -107,17 +102,7 @@ class VerificationReport:
 
     @cached_property
     def checks(self) -> list[Check]:
-        out: list[Check] = []
-        for kind, ids_fn, slacks, _ in self._groups:
-            if len(out) >= MAX_RECORDED_CHECKS:
-                break
-            ids = ids_fn()
-            out.extend(
-                Check(kind, tuple(i), float(s))
-                for i, s in zip(ids, slacks[: MAX_RECORDED_CHECKS - len(out)])
-            )
-        out.sort(key=lambda c: (c.kind.value, c.ids))
-        return out
+        return _sorted_checks((kind, ids_fn(), slacks) for kind, ids_fn, slacks, _ in self._groups)
 
     def summary(self) -> str:
         lines = [
@@ -127,6 +112,12 @@ class VerificationReport:
         for check in self.failures:
             lines.append(f"  {check.kind.value} {' '.join(check.ids)}: slack {check.slack:.3e}")
         return "\n".join(lines)
+
+
+def _sorted_checks(groups) -> list[Check]:
+    """The checks of groups (kind, ids, slacks), sorted by kind and ids."""
+    return sorted((Check(kind, tuple(i), float(s)) for kind, ids, slacks in groups
+                   for i, s in zip(ids, slacks)), key=lambda c: (c.kind.value, c.ids))
 
 
 def _edge_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,7 +141,8 @@ def _nearest_edge(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarra
 
 
 def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Signed set distance of points (c, k) to convex CCW polygons (5, e, k), column by column.
+    """Signed set distance of points (c, k) to convex CCW polygons (5, e, k), column by column;
+    one polygon (5, e, 1), such as the container's, serves every column.
 
     Inside, the inward depth to the nearest side line; outside, minus the
     Euclidean distance to the nearest edge, computed only at the points that
@@ -158,6 +150,7 @@ def _point_tri_set_distance(px: np.ndarray, py: np.ndarray, tris: np.ndarray) ->
     a polygon no inside (side lines of -inf), so every point takes the
     Euclidean distance.
     """
+    tris = np.broadcast_to(tris, tris.shape[:2] + px.shape[1:])
     x, y, ex, ey, length = tris[:, None]
     cross = ex * (py[:, None] - y) - ey * (px[:, None] - x)
     has_line = (length > 0.0) & (ex[:, 0] * ey[:, 1] > ey[:, 0] * ex[:, 1])  # positive doubled area
@@ -220,12 +213,6 @@ def _framed(values, k: int) -> np.ndarray:
     """The values times 2**k as doubles; one that overflows becomes inf."""
     with np.errstate(over="ignore"):
         return np.ldexp(np.asarray(values, dtype=float), k)
-
-
-def _container_signed_distance(container: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Signed set distance of points (x, y) to the container's edge table (5, e, 1)."""
-    table = np.broadcast_to(container, container.shape[:2] + (px.size,))
-    return _point_tri_set_distance(px.reshape(1, -1), py.reshape(1, -1), table).reshape(px.shape)
 
 
 def _read(packing):
@@ -331,7 +318,7 @@ def _certify(container, diameter, k, circles, tolerance, expected_areas):
     groups = [
         (CheckKind.CIRCLE_CIRCLE, pair_ids, pair_slacks, pair_tolerance),
         (CheckKind.CIRCLE_IN_CONTAINER, lambda: [(i, "container") for i in circle_ids()],
-         _container_signed_distance(container, centers[:, 0], centers[:, 1]) - radii, tolerance),
+         _point_tri_set_distance(*centers.T[:, None], container)[0] - radii, tolerance),
     ]
     if expected_areas is not None:
         want = _framed([float(a) for a in expected_areas], 2 * k)
@@ -378,7 +365,7 @@ def _hat_diagnostics(container, hat_columns, tolerance):
     depths = np.empty(hats.shape[1:])
     in_root = parent_of < 0
     root_x, root_y = np.compress(in_root, hats[:2], axis=-1)
-    depths[:, in_root] = _container_signed_distance(container, root_x, root_y)
+    depths[:, in_root] = _point_tri_set_distance(root_x, root_y, container)
     in_hat = np.nonzero(~in_root)[0]
     step = max(1, _PAIR_CHUNK // 3)
     for begin in range(0, len(in_hat), step):
@@ -437,7 +424,8 @@ def verify(packing, tolerance: Optional[float] = None,
     ``min(tolerance, max(1e-9 * smaller radius, 64 * eps * diameter))``, so
     tiny circles cannot overlap by more than a share of their own size.
     Leaf-multiset is judged exactly, whatever the tolerance. The report
-    passes iff no check fails. A record that is not well formed
+    passes iff no check fails; its ``checks`` list every check, its
+    ``failures`` every failed one. A record that is not well formed
     (non-positive radii, negative rounding, hat depths that are not a preorder,
     input indices that are not a permutation of 0..n-1, so that a circle is
     lost or duplicated, or a number beyond MAX_FRAME_MAGNITUDE in the
@@ -449,23 +437,22 @@ def verify(packing, tolerance: Optional[float] = None,
         raise InvalidParameterError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     k, diameter, container, circles, hat_columns = _read(packing)
     certificate, framed = _certify(container, diameter, k, circles, tolerance, expected_areas)
-    groups = certificate[:2] + _hat_diagnostics(container, hat_columns, framed) + certificate[2:]
+    groups = certificate + _hat_diagnostics(container, hat_columns, framed)
 
     # judged in the frame, reported in the record's units
-    failures: list[Check] = []
+    failing = []
     for kind, ids_fn, slacks, tol in groups:
         bad = np.nonzero(slacks < -tol)[0]
         slacks[:] = _framed(slacks, -k)
         if len(bad):
             ids = ids_fn()
-            failures.extend(Check(kind, tuple(ids[i]), float(slacks[i])) for i in bad)
-    failures.sort(key=lambda c: (c.kind.value, c.ids))
+            failing.append((kind, [ids[i] for i in bad], slacks[bad]))
 
     return VerificationReport(
-        passed=not failures,
+        passed=not failing,
         worst_slack=float(min(s.min(initial=math.inf) for _, _, s, _ in groups)),
         tolerance=float(_framed(framed, -k) if tolerance is None else tolerance),
         check_count=sum(len(s) for _, _, s, _ in groups),
-        failures=failures,
+        failures=_sorted_checks(failing),
         _groups=groups,
     )

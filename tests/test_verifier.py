@@ -1,5 +1,6 @@
 """Tests for the independent packing verifier."""
 
+import collections
 import json
 import math
 import warnings
@@ -32,7 +33,6 @@ from splitpack import cli, verifier
 from splitpack.geometry import frame
 from splitpack.verifier import (
     _circle_pairs,
-    _container_signed_distance,
     _edge_table,
     _hat_shape,
     _point_tri_set_distance,
@@ -450,18 +450,40 @@ class TestVerify:
         assert sum(1 for c in report.checks if c.kind is CheckKind.CIRCLE_CIRCLE) == meet.sum()
         assert np.all(slacks[~meet] > 0.0)
 
-    def test_recorded_checks_are_truncated_but_counts_and_failures_are_not(self, monkeypatch):
-        # two overlapping circles among ten: the report keeps three check
-        # entries, and still counts every check and lists the failure
+    def test_checks_list_every_check_and_failures_every_failed_one(self):
+        # two overlapping circles among ten: the report lists every check it
+        # counts, and the failure among them
         circles = [placement(0.05 + 0.09 * k, 0.5, 0.04, k) for k in range(9)]
         root = parse_packing(SQUARE, circles + [placement(0.05, 0.5, 0.04, 9)])
-        full = verify(root)
-        assert len(full.checks) == full.check_count == 11  # checks materialize on first use
-        monkeypatch.setattr(verifier, "MAX_RECORDED_CHECKS", 3)
         report = verify(root)
-        assert (len(report.checks), report.check_count) == (3, 11)
-        assert report.failures == full.failures
+        assert len(report.checks) == report.check_count == 11  # checks materialize on first use
         assert [c.ids for c in report.failures] == [("circle:0", "circle:9")]
+        assert set(report.failures) <= set(report.checks)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONTAINERS))
+    def test_checks_are_complete_in_the_golden_containers(self, name):
+        # every group is listed whole, and a tampered record's failures are
+        # listed among its checks with the same slack bits
+        container = GOLDEN_CONTAINERS[name]()
+        areas = corpus_areas("uniform", 500, sp.packable_area(container))
+        root = pack(PackRequest(container, CircleSet.from_areas(areas)))
+        tampered = Packing(container, *(array(c.typecode, c) for c in (
+            root.x, root.y, root.radius, root.input_index,
+            root.hat_vertices, root.hat_rounding, root.hat_depth)))
+        tampered.x[0], tampered.y[0] = tampered.x[1], tampered.y[1]  # onto circle 1
+        tampered.x[2], tampered.y[2] = -1.0, -1.0  # outside every golden container
+        tampered.hat_vertices[6 * 5 : 6 * 5 + 2] = array("d", [tampered.hat_vertices[6 * 5] + 0.1, -1.0])
+        for record in (root, tampered):
+            report = verify(record, expected_areas=areas)
+            assert len(report.checks) == report.check_count
+            sizes = {kind: len(slacks) for kind, _, slacks, _ in report._groups}
+            assert collections.Counter(c.kind for c in report.checks) == sizes
+            assert sizes.keys() == set(CheckKind)
+        assert not report.passed
+        assert {c.kind for c in report.failures} >= {
+            CheckKind.CIRCLE_CIRCLE, CheckKind.CIRCLE_IN_CONTAINER, CheckKind.HAT_IN_PARENT}
+        listed = {(c.kind, c.ids): c.slack.hex() for c in report.checks}
+        assert all(listed[c.kind, c.ids] == c.slack.hex() for c in report.failures)
 
     def test_coincident_tiny_circles_fail(self):
         # slack -2e-10 is far below the global 1.4e-9 tolerance, but it is the
@@ -840,7 +862,7 @@ class TestSquareContainer:
         rng = np.random.default_rng(131)
         inside, on, outside = self.points(side, rng)
         for (px, py), where in ((inside, "inside"), (on, "on"), (outside, "outside")):
-            got = _container_signed_distance(table, px, py)
+            got = _point_tri_set_distance(px[None], py[None], table)[0]
             want = square_closed_form(px, py, side)
             assert np.array_equal(np.sign(got), np.sign(want)), where
             assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * side, where
@@ -853,7 +875,27 @@ class TestSquareContainer:
 
     def test_a_point_far_below_an_ulp_outside_is_outside(self):
         table = _read(Packing(Square(1.0)))[2]
-        assert _container_signed_distance(table, np.array([-1e-300]), np.array([0.75]))[0] < 0.0
+        assert _point_tri_set_distance(np.array([[-1e-300]]), np.array([[0.75]]), table)[0, 0] < 0.0
+
+    @pytest.mark.parametrize("container", [Square(1.0), Triangle.from_sides(3.0, 4.0, 5.0)],
+                             ids=["square", "tri345"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_polygon_serves_every_column(self, container, rows):
+        # the container's table (5, e, 1) gives, bit for bit, what the same
+        # table repeated for every column gives: points inside, on the
+        # boundary, an ulp outside and far outside
+        table = _read(Packing(container))[2]
+        cx, cy = table[0, :, 0], table[1, :, 0]
+        mx, my = cx.mean(), cy.mean()
+        px = np.concatenate((0.5 * (cx + mx), cx, 0.5 * (cx + np.roll(cx, -1)),
+                             np.nextafter(cx, cx + (cx - mx)), cx + 10.0 * (cx - mx)))
+        py = np.concatenate((0.5 * (cy + my), cy, 0.5 * (cy + np.roll(cy, -1)),
+                             np.nextafter(cy, cy + (cy - my)), cy + 10.0 * (cy - my)))
+        px, py = (np.stack([np.roll(v, r) for r in range(rows)]) for v in (px, py))
+        got = _point_tri_set_distance(px, py, table)
+        want = _point_tri_set_distance(px, py, np.broadcast_to(table, table.shape[:2] + px.shape[1:]))
+        assert got.shape == px.shape and (got < 0.0).any() and (got > 0.0).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 RIGHT = Triangle(((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)))
