@@ -35,12 +35,13 @@ from .packer import (
     PackRequest,
     PackStats,
     Packing,
+    decide,
     min_container,
     pack,
     packable_area,
 )
 from .verifier import Check, CheckKind, VerificationReport, verify
-from .documents import InstanceDocument, PackingDocument, decide
+from .documents import InstanceDocument, PackingDocument
 from .svg import render_packing_svg
 
 __version__ = "0.1.0"

@@ -12,20 +12,14 @@ import random
 import sys
 from pathlib import Path
 
-from .documents import (
-    InstanceDocument,
-    PackingDocument,
-    container_to_dict,
-    decide,
-    parse_container_spec,
-)
+from .documents import InstanceDocument, PackingDocument, container_to_dict, parse_container_spec
 from .errors import (
     DocumentError,
     InvalidParameterError,
     SplitPackError,
     UnsupportedContainerError,
 )
-from .packer import PackRequest, _combined_area, min_container, pack, packable_area
+from .packer import PackRequest, _combined_area, decide, min_container, pack, packable_area
 from .splitting import CircleSet
 from .svg import render_packing_svg
 from .verifier import verify
@@ -98,7 +92,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_pack(args) -> int:
-    packing = pack(_load_instance(args).to_request())
+    instance = _load_instance(args)
+    packing = pack(PackRequest(instance.container, CircleSet.from_areas(instance.areas)))
     if args.format == "svg":
         _write_output(render_packing_svg(packing), args.out)
     else:

@@ -1,4 +1,5 @@
-"""JSON documents for instances and packings.
+"""The two JSON formats: the instance document (a container and the circle
+areas to pack into it) and the packing document (a :class:`Packing` record).
 
 Numbers are serialized through Python's shortest-round-trip float repr, so
 parse(serialize(doc)) reproduces every double bit-exactly and verification
@@ -14,10 +15,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DocumentError, InvalidParameterError, OverCapacityError
+from .errors import DocumentError
 from .geometry import Point, Square, Triangle, critical_density
-from .packer import Packing, PackRequest, _admit
-from .splitting import CircleSet
+from .packer import Packing
 
 
 def container_to_dict(container: Union[Square, Triangle]) -> dict:
@@ -98,9 +98,6 @@ class InstanceDocument:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    def to_request(self) -> PackRequest:
-        return PackRequest(container=self.container, circles=CircleSet.from_areas(self.areas))
 
 
 def circle_entry_area(entry) -> float:
@@ -323,22 +320,3 @@ class PackingDocument:
     def to_tree(self) -> Packing:
         """The document's packing record, ready for :func:`splitpack.verify`."""
         return self.packing
-
-
-def decide(instance: InstanceDocument) -> dict:
-    """Sufficient-condition decision: 'yes' when the area bound guarantees a
-    packing, otherwise 'unknown' (never 'no' — the bound is not necessary).
-
-    The answer is 'unknown' exactly when :func:`splitpack.pack` refuses the
-    instance up front: both admit it through ``packer._admit``. ``ratio`` is
-    the combined area over the packable area, read in the container's frame,
-    or None where pack refuses the instance as more than a double carries or
-    the ratio leaves the float range."""
-    request = instance.to_request()
-    try:
-        ratio, packable = _admit(request)[-1], "yes"
-    except InvalidParameterError:
-        return {"packable": "unknown", "ratio": None}
-    except OverCapacityError as exc:
-        ratio, packable = exc.ratio, "unknown"
-    return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}

@@ -17,7 +17,8 @@ square's two corner hats) and hands them to one iterative loop, which builds
 every further hat and places every circle, directly in world coordinates,
 from its shape's constants: at most four right shapes below the container.
 The result is one flat record, :class:`Packing`: a column per circle and
-hat attribute, and no object per shape.
+hat attribute, and no object per shape. `_admit` is the paper's sufficient
+condition: `pack` refuses, and `decide` answers 'unknown' to, what it refuses.
 """
 
 import math
@@ -111,9 +112,9 @@ class PackRequest:
 class PackStats:
     """Counters :func:`pack` fills in; pass one as its ``stats`` argument to read them.
 
-    ``split_calls`` and ``element_moves`` count set splits and the circles
-    they moved, ``hat_count`` the record's hats. ``max_depth`` is the deepest
-    ``hat_depth``, plus 1 for a triangle container, which counts as a level.
+    ``split_calls`` counts set splits, half the record's hats, ``element_moves``
+    the circles they moved and ``hat_count`` the hats. ``max_depth`` is the
+    deepest ``hat_depth``, plus 1 for a triangle container, which counts as a level.
     """
 
     split_calls: int = 0
@@ -161,9 +162,9 @@ def _split_step(a1: float, m1: float, a2: float, m2: float, f1: float, f2: float
             m2 if m2 < b2 else b2, 1.0 if -snap2 <= a2 - f2 <= snap2 else math.sqrt(a2 / f2))
 
 
-def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> tuple[int, int]:
+def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> int:
     """Fill each hat (entry as on the stack below) with its non-empty circle
-    group, and return the number of set splits and of the circles they moved.
+    group, and return the number of circles its set splits moved.
 
     The only place that splits a hat into subhats and places a circle in a
     hat, by the constants of the hat's entry in ``shapes`` (a shape_table):
@@ -181,7 +182,7 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> tuple
     lone_limit = 1.0 + _PLACEMENT_REL_TOL
     xs, ys, radii = packing.x, packing.y, packing.radius
     vertices, roundings, depths = packing.hat_vertices, packing.hat_rounding, packing.hat_depth
-    split_calls = element_moves = 0
+    element_moves = 0
     pop, push = stack.pop, stack.append
     # One flat entry per hat: its base (longest side) ends L and R and apex
     # C, whether it is a left half, inradius, shape index, circle group
@@ -223,7 +224,6 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> tuple
         f2 = pi * r2 * r2
         # one call through the module global per split, which a tracer may wrap
         areas1, indices1, a1, areas2, indices2, a2 = weighted_split(areas, indices, f1, f2)
-        split_calls += 1
         element_moves += size
         b1, t1, b2, t2 = _split_step(a1, areas1[-1], a2, areas2[-1], f1, f2, b_min, capacity)
         depth += 1
@@ -242,7 +242,7 @@ def _pack_into_hats(packing: Packing, shapes: list, stack: list[tuple]) -> tuple
         pcx = lx + t1 * (cx - lx)
         pcy = ly + t1 * (cy - ly)
         push((pcx, pcy, lx, ly, pfx, pfy, True, t1 * r1, shape1, areas1, indices1, b1, depth))
-    return split_calls, element_moves
+    return element_moves
 
 
 def _combined_area(areas) -> float:
@@ -260,13 +260,14 @@ def _admit(request: PackRequest) -> tuple[int, Union[Square, Triangle], list[flo
 
     Refuses what a double cannot carry with :class:`InvalidParameterError`: a
     container whose area, or packable area in the frame, is not a positive
-    normal float, and an area not one in the frame. Then refuses, with
+    normal float, a triangle whose altitude foot rounds onto an end of its
+    base (a half of zero size, which the loop cannot split), and an area not
+    a positive normal float in the frame. Then refuses, with
     :class:`OverCapacityError` carrying the ratio, where the area bound does
     not guarantee a packing: the rule reads only the sum of the areas, exactly
     rounded, so it does not depend on their order, and a sum past the float
     range is over capacity. :func:`pack` refuses exactly the requests this
-    raises for, and :func:`splitpack.documents.decide` answers "unknown" for
-    them.
+    raises for, and :func:`decide` answers "unknown" for them.
     """
     k, container = frame(request.container)
     capacity = packable_area(container)
@@ -274,6 +275,9 @@ def _admit(request: PackRequest) -> tuple[int, Union[Square, Triangle], list[flo
     if not (_NORMAL <= area < math.inf and capacity >= _NORMAL):
         raise InvalidParameterError(
             f"the container's area {area!r}, or its packable area, is not a positive normal float")
+    if isinstance(container, Triangle) and any(
+            0.0 in shape[1:3] for shape in shape_table(*container.base_split)[1]):
+        raise InvalidParameterError("the altitude foot rounds onto an end of the triangle's base")
     given = request.circles.areas
     try:
         areas = [math.ldexp(a, 2 * k) for a in given]
@@ -293,6 +297,24 @@ def _admit(request: PackRequest) -> tuple[int, Union[Square, Triangle], list[flo
             ratio=ratio,
         )
     return k, container, areas, capacity, ratio
+
+
+def decide(instance) -> dict:
+    """Sufficient-condition decision on an instance's ``container`` and
+    ``areas``: 'yes' when the area bound guarantees a packing, otherwise
+    'unknown' (never 'no' — the bound is not necessary). The answer is
+    'unknown' exactly when :func:`pack` refuses the instance up front, as both
+    admit it through :func:`_admit`; ``ratio`` is the combined area over the
+    packable area, read in the container's frame, or None where pack refuses
+    the instance as more than a double carries or the ratio leaves the float range."""
+    request = PackRequest(instance.container, CircleSet.from_areas(instance.areas))
+    try:
+        ratio, packable = _admit(request)[-1], "yes"
+    except InvalidParameterError:
+        return {"packable": "unknown", "ratio": None}
+    except OverCapacityError as exc:
+        ratio, packable = exc.ratio, "unknown"
+    return {"packable": packable, "ratio": ratio if math.isfinite(ratio) else None}
 
 
 def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
@@ -316,8 +338,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     if n == 0:
         return packing
 
-    shapes, hats = None, []
-    split_calls = element_moves = 0
+    shapes, hats, moves = None, [], 0
     if isinstance(container, Square) and n == 1:
         # Degenerate corner-anchored hat: the circle ends up tangent to
         # the two sides meeting at the far corner.
@@ -327,7 +348,7 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
     elif isinstance(container, Square):
         s = container.side
         areas1, indices1, a1, areas2, indices2, a2 = split(areas, request.circles.indices)
-        split_calls, element_moves = 1, n
+        moves = n
         # The half-square's incircle area is half the twincircle area, so the
         # square splits like a hat with key (f, f).
         f = capacity / 2.0
@@ -351,13 +372,13 @@ def pack(request: PackRequest, stats: Optional[PackStats] = None) -> Packing:
         r_in, shapes = shape_table(*container.base_split)
         (lx, ly), (rx, ry), (cx, cy) = container.base_split
         hats = [(lx, ly, rx, ry, cx, cy, False, r_in, 0, areas, request.circles.indices, 0.0, 0)]
-    calls, moves = _pack_into_hats(packing, shapes, hats)
+    moves += _pack_into_hats(packing, shapes, hats)
     for column in (packing.x, packing.y, packing.radius, packing.hat_vertices, packing.hat_rounding):
         view = np.asarray(column)  # the column's own memory
         np.ldexp(view, -k, out=view)
     if stats is not None:
-        stats.split_calls += split_calls + calls
-        stats.element_moves += element_moves + moves
+        stats.split_calls += len(packing.hat_rounding) // 2
+        stats.element_moves += moves
         stats.hat_count += len(packing.hat_rounding)
         depth = max(packing.hat_depth, default=0) + isinstance(container, Triangle)
         stats.max_depth = max(stats.max_depth, depth)

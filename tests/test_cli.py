@@ -376,7 +376,7 @@ class TestDecide:
             inst = InstanceDocument(container, areas)
             yes = decide(inst)["packable"] == "yes"
             try:
-                pack(inst.to_request())
+                pack(PackRequest(inst.container, CircleSet.from_areas(inst.areas)))
                 packed = True
             except sp.OverCapacityError:
                 packed = False
@@ -399,6 +399,21 @@ class TestDecide:
                                  stdin=json.dumps(circles), monkeypatch=monkeypatch)
         assert code == 0, err
         assert json.loads(out, parse_constant=refuse) == {"packable": "unknown", "ratio": None}
+
+    def test_triangle_with_a_zero_half_is_refused_up_front(self, tmp_path, capsys):
+        # the altitude foot of this right needle rounds onto the right angle,
+        # an end of the base, so one half has no area and the loop cannot
+        # split it: decide answers "unknown" and pack refuses before packing
+        container = Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-9)))
+        inst = InstanceDocument(container, [sp.packable_area(container) / 2.0] * 2)
+        path = write_instance(tmp_path, "inst.json", inst)
+        code, out, err = run_cli(["decide", "--circles", path], capsys)
+        assert code == 0, err
+        assert json.loads(out) == {"packable": "unknown", "ratio": None}
+        code, out, err = run_cli(["pack", "--circles", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "an end of the triangle's base" in err
 
     def test_areas_whose_exact_sum_overflows_are_unknown(self, capsys, monkeypatch):
         code, out, err = run_cli(["decide", "--container", "square:1", "--circles", "-"], capsys,
@@ -435,7 +450,7 @@ class TestPack:
         for side, areas, total in ((1.0, [1e308] * 2, "inf"), (0.5, [1e307] * 10, "1e+308")):
             inst = InstanceDocument(Square(side), areas)
             with pytest.raises(sp.OverCapacityError) as refused:
-                pack(inst.to_request())
+                pack(PackRequest(inst.container, CircleSet.from_areas(inst.areas)))
             assert refused.value.ratio == math.inf
             assert decide(inst) == {"packable": "unknown", "ratio": None}
             code, out, err = run_cli(["pack", "--container", f"square:{side}", "--circles", "-"],
@@ -450,7 +465,7 @@ class TestPack:
         # Square(1e-150)'s frame scales areas by 2**998, where 1e10 overflows
         inst = InstanceDocument(Square(1e-150), areas)
         with pytest.raises(sp.InvalidParameterError, match="overflow in the container's frame"):
-            pack(inst.to_request())
+            pack(PackRequest(inst.container, CircleSet.from_areas(inst.areas)))
         assert decide(inst) == {"packable": "unknown", "ratio": None}
         code, out, err = run_cli(["pack"], capsys, stdin=inst.to_json(), monkeypatch=monkeypatch)
         assert code == 2 and out == ""

@@ -50,6 +50,10 @@ from reference_geometry import (
 
 SQRT2 = math.sqrt(2.0)
 
+THIN_HATS_XFAIL = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="thin triangles: recorded hats leave their parents (ROADMAP item 1)")
+
 
 def right_isosceles_with_incircle(area: float) -> Triangle:
     """Right isosceles triangle whose incircle has the given area."""
@@ -221,18 +225,16 @@ class TestTrianglePacking:
         with pytest.raises(UnsupportedContainerError):
             pack(PackRequest(t, CircleSet.from_areas([0.1])))
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
-                       reason="thin triangles: recorded hats leave their parents, and the "
-                              "1e-9 needle is refused inside pack though decide says yes "
-                              "(ROADMAP items 1 and 3)")
     @pytest.mark.parametrize("container", [
         # worst hat-in-parent slack -4.6e-5 and -6.7e-5
-        Triangle.from_sides(1.0, 1.0, 2.0 - 1e-12),
-        Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-6))),
+        pytest.param(Triangle.from_sides(1.0, 1.0, 2.0 - 1e-12), id="flat", marks=THIN_HATS_XFAIL),
+        pytest.param(Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-6))), id="needle",
+                     marks=THIN_HATS_XFAIL),
         # the hypotenuse rounds to 1.0 and ties with the long leg in base_split,
-        # so the altitude's foot fraction is 0 and weighted_split refuses its key
-        Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-9))),
-    ], ids=["flat", "needle", "needle-1e-9"])
+        # so the altitude's foot fraction is 0: _admit refuses the zero half
+        pytest.param(Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-9))), id="needle-1e-9"),
+        pytest.param(Triangle(((0.0, 0.0), (1.0, 0.0), (0.0, 1e-10))), id="needle-1e-10"),
+    ])
     def test_thin_triangle_is_refused_up_front_or_packs(self, container):
         # ten equal circles at capacity: either pack refuses the request
         # as decide does, or the packing PASSes
